@@ -9,26 +9,30 @@ capability cost is purely second order.
 Run:  python demos/02_quadratic_interference.py
 """
 
+import dataclasses
 import math
 
-from orthoproj import (TrainConfig, angle_between, quadratic_family,
-                       taylor_scaling, train)
+from orthoproj import angle_between, build_family, taylor_scaling, train
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import Stage
 
-BASE = dict(eta=0.05, steps=100, refresh_every=5, ref_count=1,
-            safety_batch=1, ref_batch=1, seed=0,
-            stages=(Stage("safety", "squared_error", 100),))
+EXP = DEFAULTS["quadratic"]
+
+
+def family_at(alpha):
+    """The shipped quadratic pair with its gradient angle set to alpha."""
+    return build_family(EXP.family_kind, EXP.family_seed, **dict(EXP.family_params, alpha=alpha))
+
 
 print("== the constructed angle is exact")
 for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
-    fam = quadratic_family(12, alpha, seed=0)
+    fam = family_at(alpha)
     cap, safety = fam.tasks["capability"], fam.tasks["safety"]
     measured = angle_between(cap.gradient(fam.theta0), safety.gradient(fam.theta0))
     print(f"requested {alpha:.6f} rad, measured {measured:.6f} rad")
 
 print("\n== one-step reference-loss change scales differently per method")
-fam = quadratic_family(12, math.pi / 4, seed=0)
+fam = family_at(math.pi / 4)
 for method in ("ortho", "naive"):
     report = taylor_scaling(fam, (1e-2, 1e-3, 1e-4), method)
     print(f"{method:6s}: log-log slope {report.slope:.3f} "
@@ -39,10 +43,10 @@ print("remainder; the naive step pays a first-order capability cost.")
 print("\n== full runs at three angles")
 for alpha, label in ((0.0, "collinear"), (math.pi / 3, "conflicted"),
                      (math.pi / 2, "orthogonal")):
-    fam = quadratic_family(12, alpha, seed=0)
+    fam = family_at(alpha)
     row = []
     for method in ("naive", "replay", "ortho"):
-        result = train(TrainConfig(method=method, **BASE), fam)
+        result = train(dataclasses.replace(EXP.train, method=method), fam)
         r = alignment_tax(result, fam)
         row.append(f"{method}: gain={r.safety_gain:+.3f} tax={r.total_tax:+.4f}")
     print(f"alpha={alpha:.3f} ({label}):  " + " | ".join(row))

@@ -3,14 +3,16 @@
 Run:  python demos/03_subspace_lifecycle.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from orthoproj import NO_REFRESH, TrainConfig, estimate_subspace, train
+from orthoproj import NO_REFRESH, build_family, estimate_subspace, train
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import Stage
-from orthoproj.tasks import policy_family
 
-fam = policy_family(8, 10, 200, 2000, seed=0)
+EXP = DEFAULTS["policy"]
+fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
 
 print("== estimation: one gradient per reference facet, orthonormalized")
 sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), batch_size=200,
@@ -23,11 +25,9 @@ doubled = estimate_subspace(fam.theta0, list(fam.capability_tasks) * 2, 200,
 print(f"{doubled.candidate_count} candidates -> rank {doubled.rank}")
 
 print("\n== refresh period: fresh bases track the moving loss geometry")
-base = dict(eta=0.2, steps=100, ref_count=2, safety_batch=32, ref_batch=200, seed=0)
 for period in (2, 5, 10, NO_REFRESH):
-    stages = (Stage("sft", "nll_sft", 60, period), Stage("dpo", "dpo_pairwise", 40, period))
-    cfg = TrainConfig(method="ortho", refresh_every=period if period == NO_REFRESH else int(period),
-                      stages=stages, **base)
+    stages = tuple(dataclasses.replace(s, refresh_every=period) for s in EXP.train.stages)
+    cfg = dataclasses.replace(EXP.train, refresh_every=period, stages=stages)
     result = train(cfg, fam)
     report = alignment_tax(result, fam)
     removed = sum(r.removed_fraction for r in result.records) / len(result.records)

@@ -7,25 +7,21 @@ extra gradient computations, projected descent mostly never damages.
 Run:  python demos/04_regression_forgetting.py  (writes out/regression_curves.svg)
 """
 
-import math
+import dataclasses
 from pathlib import Path
 
-from orthoproj import TrainConfig, summarize, train
+from orthoproj import build_family, summarize, train
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import Stage
 from orthoproj.plots import line_chart
-from orthoproj.tasks import regression_family
 
-fam = regression_family(d=16, hidden=12, alpha=math.pi / 3, noise_sigma=1.0,
-                        n_capability=200, n_safety=2000, seed=0)
-cfg = dict(eta=0.02, steps=300, refresh_every=5, ref_count=2,
-           safety_batch=64, ref_batch=200, seed=0,
-           stages=(Stage("safety", "squared_error", 300),))
+EXP = DEFAULTS["regression"]
+fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
 
 results = []
 curves = {}
 for method in ("naive", "replay", "ortho"):
-    result = train(TrainConfig(method=method, **cfg), fam)
+    result = train(dataclasses.replace(EXP.train, method=method), fam)
     results.append(result)
     report = alignment_tax(result, fam)
     curves[f"{method} cap_a"] = [r.ref_losses[0] for r in result.records]
@@ -38,7 +34,7 @@ print(summarize(results, fam).to_csv(), end="")
 
 out = Path("out")
 out.mkdir(exist_ok=True)
-steps = list(range(cfg["steps"]))
+steps = list(range(EXP.train.steps))
 (out / "regression_curves.svg").write_text(
     line_chart(steps, curves, "capability probe (facet a) during safety tuning",
                "step", "probe loss"))

@@ -7,24 +7,21 @@ so its probe loss starts at exactly log 2 and falls as the margin grows.
 Run:  python demos/05_policy_pipeline.py  (writes out/policy_curves.svg)
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
-from orthoproj import TrainConfig, train
+from orthoproj import build_family, train
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import Stage
 from orthoproj.plots import line_chart
-from orthoproj.tasks import policy_family
 
-cfg = dict(eta=0.2, steps=100, refresh_every=5, ref_count=2,
-           safety_batch=32, ref_batch=200, seed=0,
-           stages=(Stage("sft", "nll_sft", 60, 30),
-                   Stage("dpo", "dpo_pairwise", 40, 5)))
+EXP = DEFAULTS["policy"]
 
 curves = {}
 for method in ("naive", "ortho"):
-    fam = policy_family(8, 10, 200, 2000, seed=0)
-    result = train(TrainConfig(method=method, **cfg), fam)
+    fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
+    result = train(dataclasses.replace(EXP.train, method=method), fam)
     report = alignment_tax(result, fam)
     curves[f"{method} capability"] = [sum(r.ref_losses) for r in result.records]
     curves[f"{method} safety"] = [r.safety_loss for r in result.records]
@@ -39,6 +36,6 @@ print(f"\n(log 2 = {math.log(2):.4f}; the preference stage starts there by "
 out = Path("out")
 out.mkdir(exist_ok=True)
 (out / "policy_curves.svg").write_text(
-    line_chart(list(range(cfg["steps"])), curves,
+    line_chart(list(range(EXP.train.steps)), curves,
                "two-stage pipeline: per-stage probe losses", "step", "loss"))
 print(f"wrote {out / 'policy_curves.svg'}")

@@ -6,29 +6,24 @@ driven through the library here so the numbers print inline.
 Run:  python demos/06_ablations.py
 """
 
-from orthoproj import NO_REFRESH, TrainConfig, train
+import dataclasses
+
+from orthoproj import NO_REFRESH, build_family, train
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import Stage
-from orthoproj.tasks import policy_family
 
-fam = policy_family(8, 10, 200, 2000, seed=0)
-BASE = dict(eta=0.2, steps=100, safety_batch=32, seed=0)
+EXP = DEFAULTS["policy"]
+fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
 
 
-def run(refresh=None, ref_count=2, ref_batch=200, facets=None):
-    if refresh is None:
-        # default schedule: coarse refresh for the likelihood stage, fine
-        # for the preference stage
-        stages = (Stage("sft", "nll_sft", 60, 30), Stage("dpo", "dpo_pairwise", 40, 5))
-        period = 5
-    else:
-        stages = (Stage("sft", "nll_sft", 60, refresh),
-                  Stage("dpo", "dpo_pairwise", 40, refresh))
-        period = refresh if refresh == NO_REFRESH else int(refresh)
-    cfg = TrainConfig(method="ortho", stages=stages, ref_count=ref_count,
-                      ref_batch=ref_batch, ref_facets=facets,
-                      refresh_every=period, **BASE)
-    return alignment_tax(train(cfg, fam), fam)
+def run(refresh=None, **overrides):
+    # without a refresh override, the shipped schedule: coarse refresh for
+    # the likelihood stage, fine for the preference stage
+    cfg = EXP.train
+    if refresh is not None:
+        stages = tuple(dataclasses.replace(s, refresh_every=refresh) for s in cfg.stages)
+        cfg = dataclasses.replace(cfg, refresh_every=refresh, stages=stages)
+    return alignment_tax(train(dataclasses.replace(cfg, **overrides), fam), fam)
 
 
 print("== refresh period: dynamic beats static")
@@ -39,7 +34,7 @@ for k in (2, 5, 10, NO_REFRESH):
 print("\n== subspace width: both facets beat either alone")
 for label, count, facets in (("none", 0, None), ("facet a", 1, (0,)),
                              ("facet b", 1, (1,)), ("both", 2, None)):
-    print(f"  {label:8s}: total tax {run(ref_count=count, facets=facets).total_tax:+.4f}")
+    print(f"  {label:8s}: total tax {run(ref_count=count, ref_facets=facets).total_tax:+.4f}")
 
 print("\n== reference sample budget: flat response, tiny budgets suffice")
 for n in (50, 100, 200):

@@ -18,8 +18,7 @@ from .optimizer import (NO_REFRESH, Stage, TrainConfig, TrainResult, naive_step,
 from .oracle import FDConfig, fd_gradient, steepest_check, taylor_scaling
 from .subspace import CapabilitySubspace, estimate_subspace, needs_refresh
 from .tasks import (DifferentiableTask, TaskFamily, build_family, load_family,
-                    make_policy_family, make_quadratic_pair,
-                    make_regression_family, policy_family, quadratic_family,
-                    regression_family, save_family)
+                    policy_family, quadratic_family, regression_family,
+                    save_family)
 
 __version__ = "0.1.0"

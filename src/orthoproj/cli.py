@@ -14,9 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigParseError, ExperimentFile, parse_config_file, render_config
+from .config import ExperimentFile, parse_config_file, render_config
 from .errors import ConfigurationError, NumericError
-from .metrics import alignment_tax, records_to_csv, summarize, tax_report_to_csv
+from .metrics import (alignment_tax, records_to_csv, summarize, summary_table,
+                      tax_report_to_csv)
 from .optimizer import NO_REFRESH, Stage, train
 from .plots import line_chart, scatter_chart
 from .tasks import build_family
@@ -58,25 +59,17 @@ def run_experiment(experiment: ExperimentFile, out_dir: Path):
 
 
 def cmd_run(args) -> int:
-    try:
-        experiment = _load(args)
-    except (ConfigParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        _, report, _ = run_experiment(experiment, Path(args.out or experiment.out_dir))
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    experiment = _load(args)
+    _, report, _ = run_experiment(experiment, Path(args.out or experiment.out_dir))
     print(f"safety_gain={report.safety_gain!r} total_tax={report.total_tax!r}")
     return EXIT_OK
 
 
 def _load(args) -> ExperimentFile:
-    experiment = parse_config_file(args.config)
+    try:
+        experiment = parse_config_file(args.config)
+    except OSError as exc:
+        raise ConfigurationError(str(exc)) from exc
     if args.seed is not None:
         train_cfg = dataclasses.replace(experiment.train, seed=args.seed)
         family_seed = experiment.family_seed
@@ -120,94 +113,58 @@ def _sweep_configs(experiment: ExperimentFile, axis: str, values):
     return legs
 
 
-def _leg_summary_row(value, result, report):
-    n = len(result.records)
-    mean_removed = sum(r.removed_fraction for r in result.records) / n
-    mean_rank = sum(r.rank for r in result.records) / n
-    return (value, report.safety_gain, *report.tax, report.total_tax, mean_removed, mean_rank)
-
-
 def cmd_sweep(args) -> int:
-    try:
-        experiment = _load(args)
-    except (ConfigParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if args.axis not in SWEEP_AXES:
-        print(f"config error: unknown sweep axis {args.axis!r}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    experiment = _load(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        print("config error: --values is empty", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigurationError("--values is empty")
 
     out_root = Path(args.out or experiment.out_dir)
-    rows, failures = [], []
-    ref_names = None
+    legs, failures = [], []
     for value, leg in _sweep_configs(experiment, args.axis, values):
         leg_dir = out_root / f"{args.axis}={value}"
         try:
             if isinstance(leg, ConfigurationError):
                 raise leg
-            result, report, family = run_experiment(leg, leg_dir)
+            result, report, _ = run_experiment(leg, leg_dir)
         except (ConfigurationError, NumericError) as exc:
             failures.append({"value": value, "error": str(exc),
                              "kind": type(exc).__name__})
             continue
-        ref_names = [t.name for t in family.capability_tasks]
-        rows.append(_leg_summary_row(value, result, report))
+        legs.append((value, result, report))
 
-    if rows:
-        columns = (args.axis, "safety_gain", *[f"tax_{n}" for n in ref_names],
-                   "total_tax", "mean_removed_fraction", "mean_rank")
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
-        atomic_write_text(out_root / "summary.csv", "\n".join(lines) + "\n")
-        chart = line_chart([r[0] for r in rows],
-                           {"total_tax": [r[-3] for r in rows],
-                            "safety_gain": [r[1] for r in rows]},
+    if legs:
+        table = summary_table(args.axis, legs)
+        atomic_write_text(out_root / "summary.csv", table.to_csv())
+        chart = line_chart([r[0] for r in table.rows],
+                           {"total_tax": [r[-3] for r in table.rows],
+                            "safety_gain": [r[1] for r in table.rows]},
                            f"sweep over {args.axis}", args.axis, "value",
                            categorical=True)
         atomic_write_text(out_root / "sweep.svg", chart)
     if failures:
         atomic_write_text(out_root / "failures.json", json.dumps(failures, indent=2) + "\n")
-        print(f"{len(failures)} sweep leg(s) failed; see failures.json", file=sys.stderr)
         numeric = any(f["kind"] == "NumericError" for f in failures)
-        return EXIT_NUMERIC_ERROR if numeric else EXIT_CONFIG_ERROR
+        raise (NumericError if numeric else ConfigurationError)(
+            f"{len(failures)} sweep leg(s) failed; see failures.json")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    try:
-        experiment = _load(args)
-    except (ConfigParseError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    experiment = _load(args)
     out_root = Path(args.out or experiment.out_dir)
     family = build_family(experiment.family_kind, experiment.family_seed,
                           **experiment.family_params_dict())
     results = []
-    try:
-        for method in ("naive", "ortho", "replay"):
-            cfg = dataclasses.replace(experiment.train, method=method)
-            result = train(cfg, family)
-            results.append(result)
-            atomic_write_text(out_root / method / "records.csv",
-                              records_to_csv(result.records))
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    for method in ("naive", "ortho", "replay"):
+        result = train(dataclasses.replace(experiment.train, method=method), family)
+        results.append(result)
+        atomic_write_text(out_root / method / "records.csv", records_to_csv(result.records))
 
     table = summarize(results, family)
     atomic_write_text(out_root / "summary.csv", table.to_csv())
-    points = []
-    for result in results:
-        report = alignment_tax(result, family)
-        points.append((report.safety_gain, report.total_tax, result.config.method))
+    # rows are sorted by method: naive, ortho, replay, the order they ran in
+    points = [(row[1], row[-3], row[0]) for row in table.rows]
     atomic_write_text(out_root / "compare.svg",
                       scatter_chart(points, "safety gain vs capability tax",
                                     "safety_gain", "total_tax"))
@@ -250,7 +207,14 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(fn=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .optimizer import NO_REFRESH, Stage, TrainConfig
-from .tasks import FAMILY_KINDS
+from .tasks import FAMILIES, family_schema
 
 __all__ = ["ExperimentFile", "ConfigParseError", "parse_config", "parse_config_file",
-           "render_config", "CONFIG_VERSION"]
+           "render_config", "CONFIG_VERSION", "DEFAULTS"]
 
 CONFIG_VERSION = 1
 
@@ -63,29 +63,36 @@ class ExperimentFile:
         return dict(self.family_params)
 
 
-_FAMILY_KEYS = {
-    "quadratic_pair": {"d": int, "alpha": float, "cap_residual": float,
-                       "safety_residual": float},
-    "regression_mlp": {"d": int, "hidden": int, "alpha": float, "noise_sigma": float,
-                       "n_capability": int, "n_safety": int},
-    "policy_sft_dpo": {"context_dim": int, "vocab": int, "n_capability": int,
-                       "n_safety": int},
+def _shipped(stem: str, kind: str, family: dict, **train) -> ExperimentFile:
+    return ExperimentFile(CONFIG_VERSION, kind, 0, tuple(sorted(family.items())),
+                          TrainConfig(**train), f"runs/{stem}")
+
+
+# The shipped experiments, keyed by the stems of the configs/*.cfg files
+# that spell them out (a test holds each file equal to its entry here).
+DEFAULTS = {
+    "quadratic": _shipped(
+        "quadratic", "quadratic_pair", dict(d=12, alpha=math.pi / 4),
+        eta=0.05, steps=100, refresh_every=5, ref_count=1, safety_batch=1, ref_batch=1,
+        stages=(Stage("safety", "squared_error", 100),)),
+    "regression": _shipped(
+        "regression", "regression_mlp",
+        dict(d=16, hidden=12, alpha=math.pi / 3, noise_sigma=1.0, n_capability=200,
+             n_safety=2000),
+        eta=0.02, steps=300, refresh_every=5, ref_count=2, safety_batch=64, ref_batch=200,
+        stages=(Stage("safety", "squared_error", 300),)),
+    "policy": _shipped(
+        "policy", "policy_sft_dpo",
+        dict(context_dim=8, vocab=10, n_capability=200, n_safety=2000),
+        eta=0.2, steps=100, refresh_every=5, ref_count=2, safety_batch=32, ref_batch=200,
+        stages=(Stage("sft", "nll_sft", 60, 30), Stage("dpo", "dpo_pairwise", 40, 5))),
 }
-_FAMILY_REQUIRED = {
-    "quadratic_pair": ("d", "alpha"),
-    "regression_mlp": ("d", "hidden", "alpha", "noise_sigma", "n_capability", "n_safety"),
-    "policy_sft_dpo": ("context_dim", "vocab", "n_capability", "n_safety"),
-}
+
 
 _TRAIN_KEYS = {
     "method": str, "eta": float, "steps": int, "refresh_every": "period",
     "ref_count": int, "delta": float, "epsilon": float, "safety_batch": int,
     "ref_batch": int, "replay_lambda": float, "seed": int, "stages": "stages",
-}
-_TRAIN_DEFAULTS = {
-    "method": "ortho", "eta": 1e-3, "refresh_every": 5, "ref_count": 2,
-    "delta": 1e-6, "epsilon": 0.0, "safety_batch": 32, "ref_batch": 200,
-    "replay_lambda": 1.0, "seed": 0,
 }
 
 
@@ -184,21 +191,21 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
         raise ConfigParseError("missing 'kind' in [family]", 1)
     kind_line, kind_col = pos("family", "kind")
     kind = seen["family"].pop("kind")
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILIES:
         raise ConfigParseError(f"unknown family kind {kind!r}", kind_line, kind_col)
     family_seed_raw = seen["family"].pop("seed", None)
-    schema = _FAMILY_KEYS[kind]
+    schema = family_schema(kind)
     params = {}
     for key, raw in seen["family"].items():
         if key not in schema:
             raise ConfigParseError(f"unknown key {key!r} for family {kind}", *pos("family", key))
-        params[key] = _convert(schema[key], raw, *pos("family", key))
-    for key in _FAMILY_REQUIRED[kind]:
-        if key not in params:
+        params[key] = _convert(schema[key][0], raw, *pos("family", key))
+    for key, (_, required) in schema.items():
+        if required and key not in params:
             raise ConfigParseError(f"family {kind} requires key {key!r}", 1)
 
     # [train]
-    train_kwargs: dict[str, object] = dict(_TRAIN_DEFAULTS)
+    train_kwargs: dict[str, object] = {}
     stages: tuple[Stage, ...] | None = None
     for key, raw in seen["train"].items():
         if key not in _TRAIN_KEYS:

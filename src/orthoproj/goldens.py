@@ -40,14 +40,12 @@ GOLDEN_MARGINS: dict = {'policy_sft_dpo': {'0': {'dpo_drop_ratio': 0.76790461997
 
 
 def _measure() -> dict:
-    from .verify import _mitigation_margins
+    from .config import DEFAULTS
+    from .verify import MITIGATION_STEMS, _mitigation_margins
 
-    recorded: dict = {}
-    for kind in ("regression_mlp", "policy_sft_dpo"):
-        recorded[kind] = {}
-        for seed in (0, 1, 2):
-            recorded[kind][str(seed)] = _mitigation_margins(kind, seed)
-    return recorded
+    return {DEFAULTS[stem].family_kind: {str(seed): _mitigation_margins(stem, seed)
+                                         for seed in (0, 1, 2)}
+            for stem in MITIGATION_STEMS}
 
 
 def main() -> None:

@@ -19,6 +19,7 @@ __all__ = [
     "ComparisonTable",
     "alignment_tax",
     "summarize",
+    "summary_table",
     "records_header",
     "records_to_csv",
 ]
@@ -135,8 +136,24 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+def summary_table(key: str, labelled) -> ComparisonTable:
+    """One row per (label, result, report) triple, in the order given:
+    label, safety gain, per-probe tax, total tax, projection stats."""
+    columns = (key, "safety_gain",
+               *[f"tax_{n}" for n in labelled[0][2].ref_names],
+               "total_tax", "mean_removed_fraction", "mean_rank")
+    rows = []
+    for label, result, report in labelled:
+        n = len(result.records)
+        mean_removed = sum(rec.removed_fraction for rec in result.records) / n
+        mean_rank = sum(rec.rank for rec in result.records) / n
+        rows.append((label, report.safety_gain, *report.tax,
+                     report.total_tax, mean_removed, mean_rank))
+    return ComparisonTable(columns, tuple(rows))
+
+
 def summarize(results, family) -> ComparisonTable:
-    """One row per result: safety gain, per-probe tax, projection stats.
+    """One :func:`summary_table` row per result, keyed by method.
 
     Rows are sorted by method name so the table is independent of input
     order. All results must come from the same family (same probes).
@@ -146,16 +163,5 @@ def summarize(results, family) -> ComparisonTable:
     for r in results:
         if r.family_fingerprint != family.fingerprint:
             raise ConfigurationError("summarize: results from mismatched families")
-    ref_names = [t.name for t in family.capability_tasks]
-    columns = ("method", "safety_gain",
-               *[f"tax_{n}" for n in ref_names],
-               "total_tax", "mean_removed_fraction", "mean_rank")
-    rows = []
-    for result in sorted(results, key=lambda r: r.config.method):
-        report = alignment_tax(result, family)
-        n = len(result.records)
-        mean_removed = sum(rec.removed_fraction for rec in result.records) / n
-        mean_rank = sum(rec.rank for rec in result.records) / n
-        rows.append((result.config.method, report.safety_gain, *report.tax,
-                     report.total_tax, mean_removed, mean_rank))
-    return ComparisonTable(columns, tuple(rows))
+    return summary_table("method", [(r.config.method, r, alignment_tax(r, family))
+                                    for r in sorted(results, key=lambda r: r.config.method)])

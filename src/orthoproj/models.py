@@ -188,10 +188,8 @@ def _dpo_margins(spec, kind, theta, batch):
     rejected = pairs[:, 2]
     lp_pol = _log_softmax(x @ theta.reshape(v, c).T)
     lp_ref = _log_softmax(x @ ref.reshape(v, c).T)
-    idx = np.arange(pairs.shape[0])
     pol_margin = lp_pol[rows, preferred] - lp_pol[rows, rejected]
     ref_margin = lp_ref[rows, preferred] - lp_ref[rows, rejected]
-    del idx
     return kind.beta * (pol_margin - ref_margin), x, rows, preferred, rejected
 
 

@@ -9,7 +9,9 @@ and the effect of projecting it out is measurable.
 from __future__ import annotations
 
 import ast
+import inspect
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +24,11 @@ from .models import Batch, LossKind, ModelSpec
 __all__ = [
     "DifferentiableTask",
     "TaskFamily",
-    "make_quadratic_pair",
-    "make_regression_family",
-    "make_policy_family",
     "quadratic_family",
     "regression_family",
     "policy_family",
+    "FAMILIES",
+    "family_schema",
     "build_family",
     "save_family",
     "load_family",
@@ -145,11 +146,11 @@ def _snap(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadratic pair
+# family constructors; each one's signature is that family's config schema
 # ---------------------------------------------------------------------------
 
-def make_quadratic_pair(d: int, alpha: float, seed: int,
-                        cap_residual: float = 0.3, safety_residual: float = 2.5):
+def quadratic_family(d: int, alpha: float, seed: int,
+                     cap_residual: float = 0.3, safety_residual: float = 2.5) -> TaskFamily:
     """Two quadratic objectives whose gradients at theta0 meet at angle alpha.
 
     Directions u1 (even index support) and f (odd support) are exactly
@@ -164,8 +165,6 @@ def make_quadratic_pair(d: int, alpha: float, seed: int,
     cost; because w is orthogonal to u2, it adds no coupling along the
     safety direction itself, and at alpha = pi/2 (where w collapses onto
     u1) the safety objective is interference-free at every order.
-
-    Returns (capability_task, safety_task, theta0).
     """
     if d < 2:
         raise ConfigurationError(f"quadratic pair needs d >= 2, got {d}")
@@ -196,12 +195,6 @@ def make_quadratic_pair(d: int, alpha: float, seed: int,
     kind = LossKind("squared_error")
     capability = DifferentiableTask("capability", spec, kind, a_cap, b_cap, a_cap, b_cap)
     safety = DifferentiableTask("safety", spec, kind, a_safe, b_safe, a_safe, b_safe)
-    return capability, safety, theta0
-
-
-def quadratic_family(d: int, alpha: float, seed: int,
-                     cap_residual: float = 0.3, safety_residual: float = 2.5) -> TaskFamily:
-    capability, safety, theta0 = make_quadratic_pair(d, alpha, seed, cap_residual, safety_residual)
     return TaskFamily(
         kind="quadratic_pair",
         seed=seed,
@@ -214,12 +207,8 @@ def quadratic_family(d: int, alpha: float, seed: int,
     )
 
 
-# ---------------------------------------------------------------------------
-# regression (MLP) family
-# ---------------------------------------------------------------------------
-
-def make_regression_family(d: int, widths, alpha: float, noise_sigma: float,
-                           counts, seed: int):
+def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
+                      n_capability: int, n_safety: int, seed: int) -> TaskFamily:
     """Two-facet MLP regression with a safety teacher that conflicts on a
     shared feature block.
 
@@ -234,8 +223,6 @@ def make_regression_family(d: int, widths, alpha: float, noise_sigma: float,
 
     theta0 comes from a fixed, recorded budget of full-batch descent steps on
     the two capability sets (determinism over optimality).
-
-    Returns (capability_tasks, safety_task, theta0).
     """
     if d < 8:
         raise ConfigurationError(f"regression family needs d >= 8, got {d}")
@@ -243,11 +230,8 @@ def make_regression_family(d: int, widths, alpha: float, noise_sigma: float,
         raise ConfigurationError(f"noise_sigma must be non-negative, got {noise_sigma}")
     if not 0.0 <= alpha <= math.pi / 2 + 1e-12:
         raise ConfigurationError(f"alpha must lie in [0, pi/2], got {alpha}")
-    widths = tuple(int(w) for w in (widths if hasattr(widths, "__len__") else (widths,)))
-    if len(widths) != 1 or widths[0] < 1:
-        raise ConfigurationError(f"mlp2 takes one hidden width, got {widths}")
-    hidden = widths[0]
-    n_cap, n_safety = (int(counts[0]), int(counts[1]))
+    if hidden < 1:
+        raise ConfigurationError(f"mlp2 needs a positive hidden width, got {hidden}")
 
     rng = np.random.default_rng(seed)
     q = d // 4
@@ -285,20 +269,22 @@ def make_regression_family(d: int, widths, alpha: float, noise_sigma: float,
         xp, yp = draw(PROBE_ROWS, active, pieces)
         return DifferentiableTask(name, spec, kind, xt, yt, xp, yp)
 
-    cap_a = task("cap_a", (sl_a, sl_sh), ((sl_a, w_a), (sl_sh, s_shared)), n_cap)
-    cap_b = task("cap_b", (sl_b, sl_sh), ((sl_b, w_b), (sl_sh, s_shared)), n_cap)
+    cap_a = task("cap_a", (sl_a, sl_sh), ((sl_a, w_a), (sl_sh, s_shared)), n_capability)
+    cap_b = task("cap_b", (sl_b, sl_sh), ((sl_b, w_b), (sl_sh, s_shared)), n_capability)
     safety = task("safety", (sl_own, sl_sh), ((sl_own, w_own), (sl_sh, s_safety)), n_safety)
 
-    pretrain_steps, pretrain_eta = REGRESSION_PRETRAIN
-    theta = _init_mlp(rng, d, hidden)
-    for _ in range(pretrain_steps):
-        g_a = cap_a.gradient(theta, Batch(cap_a.train_inputs, cap_a.train_targets))
-        g_b = cap_b.gradient(theta, Batch(cap_b.train_inputs, cap_b.train_targets))
-        theta = theta - pretrain_eta * 0.5 * (g_a + g_b)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("regression pre-training diverged")
-
-    return [cap_a, cap_b], safety, theta
+    theta0 = _pretrain(_init_mlp(rng, d, hidden), cap_a, cap_b, REGRESSION_PRETRAIN, "regression")
+    return TaskFamily(
+        kind="regression_mlp",
+        seed=seed,
+        theta0=theta0,
+        capability_tasks=(cap_a, cap_b),
+        tasks={t.name: t for t in (cap_a, cap_b, safety)},
+        safety_metric_task="safety",
+        params={"d": d, "hidden": hidden, "alpha": alpha, "noise_sigma": noise_sigma,
+                "n_capability": n_capability, "n_safety": n_safety,
+                "pretrain_steps": REGRESSION_PRETRAIN[0], "pretrain_eta": REGRESSION_PRETRAIN[1]},
+    )
 
 
 def _init_mlp(rng, d, hidden):
@@ -309,28 +295,20 @@ def _init_mlp(rng, d, hidden):
     return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
 
 
-def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
-                      n_capability: int, n_safety: int, seed: int) -> TaskFamily:
-    caps, safety, theta0 = make_regression_family(
-        d, (hidden,), alpha, noise_sigma, (n_capability, n_safety), seed)
-    return TaskFamily(
-        kind="regression_mlp",
-        seed=seed,
-        theta0=theta0,
-        capability_tasks=tuple(caps),
-        tasks={t.name: t for t in [*caps, safety]},
-        safety_metric_task="safety",
-        params={"d": d, "hidden": hidden, "alpha": alpha, "noise_sigma": noise_sigma,
-                "n_capability": n_capability, "n_safety": n_safety,
-                "pretrain_steps": REGRESSION_PRETRAIN[0], "pretrain_eta": REGRESSION_PRETRAIN[1]},
-    )
+def _pretrain(theta, cap_a, cap_b, budget, label):
+    """Full-batch descent on the mean of the two capability losses."""
+    steps, eta = budget
+    for _ in range(steps):
+        g_a = cap_a.gradient(theta, Batch(cap_a.train_inputs, cap_a.train_targets))
+        g_b = cap_b.gradient(theta, Batch(cap_b.train_inputs, cap_b.train_targets))
+        theta = theta - eta * 0.5 * (g_a + g_b)
+    if not np.all(np.isfinite(theta)):
+        raise NumericError(f"{label} pre-training diverged")
+    return theta
 
 
-# ---------------------------------------------------------------------------
-# policy family (likelihood stage then preference stage)
-# ---------------------------------------------------------------------------
-
-def make_policy_family(context_dim: int, vocab: int, counts, seed: int):
+def policy_family(context_dim: int, vocab: int, n_capability: int,
+                  n_safety: int, seed: int) -> TaskFamily:
     """Linear softmax policy with a two-stage safety pipeline.
 
     The vocabulary splits into a "safe" half (refusal-style tokens) and a
@@ -341,19 +319,16 @@ def make_policy_family(context_dim: int, vocab: int, counts, seed: int):
     shared block (zero overlap with either facet region), so safety
     behaviour learned through shared coordinates spills into the capability
     regions while the safety-own block offers interference-free room.
-    Stage 1 is categorical NLL on safe labels; stage 2 is the pairwise
-    preference loss with preferred = the safe label and rejected = the
-    strongest content token.
-
-    Returns (sft_task, dpo_task, capability_tasks, theta0); the dpo task's
-    reference policy starts at theta0 and is re-frozen at stage transitions
-    by the training loop.
+    Stage 1 ("sft") is categorical NLL on safe labels; stage 2 ("dpo") is
+    the pairwise preference loss with preferred = the safe label and
+    rejected = the strongest content token. The dpo task's reference policy
+    starts at theta0 and is re-frozen at stage transitions by the training
+    loop.
     """
     if vocab < 4:
         raise ConfigurationError(f"policy family needs vocab >= 4, got {vocab}")
     if context_dim < 4:
         raise ConfigurationError(f"policy family needs context_dim >= 4, got {context_dim}")
-    n_cap, n_safety = (int(counts[0]), int(counts[1]))
 
     rng = np.random.default_rng(seed)
     n_safe_tokens = vocab // 2
@@ -384,7 +359,7 @@ def make_policy_family(context_dim: int, vocab: int, counts, seed: int):
         return (p.cumsum(axis=1) < rng.random((x.shape[0], 1))).sum(axis=1)
 
     def capability_task(name, teacher, block):
-        xt = contexts(n_cap, (block, sl_sh))
+        xt = contexts(n_capability, (block, sl_sh))
         yt = sample_labels(xt, teacher)
         xp = contexts(PROBE_ROWS, (block, sl_sh))
         yp = sample_labels(xp, teacher)
@@ -416,29 +391,15 @@ def make_policy_family(context_dim: int, vocab: int, counts, seed: int):
         probe_pairs=np.column_stack([np.arange(PROBE_ROWS), w_probe, l_probe]),
     )
 
-    pretrain_steps, pretrain_eta = POLICY_PRETRAIN
-    theta = 0.01 * rng.standard_normal(spec.param_dim)
-    for _ in range(pretrain_steps):
-        g_a = cap_a.gradient(theta, Batch(cap_a.train_inputs, cap_a.train_targets))
-        g_b = cap_b.gradient(theta, Batch(cap_b.train_inputs, cap_b.train_targets))
-        theta = theta - pretrain_eta * 0.5 * (g_a + g_b)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("policy pre-training diverged")
-    dpo.ref_params = theta.copy()
-
-    return sft, dpo, [cap_a, cap_b], theta
-
-
-def policy_family(context_dim: int, vocab: int, n_capability: int,
-                  n_safety: int, seed: int) -> TaskFamily:
-    sft, dpo, caps, theta0 = make_policy_family(
-        context_dim, vocab, (n_capability, n_safety), seed)
+    theta0 = _pretrain(0.01 * rng.standard_normal(spec.param_dim), cap_a, cap_b,
+                       POLICY_PRETRAIN, "policy")
+    dpo.ref_params = theta0.copy()
     return TaskFamily(
         kind="policy_sft_dpo",
         seed=seed,
         theta0=theta0,
-        capability_tasks=tuple(caps),
-        tasks={t.name: t for t in [*caps, sft, dpo]},
+        capability_tasks=(cap_a, cap_b),
+        tasks={t.name: t for t in (cap_a, cap_b, sft, dpo)},
         safety_metric_task="sft",
         params={"context_dim": context_dim, "vocab": vocab,
                 "n_capability": n_capability, "n_safety": n_safety,
@@ -446,28 +407,33 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
     )
 
 
-FAMILY_KINDS = ("quadratic_pair", "regression_mlp", "policy_sft_dpo")
+# kind -> constructor: the one registry of family kinds and their parameters
+FAMILIES = {
+    "quadratic_pair": quadratic_family,
+    "regression_mlp": regression_family,
+    "policy_sft_dpo": policy_family,
+}
+
+
+def family_schema(kind: str) -> dict[str, tuple[type, bool]]:
+    """Config keys of a family kind: name -> (type, required), read off the
+    constructor's signature (every parameter but ``seed``)."""
+    constructor = FAMILIES[kind]
+    types = typing.get_type_hints(constructor)
+    return {name: (types[name], p.default is inspect.Parameter.empty)
+            for name, p in inspect.signature(constructor).parameters.items()
+            if name != "seed"}
 
 
 def build_family(kind: str, seed: int, **params) -> TaskFamily:
     """Construct a family from config-file parameters."""
-    if kind == "quadratic_pair":
-        return quadratic_family(
-            d=int(params["d"]), alpha=float(params["alpha"]), seed=seed,
-            cap_residual=float(params.get("cap_residual", 0.3)),
-            safety_residual=float(params.get("safety_residual", 2.5)))
-    if kind == "regression_mlp":
-        return regression_family(
-            d=int(params["d"]), hidden=int(params["hidden"]),
-            alpha=float(params["alpha"]), noise_sigma=float(params["noise_sigma"]),
-            n_capability=int(params["n_capability"]), n_safety=int(params["n_safety"]),
-            seed=seed)
-    if kind == "policy_sft_dpo":
-        return policy_family(
-            context_dim=int(params["context_dim"]), vocab=int(params["vocab"]),
-            n_capability=int(params["n_capability"]), n_safety=int(params["n_safety"]),
-            seed=seed)
-    raise ConfigurationError(f"unknown family kind {kind!r}")
+    if kind not in FAMILIES:
+        raise ConfigurationError(f"unknown family kind {kind!r}")
+    schema = family_schema(kind)
+    unknown = sorted(params.keys() - schema.keys())
+    if unknown:
+        raise ConfigurationError(f"unknown keys {unknown} for family {kind}")
+    return FAMILIES[kind](seed=seed, **{k: schema[k][0](v) for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------

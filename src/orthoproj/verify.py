@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import oracle, tasks
+from .config import DEFAULTS
 from .goldens import GOLDEN_MARGINS
 from .linalg import OrthonormalBasis, dot, gram_schmidt, norm, project_complement
 from .metrics import alignment_tax, records_to_csv
 from .models import Batch, LossKind, ModelSpec
-from .optimizer import NO_REFRESH, Stage, TrainConfig, train
+from .optimizer import NO_REFRESH, Stage, train
 from .subspace import estimate_subspace
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
@@ -235,7 +236,7 @@ def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
                       slope_tol: float = 0.2, remainder_tol: float = 1e-6,
                       quarter_tol: float = 1e-6) -> CheckResult:
     start = time.time()
-    fam = tasks.quadratic_family(12, math.pi / 4, seed=seed)
+    fam = _default_family("quadratic", seed)
     rep_orth = oracle.taylor_scaling(fam, etas, "ortho")
     rep_naive = oracle.taylor_scaling(fam, etas, "naive")
     ok_slopes = (abs(rep_orth.slope - 2.0) <= slope_tol
@@ -274,13 +275,12 @@ def _bitwise_equal(a, b) -> bool:
 
 def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
     start = time.time()
-    fam = tasks.regression_family(16, 12, math.pi / 3, 1.0, 200, 2000, seed)
-    stages = (Stage("safety", "squared_error", steps),)
-    base = dict(eta=0.02, steps=steps, refresh_every=5, safety_batch=64,
-                ref_batch=200, seed=seed, stages=stages)
-    naive = train(TrainConfig(method="naive", ref_count=2, **base), fam)
-    ortho_m0 = train(TrainConfig(method="ortho", ref_count=0, **base), fam)
-    replay_l0 = train(TrainConfig(method="replay", ref_count=2, replay_lambda=0.0, **base), fam)
+    fam = _default_family("regression", seed)
+    base = replace(DEFAULTS["regression"].train, steps=steps, seed=seed,
+                   stages=(Stage("safety", "squared_error", steps),))
+    naive = train(replace(base, method="naive"), fam)
+    ortho_m0 = train(replace(base, method="ortho", ref_count=0), fam)
+    replay_l0 = train(replace(base, method="replay", replay_lambda=0.0), fam)
     ok_m0 = _bitwise_equal(naive, ortho_m0)
     ok_l0 = _bitwise_equal(naive, replay_l0)
     elapsed = time.time() - start
@@ -293,31 +293,20 @@ def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
 # criterion 7: tax mitigation with recorded goldens
 # ---------------------------------------------------------------------------
 
-REGRESSION_DEFAULTS = dict(d=16, hidden=12, alpha=math.pi / 3, noise_sigma=1.0,
-                           n_capability=200, n_safety=2000)
-REGRESSION_TRAIN = dict(eta=0.02, steps=300, refresh_every=5, ref_count=2,
-                        safety_batch=64, ref_batch=200,
-                        stages=(Stage("safety", "squared_error", 300),))
-POLICY_DEFAULTS = dict(context_dim=8, vocab=10, n_capability=200, n_safety=2000)
-POLICY_TRAIN = dict(eta=0.2, steps=100, refresh_every=5, ref_count=2,
-                    safety_batch=32, ref_batch=200,
-                    stages=(Stage("sft", "nll_sft", 60, 30),
-                            Stage("dpo", "dpo_pairwise", 40, 5)))
+MITIGATION_STEMS = ("regression", "policy")  # the DEFAULTS the goldens record
 
 
-def _default_family(kind: str, seed: int):
-    if kind == "regression_mlp":
-        return tasks.regression_family(seed=seed, **REGRESSION_DEFAULTS)
-    return tasks.policy_family(seed=seed, **POLICY_DEFAULTS)
+def _default_family(stem: str, seed: int):
+    exp = DEFAULTS[stem]
+    return tasks.build_family(exp.family_kind, seed, **exp.family_params_dict())
 
 
-def _mitigation_margins(kind: str, seed: int):
-    """Per-seed mitigation measurements on a default family."""
-    fam = _default_family(kind, seed)
-    train_kwargs = REGRESSION_TRAIN if kind == "regression_mlp" else POLICY_TRAIN
+def _mitigation_margins(stem: str, seed: int):
+    """Per-seed mitigation measurements on a shipped experiment."""
+    fam = _default_family(stem, seed)
     out = {}
     for method in ("ortho", "naive", "replay"):
-        result = train(TrainConfig(method=method, seed=seed, **train_kwargs), fam)
+        result = train(replace(DEFAULTS[stem].train, method=method, seed=seed), fam)
         report = alignment_tax(result, fam)
         out[method] = (result, report)
     o, n, p = out["ortho"][1], out["naive"][1], out["replay"][1]
@@ -327,7 +316,7 @@ def _mitigation_margins(kind: str, seed: int):
         "tax_replay": list(p.tax),
         "gain_ratio": o.safety_gain / n.safety_gain,
     }
-    if kind == "policy_sft_dpo":
+    if fam.kind == "policy_sft_dpo":
         drops = {}
         for method in ("ortho", "naive"):
             records = out[method][0].records
@@ -344,9 +333,10 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
     goldens = GOLDEN_MARGINS if goldens is None else goldens
     problems = []
     summary = []
-    for kind in ("regression_mlp", "policy_sft_dpo"):
+    for stem in MITIGATION_STEMS:
+        kind = DEFAULTS[stem].family_kind
         for seed in seeds:
-            m = _mitigation_margins(kind, seed)
+            m = _mitigation_margins(stem, seed)
             for i, (to, tn) in enumerate(zip(m["tax_ortho"], m["tax_naive"])):
                 if not to < tn:
                     problems.append(f"{kind}/seed{seed}: tax probe {i} {to:.4g} !< {tn:.4g}")
@@ -383,18 +373,17 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
 
 def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckResult:
     start = time.time()
-    fam = _default_family("policy_sft_dpo", seed)
+    fam = _default_family("policy", seed)
+    base = replace(DEFAULTS["policy"].train, seed=seed)
     problems = []
 
     def tax_with(**overrides):
-        kwargs = dict(POLICY_TRAIN)
-        stages = kwargs.pop("stages")
         if "refresh_all" in overrides:
             period = overrides.pop("refresh_all")
-            stages = tuple(Stage(s.task, s.loss, s.steps, period) for s in stages)
-            kwargs["refresh_every"] = period if period == NO_REFRESH else int(period)
-        kwargs.update(overrides)
-        result = train(TrainConfig(method="ortho", seed=seed, stages=stages, **kwargs), fam)
+            overrides["stages"] = tuple(Stage(s.task, s.loss, s.steps, period)
+                                        for s in base.stages)
+            overrides["refresh_every"] = period if period == NO_REFRESH else int(period)
+        result = train(replace(base, **overrides), fam)
         return alignment_tax(result, fam).total_tax
 
     k_taxes = {k: tax_with(refresh_all=k) for k in (2, 5, 10, NO_REFRESH)}
@@ -436,22 +425,12 @@ def check_determinism(seed: int = 0) -> CheckResult:
     from pathlib import Path
 
     from .cli import run_experiment
-    from .config import parse_config
 
-    text = "\n".join([
-        "[experiment]", "version = 1", "",
-        "[family]", "kind = quadratic_pair", "d = 12",
-        f"alpha = {math.pi / 4!r}", f"seed = {seed}", "",
-        "[train]", "method = ortho", "eta = 0.05", "steps = 100",
-        "refresh_every = 5", "ref_count = 1", "safety_batch = 1",
-        "ref_batch = 1", f"seed = {seed}",
-        "stages = safety:squared_error:100", "",
-        "[output]", "dir = unused",
-    ])
+    exp = DEFAULTS["quadratic"]
+    exp = replace(exp, family_seed=seed, train=replace(exp.train, seed=seed))
     payloads = []
     with tempfile.TemporaryDirectory() as tmp:
         for sub in ("first", "second"):
-            exp = parse_config(text, name="determinism")
             out = Path(tmp) / sub
             run_experiment(exp, out)
             payloads.append(tuple(sorted(

@@ -4,16 +4,22 @@ from functools import lru_cache
 import pytest
 
 from orthoproj import tasks
+from orthoproj.config import DEFAULTS
+
+
+def _build(stem, seed, **overrides):
+    exp = DEFAULTS[stem]
+    return tasks.build_family(exp.family_kind, seed, **dict(exp.family_params, **overrides))
 
 
 @lru_cache(maxsize=None)
 def _quadratic(alpha_key: str, seed: int):
-    return tasks.quadratic_family(12, float(alpha_key), seed)
+    return _build("quadratic", seed, alpha=float(alpha_key))
 
 
 @lru_cache(maxsize=None)
 def _regression(alpha_key: str, seed: int):
-    return tasks.regression_family(16, 12, float(alpha_key), 1.0, 200, 2000, seed)
+    return _build("regression", seed, alpha=float(alpha_key))
 
 
 @pytest.fixture
@@ -32,4 +38,4 @@ def regression_family():
 def policy_family():
     """Fresh policy family per use: its dpo task's reference policy is
     re-frozen during training."""
-    return lambda seed=0: tasks.policy_family(8, 10, 200, 2000, seed)
+    return lambda seed=0: _build("policy", seed)

@@ -7,13 +7,15 @@ recorded from the first full run of this implementation; the verify suite
 holds new runs within 5 percent of them on top of the qualitative gates.
 """
 
+import dataclasses
 import subprocess
 import sys
 import time
 
-from orthoproj import tasks, verify
+from orthoproj import verify
+from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
-from orthoproj.optimizer import TrainConfig, train
+from orthoproj.optimizer import train
 
 
 def _report(number, name, result):
@@ -65,16 +67,14 @@ def test_criterion_7_tax_mitigation():
     _report(7, "tax mitigation on seeds {0,1,2}", result)
 
 
-def test_criterion_7_supplement_every_single_facet_dominated():
+def test_criterion_7_supplement_every_single_facet_dominated(policy_family):
     # the combined-subspace run must weakly dominate each single-facet run,
     # not just the first one (facet choice via ref_facets)
-    fam = tasks.policy_family(seed=0, **verify.POLICY_DEFAULTS)
+    fam = policy_family(seed=0)
     taxes = {}
     for label, count, facets in (("both", 2, None), ("a", 1, (0,)), ("b", 1, (1,))):
-        cfg = TrainConfig(method="ortho", seed=0, ref_count=count,
-                          ref_facets=facets,
-                          **{k: v for k, v in verify.POLICY_TRAIN.items()
-                             if k != "ref_count"})
+        cfg = dataclasses.replace(DEFAULTS["policy"].train, ref_count=count,
+                                  ref_facets=facets)
         taxes[label] = alignment_tax(train(cfg, fam), fam).total_tax
     passed = taxes["both"] <= taxes["a"] and taxes["both"] <= taxes["b"]
     print(f"\nACCEPTANCE 7b facet dominance: {'PASS' if passed else 'FAIL'} - {taxes}")

@@ -1,59 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from orthoproj.cli import main
+from orthoproj.config import DEFAULTS, render_config
 
-QUADRATIC_CFG = """
-[experiment]
-version = 1
 
-[family]
-kind = quadratic_pair
-d = 12
-alpha = {alpha}
-
-[train]
-method = ortho
-eta = 0.05
-steps = 100
-refresh_every = 5
-ref_count = 1
-safety_batch = 1
-ref_batch = 1
-seed = 0
-stages = safety:squared_error:100
-"""
-
-POLICY_CFG = """
-[experiment]
-version = 1
-
-[family]
-kind = policy_sft_dpo
-context_dim = 8
-vocab = 10
-n_capability = 200
-n_safety = 2000
-
-[train]
-method = ortho
-eta = 0.2
-steps = 100
-refresh_every = 5
-ref_count = 2
-safety_batch = 32
-ref_batch = 200
-seed = 0
-stages = sft:nll_sft:60:30, dpo:dpo_pairwise:40:5
-"""
+def _config_text(stem, **family):
+    """A shipped experiment as config text, with family parameters overridden."""
+    exp = DEFAULTS[stem]
+    params = tuple(sorted(dict(exp.family_params, **family).items()))
+    return render_config(dataclasses.replace(exp, family_params=params))
 
 
 @pytest.fixture
 def quad_config(tmp_path):
     def write(alpha=math.pi / 4, **edits):
-        text = QUADRATIC_CFG.format(alpha=repr(alpha))
+        text = _config_text("quadratic", alpha=alpha)
         for old, new in edits.items():
             text = text.replace(old, new)
         path = tmp_path / "exp.cfg"
@@ -123,10 +88,21 @@ class TestRun:
         assert not [p for p in out.iterdir() if ".tmp" in p.name]
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare"],
+                                     ["sweep", "--axis", "M", "--values", "1"]])
+def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
+    # d = 1 parses but the quadratic constructor rejects it
+    cfg = tmp_path / "d1.cfg"
+    cfg.write_text(_config_text("quadratic", d=1))
+    code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_k_sweep_static_basis_is_worst(self, tmp_path):
         cfg = tmp_path / "policy.cfg"
-        cfg.write_text(POLICY_CFG)
+        cfg.write_text(_config_text("policy"))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--axis", "K",
                      "--values", "2,5,10,inf", "--out", str(out)]) == 0
@@ -165,7 +141,7 @@ class TestSweep:
 class TestCompare:
     def _summary(self, tmp_path, alpha):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(QUADRATIC_CFG.format(alpha=repr(alpha)))
+        cfg.write_text(_config_text("quadratic", alpha=alpha))
         out = tmp_path / f"cmp_{alpha:.3f}"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "summary.csv").read_text().splitlines()

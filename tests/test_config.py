@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from orthoproj.config import (ConfigParseError, parse_config, render_config)
+from orthoproj.config import (DEFAULTS, ConfigParseError, parse_config, parse_config_file,
+                              render_config)
 from orthoproj.optimizer import NO_REFRESH, Stage
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 [experiment]
@@ -125,3 +129,9 @@ class TestRejection:
 
     def test_missing_stages(self):
         self._expect(MINIMAL.replace("stages = safety:squared_error:100", ""), "stages")
+
+
+@pytest.mark.parametrize("stem", sorted(DEFAULTS))
+def test_shipped_config_file_matches_defaults(stem):
+    # configs/*.cfg restate the package's shipped experiments; keep them equal
+    assert parse_config_file(CONFIGS / f"{stem}.cfg") == DEFAULTS[stem]

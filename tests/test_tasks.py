@@ -8,43 +8,49 @@ from orthoproj.errors import ConfigurationError
 from orthoproj.linalg import angle_between, norm, project_complement
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
-from orthoproj.tasks import (load_family, make_quadratic_pair, policy_family,
-                             quadratic_family, regression_family, save_family)
+from orthoproj.tasks import (load_family, policy_family, quadratic_family,
+                             regression_family, save_family)
+
+
+def make_pair(d, alpha, seed, **residuals):
+    """(capability task, safety task, theta0) of a quadratic family."""
+    fam = quadratic_family(d, alpha, seed, **residuals)
+    return fam.tasks["capability"], fam.tasks["safety"], fam.theta0
 
 
 class TestQuadraticPair:
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
     def test_angle_controllability(self, alpha):
-        cap, safety, theta0 = make_quadratic_pair(10, alpha, seed=0)
+        cap, safety, theta0 = make_pair(10, alpha, seed=0)
         measured = angle_between(cap.gradient(theta0), safety.gradient(theta0))
         assert abs(measured - alpha) <= 1e-9
 
     def test_orthogonal_construction_exact(self):
-        cap, safety, theta0 = make_quadratic_pair(12, math.pi / 2, seed=0)
+        cap, safety, theta0 = make_pair(12, math.pi / 2, seed=0)
         g_cap = cap.gradient(theta0)
         g_safe = safety.gradient(theta0)
         assert float(g_cap @ g_safe) == 0.0
 
     def test_collinear_construction(self):
-        cap, safety, theta0 = make_quadratic_pair(12, 0.0, seed=0)
+        cap, safety, theta0 = make_pair(12, 0.0, seed=0)
         sub = estimate_subspace(theta0, [cap], 1, np.random.default_rng(0), 1e-6, 0.0, 0)
         projected = project_complement(safety.gradient(theta0), sub.basis)
         assert norm(projected) <= 1e-12
 
     def test_cosine_at_quarter_turn(self):
-        cap, safety, theta0 = make_quadratic_pair(10, math.pi / 4, seed=7)
+        cap, safety, theta0 = make_pair(10, math.pi / 4, seed=7)
         g1, g2 = cap.gradient(theta0), safety.gradient(theta0)
         cos = float(g1 @ g2) / (norm(g1) * norm(g2))
         assert abs(cos - math.sqrt(2) / 2) <= 1e-9
 
     def test_gradients_nonzero(self):
-        cap, safety, theta0 = make_quadratic_pair(6, 0.3, seed=1)
+        cap, safety, theta0 = make_pair(6, 0.3, seed=1)
         assert norm(cap.gradient(theta0)) > 0
         assert norm(safety.gradient(theta0)) > 0
 
     def test_exact_taylor_identity(self):
         # loss change under any step is <g, dt> + 0.5 ||A dt||^2 exactly
-        cap, _, theta0 = make_quadratic_pair(8, 0.9, seed=2)
+        cap, _, theta0 = make_pair(8, 0.9, seed=2)
         rng = np.random.default_rng(3)
         dt = 0.1 * rng.standard_normal(8)
         g = cap.gradient(theta0)
@@ -55,11 +61,11 @@ class TestQuadraticPair:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            make_quadratic_pair(1, 0.5, seed=0)
+            make_pair(1, 0.5, seed=0)
         with pytest.raises(ConfigurationError):
-            make_quadratic_pair(4, -0.1, seed=0)
+            make_pair(4, -0.1, seed=0)
         with pytest.raises(ConfigurationError):
-            make_quadratic_pair(4, 0.5, seed=0, cap_residual=0.0)
+            make_pair(4, 0.5, seed=0, cap_residual=0.0)
 
 
 class TestRegressionFamily:
@@ -230,3 +236,21 @@ class TestSerialization:
         path.write_text("not a family\n")
         with pytest.raises(ConfigurationError):
             load_family(path)
+
+
+class TestBuildFamily:
+    def test_config_values_are_converted_to_schema_types(self):
+        fam = tasks.build_family("quadratic_pair", 3, d=12.0, alpha=1)
+        assert fam.params == quadratic_family(12, 1.0, 3).params
+        assert fam.theta0.tobytes() == quadratic_family(12, 1.0, 3).theta0.tobytes()
+
+    def test_unknown_kind_and_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="kind"):
+            tasks.build_family("transformer", 0)
+        with pytest.raises(ConfigurationError, match="wobble"):
+            tasks.build_family("quadratic_pair", 0, d=12, alpha=0.5, wobble=1)
+
+    def test_schema_is_the_constructor_signature(self):
+        assert tasks.family_schema("quadratic_pair") == {
+            "d": (int, True), "alpha": (float, True),
+            "cap_residual": (float, False), "safety_residual": (float, False)}
