@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .config import ExperimentFile, parse_config_file, render_config
@@ -30,11 +31,30 @@ EXIT_NUMERIC_ERROR = 3
 SWEEP_AXES = ("K", "M", "refsize")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# the mode open() gives a new file; read once, while importing, because
+# reading the umask means setting it
+_FILE_MODE = 0o666 & ~_umask()
+
+
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write through a uniquely named temp file in the target directory and
+    a rename, so writers to one path never share a temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)  # mkstemp creates the file 0600
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _curves_svg(result, family) -> str:
@@ -143,11 +163,17 @@ def cmd_sweep(args) -> int:
                            categorical=True)
         atomic_write_text(out_root / "sweep.svg", chart)
     if failures:
-        atomic_write_text(out_root / "failures.json", json.dumps(failures, indent=2) + "\n")
-        numeric = any(f["kind"] == "NumericError" for f in failures)
-        raise (NumericError if numeric else ConfigurationError)(
-            f"{len(failures)} sweep leg(s) failed; see failures.json")
+        _raise_failures(out_root, failures, "sweep leg(s)")
     return EXIT_OK
+
+
+def _raise_failures(out_root: Path, failures: list[dict], what: str):
+    """Record failed legs in failures.json and raise for main's exit path:
+    numeric failure if any leg failed numerically, else config error."""
+    atomic_write_text(out_root / "failures.json", json.dumps(failures, indent=2) + "\n")
+    numeric = any(f["kind"] == "NumericError" for f in failures)
+    raise (NumericError if numeric else ConfigurationError)(
+        f"{len(failures)} {what} failed; see failures.json")
 
 
 def cmd_compare(args) -> int:
@@ -155,20 +181,27 @@ def cmd_compare(args) -> int:
     out_root = Path(args.out or experiment.out_dir)
     family = build_family(experiment.family_kind, experiment.family_seed,
                           **experiment.family_params_dict())
-    results = []
+    results, failures = [], []
     for method in ("naive", "ortho", "replay"):
-        result = train(dataclasses.replace(experiment.train, method=method), family)
+        try:
+            result = train(dataclasses.replace(experiment.train, method=method), family)
+        except (ConfigurationError, NumericError) as exc:
+            failures.append({"method": method, "error": str(exc), "kind": type(exc).__name__})
+            continue
         results.append(result)
         atomic_write_text(out_root / method / "records.csv", records_to_csv(result.records))
 
-    table = summarize(results, family)
-    atomic_write_text(out_root / "summary.csv", table.to_csv())
-    # rows are sorted by method: naive, ortho, replay, the order they ran in
-    points = [(row[1], row[-3], row[0]) for row in table.rows]
-    atomic_write_text(out_root / "compare.svg",
-                      scatter_chart(points, "safety gain vs capability tax",
-                                    "safety_gain", "total_tax"))
-    print(table.to_csv(), end="")
+    if results:
+        table = summarize(results, family)
+        atomic_write_text(out_root / "summary.csv", table.to_csv())
+        # rows are sorted by method: naive, ortho, replay, the order they ran in
+        points = [(row[1], row[-3], row[0]) for row in table.rows]
+        atomic_write_text(out_root / "compare.svg",
+                          scatter_chart(points, "safety gain vs capability tax",
+                                        "safety_gain", "total_tax"))
+        print(table.to_csv(), end="")
+    if failures:
+        _raise_failures(out_root, failures, "method(s)")
     return EXIT_OK
 
 

@@ -1,13 +1,25 @@
 """Dense float64 vector arithmetic and thresholded Gram-Schmidt.
 
-Inner products accumulate strictly left to right (``np.add.accumulate`` is
-sequential by definition), so every result here is independent of BLAS build
-and thread count. That keeps whole training runs bitwise reproducible from a
-seed.
+Inner products accumulate strictly left to right, so every result here is
+independent of BLAS build and thread count. That keeps whole training runs
+bitwise reproducible from a seed. The products are formed and summed in
+blocks of ``BLOCK`` elements in one small buffer: each block's first product
+is added to the running sum carried from the previous block, then
+``np.add.accumulate`` (sequential by definition) sums the block in place.
+That is the same sequence of roundings as one accumulate over all the
+products, without full-length temporaries.
+
+Finiteness is read off the results. A non-finite entry always makes the
+fixed-order sum non-finite (inf * 0 and inf - inf are nan), so ``dot``,
+``norm`` and ``project_complement`` validate their inputs only when a sum
+comes out non-finite or a shape check fails; they then raise exactly what
+an upfront check would have raised. A sum that overflows from finite inputs
+is returned as inf, not raised.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,48 +37,79 @@ __all__ = [
     "angle_between",
 ]
 
+BLOCK = 8192  # products formed and summed per pass of _seqdot (64 KiB)
+
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating on the way in."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError(f"{name} contains non-finite entries")
     return v
 
 
 def _seqdot(a: np.ndarray, b: np.ndarray) -> float:
-    # Left-to-right accumulation; callers guarantee matching finite inputs.
-    p = a * b
-    if p.size == 0:
+    # Left-to-right accumulation of a * b over equal-length 1-D arrays, BLOCK
+    # products at a time; the first block has no carry, so a lone -0.0
+    # product stays -0.0 as in one accumulate over all products.
+    n = a.size
+    if n == 0:
         return 0.0
-    return float(np.add.accumulate(p)[-1])
+    blk = np.multiply(a[:BLOCK], b[:BLOCK])
+    np.add.accumulate(blk, out=blk)
+    carry = blk[-1]
+    for lo in range(BLOCK, n, BLOCK):
+        part = blk[:min(n - lo, BLOCK)]
+        np.multiply(a[lo:lo + BLOCK], b[lo:lo + BLOCK], out=part)
+        part[0] = carry + part[0]
+        np.add.accumulate(part, out=part)
+        carry = part[-1]
+    return float(carry)
 
 
 def dot(a, b) -> float:
     """Inner product with a fixed left-to-right accumulation order."""
-    av = as_vector(a, "a")
-    bv = as_vector(b, "b")
-    if av.size != bv.size:
-        raise DimensionError(f"length mismatch: {av.size} vs {bv.size}")
-    return _seqdot(av, bv)
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    s = math.nan
+    if av.ndim == 1 and bv.ndim == 1 and av.size == bv.size:
+        s = _seqdot(av, bv)
+    if not math.isfinite(s):  # a bad input, or finite products that overflowed
+        as_vector(av, "a")
+        as_vector(bv, "b")
+        if av.size != bv.size:
+            raise DimensionError(f"length mismatch: {av.size} vs {bv.size}")
+    return s
 
 
 def norm(a) -> float:
     """Euclidean norm built on the same fixed-order accumulation as dot."""
-    av = as_vector(a, "a")
-    return float(np.sqrt(_seqdot(av, av)))
+    av = np.asarray(a, dtype=np.float64)
+    s = _seqdot(av, av) if av.ndim == 1 else math.nan
+    if not math.isfinite(s):  # a bad input, or finite squares that overflowed
+        as_vector(av, "a")
+    return float(np.sqrt(s))
+
+
+def _subtract_components(g: np.ndarray, coeffs, rows) -> np.ndarray:
+    # g - sum_j coeffs[j] * rows[j], subtracted in basis order; the first
+    # product is formed in the output array itself, so a rank-1 basis
+    # allocates one full-length array.
+    out = np.multiply(rows[0], coeffs[0])
+    np.subtract(g, out, out=out)
+    for c, u in zip(coeffs[1:], rows[1:]):
+        out -= c * u
+    return out
 
 
 def _remove_components(g: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     # One classical pass: all coefficients taken from the incoming vector,
-    # then subtracted in basis order.
-    coeffs = [_seqdot(g, u) for u in rows]
-    out = g.copy()
-    for c, u in zip(coeffs, rows):
-        out -= c * u
-    return out
+    # then subtracted in basis order. No rows returns g itself.
+    if len(rows) == 0:
+        return g
+    return _subtract_components(g, [_seqdot(g, u) for u in rows], rows)
 
 
 @dataclass(frozen=True)
@@ -84,7 +127,7 @@ class OrthonormalBasis:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2:
             raise DimensionError(f"basis must be 2-D, got shape {v.shape}")
-        if v.size and not np.all(np.isfinite(v)):
+        if v.size and not np.isfinite(v).all():
             raise NumericError("basis contains non-finite entries")
         object.__setattr__(self, "vectors", v)
 
@@ -161,12 +204,17 @@ def project_complement(g, basis: OrthonormalBasis) -> np.ndarray:
     never exceeds g in norm, and re-projecting is idempotent. An empty basis
     returns g unchanged (as a copy).
     """
-    gv = as_vector(g, "g")
-    if basis.rank == 0:
-        return gv.copy()
-    if basis.dim != gv.size:
+    gv = np.asarray(g, dtype=np.float64)
+    if gv.ndim != 1 or basis.rank == 0 or basis.dim != gv.size:
+        as_vector(gv, "g")
+        if basis.rank == 0:
+            return gv.copy()
         raise DimensionError(f"g has length {gv.size}, basis dimension is {basis.dim}")
-    return _remove_components(gv, basis.vectors)
+    rows = basis.vectors
+    coeffs = [_seqdot(gv, u) for u in rows]
+    if not math.isfinite(coeffs[0]):  # a bad g, or finite products that overflowed
+        as_vector(gv, "g")
+    return _subtract_components(gv, coeffs, rows)
 
 
 def angle_between(a, b) -> float:

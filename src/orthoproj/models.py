@@ -82,7 +82,7 @@ class LossKind:
 
 @dataclass(frozen=True)
 class Batch:
-    """One evaluation unit.
+    """One evaluation unit, valid by construction.
 
     inputs:     (n, feature_dim) rows, or the full system matrix A for the
                 quadratic kind.
@@ -91,12 +91,35 @@ class Batch:
     pairs:      dpo_pairwise only, (n_pairs, 3) int rows
                 (context row in inputs, preferred token, rejected token).
     ref_params: dpo_pairwise only, frozen reference-policy parameters.
+
+    A malformed batch raises when it is built: inputs must be 2-D with at
+    least one row and finite (they are stored as float64), pairs must be
+    (n, 3), and ref_params must be a finite 1-D vector (stored as float64).
+    Checks that need the model (parameter length, which fields the loss
+    needs) run in :func:`loss` and :func:`gradient`.
     """
 
     inputs: np.ndarray
     targets: np.ndarray | None = None
     pairs: np.ndarray | None = None
     ref_params: np.ndarray | None = None
+
+    def __post_init__(self):
+        x = np.asarray(self.inputs, dtype=np.float64)
+        if x.ndim != 2:
+            raise DimensionError(f"batch inputs must be 2-D, got shape {x.shape}")
+        if x.shape[0] < 1:
+            raise DimensionError("batch must contain at least one row")
+        if not np.isfinite(x).all():
+            raise NumericError("batch inputs contain non-finite entries")
+        object.__setattr__(self, "inputs", x)
+        if self.pairs is not None:
+            pairs = np.asarray(self.pairs)
+            if pairs.ndim != 2 or pairs.shape[1] != 3:
+                raise DimensionError(f"pairs must be (n, 3), got shape {pairs.shape}")
+            object.__setattr__(self, "pairs", pairs)
+        if self.ref_params is not None:
+            object.__setattr__(self, "ref_params", as_vector(self.ref_params, "ref_params"))
 
     @property
     def size(self) -> int:
@@ -111,13 +134,6 @@ def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
     th = as_vector(theta, "theta")
     if th.size != spec.param_dim:
         raise DimensionError(f"theta has length {th.size}, model needs {spec.param_dim}")
-    x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"batch inputs must be 2-D, got shape {x.shape}")
-    if x.shape[0] < 1:
-        raise DimensionError("batch must contain at least one row")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("batch inputs contain non-finite entries")
     if kind.tag == "dpo_pairwise":
         if batch.ref_params is None or batch.pairs is None:
             raise ConfigurationError("dpo_pairwise batches need pairs and ref_params")
@@ -133,7 +149,7 @@ def _finite(value: float, what: str) -> float:
 
 
 def _finite_vec(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError(f"non-finite {what}")
     return v
 
@@ -176,11 +192,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _dpo_margins(spec, kind, theta, batch):
     c, v = spec.dims
-    x = np.asarray(batch.inputs, dtype=np.float64)
-    pairs = np.asarray(batch.pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 3:
-        raise DimensionError(f"pairs must be (n, 3), got shape {pairs.shape}")
-    ref = as_vector(batch.ref_params, "ref_params")
+    x, pairs, ref = batch.inputs, batch.pairs, batch.ref_params
     if ref.size != spec.param_dim:
         raise DimensionError(f"ref_params has length {ref.size}, model needs {spec.param_dim}")
     rows = pairs[:, 0]
@@ -202,7 +214,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     beta * ((log pi(y_w|x) - log pi(y_l|x)) - (same under the reference)).
     """
     th = _check(spec, kind, theta, batch)
-    x = np.asarray(batch.inputs, dtype=np.float64)
+    x = batch.inputs
 
     if spec.kind == "quadratic":
         r = x @ th - np.asarray(batch.targets, dtype=np.float64)
@@ -239,7 +251,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
 def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
     """Exact analytic gradient of :func:`loss` with respect to theta."""
     th = _check(spec, kind, theta, batch)
-    x = np.asarray(batch.inputs, dtype=np.float64)
+    x = batch.inputs
 
     if spec.kind == "quadratic":
         r = x @ th - np.asarray(batch.targets, dtype=np.float64)

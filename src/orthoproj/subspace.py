@@ -73,8 +73,8 @@ def estimate_subspace(model_state, ref_tasks, batch_size: int,
     theta = as_vector(model_state, "model_state")
     grads = []
     for i, task in enumerate(ref_tasks):
-        batch = task.sample_batch(rng, batch_size)
         try:
+            batch = task.sample_batch(rng, batch_size)
             g = models.gradient(task.spec, task.kind, theta, batch)
         except NumericError as exc:
             raise NumericError(f"reference task {i} ({task.name}): {exc}") from exc

@@ -54,6 +54,11 @@ class DifferentiableTask:
     Training batches are drawn from the train arrays only; the probe arrays
     never feed a gradient. For dpo_pairwise tasks, ``ref_params`` holds the
     frozen reference policy and is replaced at stage transitions.
+
+    The probe batch, and the quadratic kind's whole-system batch, are built
+    (and so validated) once and reused. One is rebuilt when an array it came
+    from has been replaced by another object, so change the data by
+    assigning new arrays, not by writing into the existing ones.
     """
 
     name: str
@@ -66,6 +71,14 @@ class DifferentiableTask:
     train_pairs: np.ndarray | None = None
     probe_pairs: np.ndarray | None = None
     ref_params: np.ndarray | None = None
+    # slot -> (source arrays, Batch built from them)
+    _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _cached(self, slot: str, sources: tuple, build) -> Batch:
+        hit = self._batches.get(slot)
+        if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
+            hit = self._batches[slot] = (sources, build())
+        return hit[1]
 
     @property
     def train_size(self) -> int:
@@ -85,7 +98,8 @@ class DifferentiableTask:
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
         if self.spec.kind == "quadratic":
-            return Batch(self.train_inputs, self.train_targets)
+            sources = (self.train_inputs, self.train_targets)
+            return self._cached("train", sources, lambda: Batch(*sources))
         n = self.train_size
         idx = rng.choice(n, size=size, replace=size > n)
         if self.kind.tag == "dpo_pairwise":
@@ -97,6 +111,10 @@ class DifferentiableTask:
 
     def probe(self) -> Batch:
         """The fixed held-out evaluation batch."""
+        sources = (self.probe_inputs, self.probe_targets, self.probe_pairs, self.ref_params)
+        return self._cached("probe", sources, self._build_probe)
+
+    def _build_probe(self) -> Batch:
         if self.kind.tag == "dpo_pairwise":
             inputs = self.probe_inputs[self.probe_pairs[:, 0]]
             pairs = np.column_stack([
@@ -298,11 +316,13 @@ def _init_mlp(rng, d, hidden):
 def _pretrain(theta, cap_a, cap_b, budget, label):
     """Full-batch descent on the mean of the two capability losses."""
     steps, eta = budget
+    batch_a = Batch(cap_a.train_inputs, cap_a.train_targets)
+    batch_b = Batch(cap_b.train_inputs, cap_b.train_targets)
     for _ in range(steps):
-        g_a = cap_a.gradient(theta, Batch(cap_a.train_inputs, cap_a.train_targets))
-        g_b = cap_b.gradient(theta, Batch(cap_b.train_inputs, cap_b.train_targets))
+        g_a = cap_a.gradient(theta, batch_a)
+        g_b = cap_b.gradient(theta, batch_b)
         theta = theta - eta * 0.5 * (g_a + g_b)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NumericError(f"{label} pre-training diverged")
     return theta
 

@@ -1,9 +1,13 @@
 import dataclasses
+import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from orthoproj import cli
 from orthoproj.cli import main
 from orthoproj.config import DEFAULTS, render_config
 
@@ -88,6 +92,28 @@ class TestRun:
         assert not [p for p in out.iterdir() if ".tmp" in p.name]
 
 
+def test_atomic_writers_to_one_path_do_not_collide(tmp_path, monkeypatch):
+    # a second write to the same path lands between the outer write and its
+    # rename; with a shared temp name the outer rename finds no file
+    target = tmp_path / "out" / "table.csv"
+    real_replace = os.replace
+    nested = []
+
+    def replace(src, dst):
+        if not nested:
+            nested.append(src)
+            cli.atomic_write_text(target, "inner\n")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    cli.atomic_write_text(target, "outer\n")
+    assert target.read_text() == "outer\n"
+    assert [p.name for p in target.parent.iterdir()] == ["table.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("command", [["run"], ["compare"],
                                      ["sweep", "--axis", "M", "--values", "1"]])
 def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
@@ -167,6 +193,25 @@ class TestCompare:
         assert abs(rows["ortho"]["tax"]) <= 1e-9
         assert rows["naive"]["gain"] > 0.1
         assert rows["naive"]["tax"] > 0.1
+
+
+    def test_failed_method_leaves_records_of_the_others(self, tmp_path, capsys):
+        # a huge replay weight makes only the replay leg overflow
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(_config_text("regression").replace("replay_lambda = 1.0",
+                                                          "replay_lambda = 1e300"))
+        out = tmp_path / "cmp"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "numeric failure: 1 method(s) failed" in capsys.readouterr().err
+        (failure,) = json.loads((out / "failures.json").read_text())
+        assert failure["method"] == "replay" and failure["kind"] == "NumericError"
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["naive", "ortho"]
+        for method in ("naive", "ortho"):
+            assert len((out / method / "records.csv").read_text().splitlines()) == 301
+        assert not (out / "replay").exists()
 
 
 class TestVerifyCommand:

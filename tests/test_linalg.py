@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.linalg import (OrthonormalBasis, angle_between, dot, gram_schmidt,
-                              norm, project_complement)
+from orthoproj.linalg import (BLOCK, OrthonormalBasis, _seqdot, angle_between, dot,
+                              gram_schmidt, norm, project_complement)
 
 
 def kahan_dot(a, b):
@@ -44,6 +44,27 @@ class TestDot:
     def test_non_finite(self):
         with pytest.raises(NumericError):
             dot([1, np.nan], [1, 2])
+
+    def test_size_mismatch_with_non_finite_reports_the_entry(self):
+        # the finiteness of a is checked before the lengths, as before
+        with pytest.raises(NumericError, match="a contains non-finite"):
+            dot([1, np.nan], [1, 2, 3])
+
+    def test_inf_against_zero_raises(self):
+        # inf * 0 is nan, so the sum shows the bad entry
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="b contains"):
+            dot([1.0, 0.0], [2.0, np.inf])
+
+    def test_overflow_from_finite_inputs_is_returned(self):
+        with np.errstate(over="ignore"):
+            assert norm([1e200, 1e200]) == math.inf
+            assert dot([1e200, 1e200], [1e200, 1e200]) == math.inf
+
+    def test_norm_rejects_non_finite_and_matrices(self):
+        with pytest.raises(NumericError):
+            norm([1.0, np.inf])
+        with pytest.raises(DimensionError):
+            norm(np.eye(2))
 
     def test_deterministic_accumulation(self):
         # same inputs twice must give identical bits
@@ -133,6 +154,14 @@ class TestProjectComplement:
         with pytest.raises(DimensionError):
             project_complement([1.0, 2.0], OrthonormalBasis(np.eye(3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g_raises_even_off_the_basis(self, bad):
+        # the bad entry meets a zero in the first basis vector; the first
+        # coefficient still comes out non-finite
+        basis = OrthonormalBasis(np.array([[1.0, 0.0, 0.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="g contains"):
+            project_complement([1.0, 2.0, bad], basis)
+
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal(50)
@@ -203,6 +232,26 @@ def test_gram_schmidt_orthonormal_hypothesis(d, seed):
     rng = np.random.default_rng(seed)
     basis = gram_schmidt(rng.standard_normal((min(d, 5), d)), delta=1e-8)
     assert basis.orthonormality_defect() <= 1e-10
+
+
+SEQDOT_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SEQDOT_SIZES), st.integers(0, 2 ** 32 - 1), st.integers(0, 150))
+def test_blocked_seqdot_matches_one_accumulate(n, seed, spread):
+    # magnitudes spread over up to 10^(2*spread) so rounding depends on the
+    # summation order; blocking must not change a single bit
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+    b = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+    b[rng.random(n) < 0.05] = -0.0
+    want = float(np.add.accumulate(a * b)[-1]) if n else 0.0
+    assert np.float64(_seqdot(a, b)).tobytes() == np.float64(want).tobytes()
+
+
+def test_seqdot_keeps_a_lone_negative_zero():
+    assert math.copysign(1.0, _seqdot(np.array([-0.0]), np.array([1.0]))) == -1.0
 
 
 def test_angle_between_exact_cases():

@@ -183,6 +183,31 @@ class TestValidation:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             loss(spec, SE, huge, Batch(np.eye(2) * 1e200, np.zeros(2)))
 
+    @pytest.mark.parametrize("inputs, error", [
+        (np.array([[1.0, np.nan]]), NumericError),
+        (np.array([[np.inf, 0.0]]), NumericError),
+        (np.array([1.0, 2.0]), DimensionError),
+        (np.zeros((0, 2)), DimensionError),
+    ])
+    def test_malformed_batch_raises_when_built(self, inputs, error):
+        with pytest.raises(error):
+            Batch(inputs, np.zeros(max(1, inputs.shape[0])))
+
+    def test_malformed_pairs_and_reference_raise_when_built(self):
+        x = np.ones((3, 2))
+        with pytest.raises(DimensionError, match="pairs"):
+            Batch(x, pairs=np.zeros((3, 2), dtype=int), ref_params=np.zeros(4))
+        with pytest.raises(NumericError, match="ref_params"):
+            Batch(x, pairs=np.zeros((3, 3), dtype=int), ref_params=np.array([0.0, np.nan]))
+        with pytest.raises(DimensionError, match="ref_params"):
+            Batch(x, pairs=np.zeros((3, 3), dtype=int), ref_params=np.zeros((2, 2)))
+
+    def test_batch_stores_float64_inputs(self):
+        batch = Batch([[1, 2], [3, 4]], np.zeros(2))
+        assert batch.inputs.dtype == np.float64
+        x = np.ones((2, 2))
+        assert Batch(x).inputs is x  # float64 inputs are not copied
+
     def test_unknown_kind_and_tag(self):
         with pytest.raises(ConfigurationError):
             ModelSpec("transformer", (1,))

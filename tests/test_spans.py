@@ -1,0 +1,70 @@
+"""The benchmark's span tracer counts every public call the training loop
+makes, and the counts follow from the config as perfbench/README.md states.
+
+Only ``perfbench/spans.py`` is loaded: ``perfbench/run.py`` pins BLAS thread
+variables when it is imported.
+"""
+
+import dataclasses
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+import orthoproj
+import orthoproj.verify  # noqa: F401  (the tracer wraps verify's checks too)
+from orthoproj import optimizer
+from orthoproj.config import DEFAULTS
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def leg_config(stem, method, steps, period):
+    base = DEFAULTS[stem].train
+    (stage,) = base.stages
+    return dataclasses.replace(base, method=method, steps=steps, refresh_every=period,
+                               stages=(dataclasses.replace(stage, steps=steps),))
+
+
+def expected(config, family, result):
+    """Per-leg counts with steps S, refresh period K, M reference facets,
+    P probe facets and B = ceil(S/K) builds."""
+    s, m = config.steps, config.ref_count
+    p = len(family.capability_tasks)
+    want = {"optimizer.train": 1, "models.loss": s * (1 + p), "tasks.probe_eval": s * (1 + p)}
+    if config.method == "ortho":
+        b = math.ceil(s / config.refresh_every)
+        accepted = sum(rank for _, rank in result.subspace_history)
+        want.update({"models.gradient": s + b * m, "tasks.sample_batch": s + b * m,
+                     "linalg.project_complement": s, "subspace.estimate_subspace": b,
+                     "linalg.gram_schmidt": b, "linalg.norm": 2 * s + 2 * b * m + accepted})
+    else:
+        per_step = 1 + m if config.method == "replay" else 1
+        want.update({"models.gradient": s * per_step, "tasks.sample_batch": s * per_step,
+                     "linalg.project_complement": 0, "subspace.estimate_subspace": 0,
+                     "linalg.gram_schmidt": 0, "linalg.norm": s})
+    want["linalg.dot"] = 0  # train() takes no public dot
+    return want
+
+
+@pytest.mark.parametrize("method", ["naive", "ortho", "replay"])
+@pytest.mark.parametrize("stem, steps, period", [("regression", 7, 3), ("quadratic", 5, 2)])
+def test_span_counts_follow_the_config(spans, quadratic_family, regression_family,
+                                       stem, steps, period, method):
+    family = regression_family() if stem == "regression" else quadratic_family(math.pi / 4)
+    config = leg_config(stem, method, steps, period)
+    tracer = spans.Tracer()
+    with spans.patched(tracer.bindings(orthoproj)):
+        result = optimizer.train(config, family)
+    got = tracer.counts(0, len(tracer))
+    want = expected(config, family, result)
+    assert {k: got.get(k, 0) for k in want} == want

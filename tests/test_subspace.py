@@ -95,6 +95,18 @@ class TestEstimateSubspace:
             estimate_subspace(np.full(2, 1e200), [good, bad], 1,
                               np.random.default_rng(0), 1e-6, 0.0, 0)
 
+    def test_non_finite_reference_data_reports_task_index(self):
+        # the batch rejects the data when it is built, inside the same
+        # per-task error context as the gradient
+        good = quadratic_task("ok", np.eye(2), np.zeros(2))
+        bad = DifferentiableTask("bad", ModelSpec("linear_regression", (2,)),
+                                 LossKind("squared_error"),
+                                 np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2),
+                                 np.eye(2), np.zeros(2))
+        with pytest.raises(NumericError, match=r"reference task 1 \(bad\): batch inputs"):
+            estimate_subspace(np.zeros(2), [good, bad], 2, np.random.default_rng(0),
+                              1e-6, 0.0, 0)
+
 
 class TestFreshnessContract:
     def test_age_stays_below_period(self, regression_family):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orthoproj import tasks
-from orthoproj.errors import ConfigurationError
+from orthoproj.errors import ConfigurationError, NumericError
 from orthoproj.linalg import angle_between, norm, project_complement
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
@@ -137,6 +137,22 @@ class TestPolicyFamily:
         dpo_records = [r for r in result.records if r.stage == "dpo"]
         assert dpo_records[0].safety_loss == pytest.approx(math.log(2.0), abs=1e-9)
 
+    def test_cached_probe_follows_replaced_reference(self, policy_family):
+        fam = policy_family()
+        dpo = fam.tasks["dpo"]
+        first = dpo.probe()
+        assert dpo.probe() is first  # built and validated once
+        rng = np.random.default_rng(3)
+        theta1 = fam.theta0 + 0.1 * rng.standard_normal(fam.theta0.size)
+        dpo.set_reference_params(theta1)
+        assert dpo.probe().ref_params.tobytes() == theta1.tobytes()
+        assert dpo.loss(theta1) == pytest.approx(math.log(2.0), abs=1e-15)
+        theta2 = fam.theta0 - 0.1 * rng.standard_normal(fam.theta0.size)
+        dpo.ref_params = theta2.copy()  # how policy_family sets it
+        assert dpo.probe().ref_params is dpo.ref_params
+        assert dpo.loss(theta2) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert dpo.probe().pairs.tobytes() == first.pairs.tobytes()
+
     def test_naive_dpo_descends(self, policy_family):
         fam = policy_family()
         cfg = TrainConfig(method="naive", eta=0.2, steps=200, refresh_every=5,
@@ -188,6 +204,17 @@ class TestSampling:
         task = fam.tasks["safety"]
         b1 = task.sample_batch(np.random.default_rng(0), 17)
         assert b1.inputs is task.train_inputs
+
+    def test_quadratic_system_batch_follows_replaced_arrays(self):
+        cap, safety, theta0 = make_pair(6, math.pi / 4, seed=2)
+        first = safety.sample_batch(np.random.default_rng(0), 1)
+        assert safety.sample_batch(np.random.default_rng(1), 1) is first
+        safety.train_targets = safety.train_targets + 1.0
+        second = safety.sample_batch(np.random.default_rng(0), 1)
+        assert second.targets is safety.train_targets
+        safety.train_inputs = np.full_like(safety.train_inputs, np.nan)
+        with pytest.raises(NumericError):
+            safety.sample_batch(np.random.default_rng(0), 1)
 
     def test_probe_never_in_training_draws(self, regression_family):
         fam = regression_family()
