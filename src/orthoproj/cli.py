@@ -92,9 +92,7 @@ def _load(args) -> ExperimentFile:
         raise ConfigurationError(str(exc)) from exc
     if args.seed is not None:
         train_cfg = dataclasses.replace(experiment.train, seed=args.seed)
-        family_seed = experiment.family_seed
-        if family_seed == experiment.train.seed:  # family seed was defaulted
-            family_seed = args.seed
+        family_seed = experiment.family_seed if experiment.family_seed_given else args.seed
         experiment = dataclasses.replace(experiment, train=train_cfg, family_seed=family_seed)
     return experiment
 

@@ -27,7 +27,7 @@ parses back to the same experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .optimizer import NO_REFRESH, Stage, TrainConfig
@@ -50,7 +50,13 @@ class ConfigParseError(ConfigurationError):
 
 @dataclass(frozen=True)
 class ExperimentFile:
-    """A fully resolved experiment: family construction + training config."""
+    """A fully resolved experiment: family construction + training config.
+
+    ``family_seed_given`` records whether the file set ``[family] seed``
+    (else the family seed is the train seed, and ``--seed`` moves both). It
+    decides only how a seed override applies, so equality ignores it: a
+    rendered config, which always writes the seed, parses back equal.
+    """
 
     version: int
     family_kind: str
@@ -58,6 +64,7 @@ class ExperimentFile:
     family_params: tuple[tuple[str, float | int], ...]
     train: TrainConfig
     out_dir: str
+    family_seed_given: bool = field(default=False, compare=False)
 
     def family_params_dict(self) -> dict:
         return dict(self.family_params)
@@ -243,6 +250,7 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
         family_params=tuple(sorted(params.items())),
         train=train,
         out_dir=out_dir,
+        family_seed_given=family_seed_raw is not None,
     )
 
 

@@ -176,9 +176,42 @@ def _mlp_forward(theta, dims, activation, x):
     return z1, h, y
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=1, keepdims=True)``, byte for byte, in one pass.
+
+    numpy reduces a short row one row at a time; on a contiguous copy of the
+    transpose it takes the maximum down the columns, across all rows at
+    once. A maximum is the same in any order except for the sign of a zero
+    (the maximum of 0.0 and -0.0 is whichever comes first), so when some row
+    maximum is zero those rows take numpy's own row reduction, whose order
+    depends on the layout of ``z``. A NaN in a row gives NaN either way.
+    """
+    m = np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)
+    zero = m == 0.0
+    if zero.any():
+        m[zero] = z.max(axis=1)[zero]
+    return m[:, None]
+
+
+def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted logits and the (n, 1) column of row log-normalizers; the
+    log-probabilities are ``shifted - lse``.
+
+    The row sum is taken over the C-contiguous rows of ``exp(shifted)``
+    as it stands: numpy sums such rows pairwise, and a transposed layout or
+    the other axis would round differently.
+    """
+    shifted = z - _row_max(z)
+    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _log_prob_margin(z, rows, preferred, rejected) -> np.ndarray:
+    """``lp[rows, preferred] - lp[rows, rejected]`` for ``lp = shifted - lse``,
+    normalizing only the two gathered logits of each pair (each goes through
+    the same subtraction as in the full matrix)."""
+    shifted, lse = _softmax_parts(z)
+    lse = lse[rows, 0]
+    return (shifted[rows, preferred] - lse) - (shifted[rows, rejected] - lse)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -198,10 +231,8 @@ def _dpo_margins(spec, kind, theta, batch):
     rows = pairs[:, 0]
     preferred = pairs[:, 1]
     rejected = pairs[:, 2]
-    lp_pol = _log_softmax(x @ theta.reshape(v, c).T)
-    lp_ref = _log_softmax(x @ ref.reshape(v, c).T)
-    pol_margin = lp_pol[rows, preferred] - lp_pol[rows, rejected]
-    ref_margin = lp_ref[rows, preferred] - lp_ref[rows, rejected]
+    pol_margin = _log_prob_margin(x @ theta.reshape(v, c).T, rows, preferred, rejected)
+    ref_margin = _log_prob_margin(x @ ref.reshape(v, c).T, rows, preferred, rejected)
     return kind.beta * (pol_margin - ref_margin), x, rows, preferred, rejected
 
 
@@ -239,9 +270,10 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     # softmax_policy
     c, v = spec.dims
     if kind.tag == "nll_sft":
-        lp = _log_softmax(x @ th.reshape(v, c).T)
+        shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
         labels = np.asarray(batch.targets)
-        return _finite(-float(np.mean(lp[np.arange(x.shape[0]), labels])), "nll loss")
+        lp = shifted[np.arange(x.shape[0]), labels] - lse[:, 0]
+        return _finite(-float(np.mean(lp)), "nll loss")
 
     margins, _, _, _, _ = _dpo_margins(spec, kind, th, batch)
     # -log sigmoid(m) == softplus(-m)
@@ -286,7 +318,8 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
 
     c, v = spec.dims
     if kind.tag == "nll_sft":
-        p = np.exp(_log_softmax(x @ th.reshape(v, c).T))
+        shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
+        p = np.exp(shifted - lse)
         labels = np.asarray(batch.targets)
         p[np.arange(x.shape[0]), labels] -= 1.0
         return _finite_vec((p.T @ x).ravel() / x.shape[0], "nll gradient")

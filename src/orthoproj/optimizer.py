@@ -106,10 +106,17 @@ class TrainResult:
     family_fingerprint: tuple
 
 
+def _descend(theta, eta, direction, out=None):
+    """theta - eta * direction, formed in one full-length array: ``out`` if
+    given (it may be ``direction`` itself), else a new one. theta is only read."""
+    step = np.multiply(eta, direction, out=out)
+    return np.subtract(theta, step, out=step)
+
+
 def naive_step(theta, task, batch, eta):
     """theta' = theta - eta * grad; returns (theta', gradient) for logging."""
     g = task.gradient(theta, batch)
-    return theta - eta * g, g
+    return _descend(theta, eta, g), g
 
 
 def projected_step(theta, task, batch, subspace: CapabilitySubspace, eta):
@@ -121,7 +128,7 @@ def projected_step(theta, task, batch, subspace: CapabilitySubspace, eta):
     """
     g = task.gradient(theta, batch)
     g_proj = project_complement(g, subspace.basis)
-    return theta - eta * g_proj, g, g_proj
+    return _descend(theta, eta, g_proj), g, g_proj
 
 
 def replay_step(theta, task, batch, ref_tasks, ref_batches, eta, lam):
@@ -131,14 +138,16 @@ def replay_step(theta, task, batch, ref_tasks, ref_batches, eta, lam):
     equals a naive one.
     """
     g = task.gradient(theta, batch)
-    if ref_tasks:
-        acc = np.zeros_like(g)
-        for ref_task, ref_batch in zip(ref_tasks, ref_batches):
-            acc += ref_task.gradient(theta, ref_batch)
-        mixed = g + lam * (acc / len(ref_tasks))
-    else:
-        mixed = g
-    return theta - eta * mixed, g
+    if not ref_tasks:
+        return _descend(theta, eta, g), g
+    acc = np.zeros_like(g)
+    for ref_task, ref_batch in zip(ref_tasks, ref_batches):
+        acc += ref_task.gradient(theta, ref_batch)
+    # g + lam * (acc / M), then the step, every operation in place in acc
+    np.divide(acc, len(ref_tasks), out=acc)
+    np.multiply(lam, acc, out=acc)
+    np.add(g, acc, out=acc)
+    return _descend(theta, eta, acc, out=acc), g
 
 
 def _removed_fraction(g_norm: float, g_proj_norm: float) -> float:

@@ -8,13 +8,17 @@ labelled scatter.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 __all__ = ["line_chart", "scatter_chart"]
 
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 64, 160, 36, 48  # extra right margin hosts the legend
 _PALETTE = ("#1f6fb2", "#d1495b", "#3e8e5a", "#8a5fbf", "#c78a2d", "#4a4a4a")
+
+
+def escape(text: str) -> str:
+    """Escape '&', '>' and '<', in that order, for SVG text content (what
+    xml.sax.saxutils.escape does, without importing its network stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5):

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,11 +83,28 @@ class TestRun:
         assert "step" in capsys.readouterr().err
 
     def test_seed_override_changes_outputs(self, quad_config, tmp_path):
-        cfg = quad_config()
+        # no [family] seed: the family follows the train seed, so --seed moves both
+        cfg = quad_config(**{"\nseed = 0\nalpha": "\nalpha"})
         outs = [tmp_path / "s0", tmp_path / "s9"]
         main(["run", "--config", str(cfg), "--out", str(outs[0])])
         main(["run", "--config", str(cfg), "--seed", "9", "--out", str(outs[1])])
         assert (outs[0] / "records.csv").read_bytes() != (outs[1] / "records.csv").read_bytes()
+        assert "[family]\nkind = quadratic_pair\nseed = 9\n" in (
+            outs[1] / "config_resolved.cfg").read_text()
+
+    def test_seed_override_keeps_a_given_family_seed(self, quad_config, tmp_path):
+        # [family] seed = 0 equals the train seed; --seed must still leave it
+        cfg = quad_config()
+        assert "[family]\nkind = quadratic_pair\nseed = 0\n" in cfg.read_text()
+        outs = [tmp_path / "s0", tmp_path / "s7"]
+        main(["run", "--config", str(cfg), "--out", str(outs[0])])
+        main(["run", "--config", str(cfg), "--seed", "7", "--out", str(outs[1])])
+        resolved = (outs[1] / "config_resolved.cfg").read_text()
+        assert "[family]\nkind = quadratic_pair\nseed = 0\n" in resolved
+        assert "\nseed = 7\nstages" in resolved
+        # the quadratic pair's batches are the whole system, so only the
+        # family seed could move its records
+        assert (outs[0] / "records.csv").read_bytes() == (outs[1] / "records.csv").read_bytes()
 
     def test_no_temp_files_left(self, quad_config, tmp_path):
         out = tmp_path / "out"
@@ -112,6 +132,22 @@ def test_atomic_writers_to_one_path_do_not_collide(tmp_path, monkeypatch):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_import_loads_no_network_stack():
+    # xml.sax.saxutils pulls in urllib, http, ssl, socket and email; the
+    # SVG writer needs one escape function from it and defines its own
+    code = ("import sys; before = set(sys.modules); import orthoproj.cli, orthoproj.verify; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "orthoproj.cli" in loaded
+    heavy = ("xml.sax", "urllib.request", "http.client", "ssl", "email")
+    assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
 
 
 @pytest.mark.parametrize("command", [["run"], ["compare"],

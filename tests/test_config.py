@@ -38,6 +38,7 @@ class TestParsing:
         assert exp.train.ref_count == 2
         assert exp.train.seed == 0
         assert exp.family_seed == 0            # defaults to the train seed
+        assert not exp.family_seed_given
         assert exp.out_dir == "out/here"
 
     def test_round_trip(self):
@@ -79,6 +80,7 @@ dir = runs/x
         assert exp.train.stages == (Stage("sft", "nll_sft", 60, 30),
                                     Stage("dpo", "dpo_pairwise", 40, 5))
         assert exp.family_seed == 3
+        assert exp.family_seed_given
         assert parse_config(render_config(exp)) == exp
 
     def test_comments_and_blank_lines(self):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.models import (SUPPORTED_PAIRS, Batch, LossKind, ModelSpec,
-                              gradient, loss)
+from orthoproj.models import (SUPPORTED_PAIRS, Batch, LossKind, ModelSpec, _row_max,
+                              _sigmoid, gradient, loss)
 
 SE = LossKind("squared_error")
 
@@ -127,6 +129,84 @@ class TestDpoPairwise:
         spec, kind, theta, batch = self._setup()
         with pytest.raises(ConfigurationError):
             loss(spec, kind, theta, Batch(batch.inputs, pairs=batch.pairs))
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 17), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["C", "F", "reversed columns"]))
+def test_row_max_matches_numpy_bytewise(n, c, seed, layout):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, c)) * 10.0 ** rng.choice([0, 150, 300], (n, c))
+    if rng.random() < 0.5:
+        z = -np.abs(z)  # so that a signed zero is often the row maximum
+    special = rng.random((n, c)) < rng.random()
+    z[special] = rng.choice(_SPECIALS[:-1] if rng.random() < 0.5 else _SPECIALS,
+                            special.sum())
+    z = {"C": z, "F": np.asfortranarray(z), "reversed columns": z[:, ::-1]}[layout]
+    got, want = _row_max(z), z.max(axis=1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()  # the sign of a zero too
+
+
+def _log_softmax_oracle(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+class TestSoftmaxOracle:
+    """The softmax-policy losses and gradients are byte-identical to the
+    formulas that normalize every token of a row-by-row maximum."""
+
+    @staticmethod
+    def _inputs(seed, n, scale):
+        rng = np.random.default_rng(seed)
+        c, v = 8, 10
+        theta = scale * rng.standard_normal(v * c)
+        x = rng.standard_normal((n, c))
+        return ModelSpec("softmax_policy", (c, v)), rng, theta, x
+
+    @pytest.mark.parametrize("seed,n,scale", [(0, 1, 1.0), (1, 32, 1.0), (2, 512, 1.0),
+                                              (3, 200, 0.0), (4, 64, 40.0)])
+    def test_nll_sft(self, seed, n, scale):
+        spec, rng, theta, x = self._inputs(seed, n, scale)
+        labels = rng.integers(0, 10, n)
+        batch = Batch(x, labels)
+        kind = LossKind("nll_sft")
+        lp = _log_softmax_oracle(x @ theta.reshape(10, 8).T)
+        want_loss = -float(np.mean(lp[np.arange(n), labels]))
+        p = np.exp(lp)
+        p[np.arange(n), labels] -= 1.0
+        want_grad = (p.T @ x).ravel() / n
+        assert loss(spec, kind, theta, batch) == want_loss
+        assert gradient(spec, kind, theta, batch).tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("seed,n,scale", [(0, 1, 1.0), (1, 32, 1.0), (2, 512, 1.0),
+                                              (3, 200, 0.0), (4, 64, 40.0)])
+    def test_dpo_pairwise(self, seed, n, scale):
+        spec, rng, theta, x = self._inputs(seed, n, scale)
+        ref = scale * rng.standard_normal(theta.size)
+        pairs = np.column_stack([rng.integers(0, n, n), rng.integers(0, 10, n),
+                                 rng.integers(0, 10, n)])
+        batch = Batch(x, pairs=pairs, ref_params=ref)
+        kind = LossKind("dpo_pairwise", beta=0.2)
+        rows, pref, rej = pairs.T
+        lp_pol = _log_softmax_oracle(x @ theta.reshape(10, 8).T)
+        lp_ref = _log_softmax_oracle(x @ ref.reshape(10, 8).T)
+        margins = kind.beta * ((lp_pol[rows, pref] - lp_pol[rows, rej])
+                               - (lp_ref[rows, pref] - lp_ref[rows, rej]))
+        want_loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        coef = -_sigmoid(-margins) * kind.beta / n
+        weights = np.zeros((n, 10))
+        np.add.at(weights, (np.arange(n), pref), coef)
+        np.add.at(weights, (np.arange(n), rej), -coef)
+        want_grad = (weights.T @ x[rows]).ravel()
+        assert loss(spec, kind, theta, batch) == want_loss
+        assert gradient(spec, kind, theta, batch).tobytes() == want_grad.tobytes()
 
 
 class TestBatchLinearity:

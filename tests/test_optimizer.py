@@ -104,6 +104,42 @@ class TestReplayStep:
         assert taxes["replay"] > taxes["ortho"] > -1e-12
 
 
+class TestStepArithmetic:
+    """Each step function forms the same bytes as the plain expression and
+    returns a new array, leaving theta as it was."""
+
+    @pytest.mark.parametrize("eta", [1e-3, 0.05, 0.0])
+    def test_steps_match_the_plain_expressions(self, regression_family, eta):
+        fam = regression_family()
+        safety = fam.tasks["safety"]
+        refs = list(fam.capability_tasks)
+        rng = np.random.default_rng(1)
+        batch = safety.sample_batch(rng, 64)
+        refs = refs + refs[:1]  # three, so dividing by the count rounds
+        ref_batches = [t.sample_batch(rng, 200) for t in refs]
+        theta = fam.theta0 + 0.01 * rng.standard_normal(fam.theta0.size)
+        before = theta.copy()
+        g = safety.gradient(theta, batch)
+        sub = estimate_subspace(theta, refs[:2], 2, np.random.default_rng(2), 1e-6, 0.0, 0)
+
+        got, _ = naive_step(theta, safety, batch, eta)
+        assert got.tobytes() == (theta - eta * g).tobytes()
+        got, _, g_proj = projected_step(theta, safety, batch, sub, eta)
+        assert got.tobytes() == (theta - eta * g_proj).tobytes()
+        for lam, tasks in ((0.7, refs), (0.7, refs[:2]), (0.0, refs), (1.0, [])):
+            got, _ = replay_step(theta, safety, batch, tasks, ref_batches, eta, lam)
+            if tasks:
+                acc = np.zeros_like(g)
+                for t, b in zip(tasks, ref_batches):
+                    acc += t.gradient(theta, b)
+                mixed = g + lam * (acc / len(tasks))
+            else:
+                mixed = g
+            assert got.tobytes() == (theta - eta * mixed).tobytes()
+            assert got is not theta
+        assert theta.tobytes() == before.tobytes()
+
+
 class TestTrain:
     def test_single_step_orthogonal_matches_naive(self, quadratic_family):
         fam = quadratic_family(math.pi / 2)
