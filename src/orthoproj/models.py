@@ -329,6 +329,7 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     # per pair: d(-log sigmoid(m))/dW = -sigmoid(-m) * beta * (e_w - e_l) x^T
     coef = -_sigmoid(-margins) * kind.beta / n
     token_weights = np.zeros((n, v))
-    np.add.at(token_weights, (np.arange(n), preferred), coef)
-    np.add.at(token_weights, (np.arange(n), rejected), -coef)
+    pair = np.arange(n)  # each statement writes each cell at most once
+    token_weights[pair, preferred] += coef
+    token_weights[pair, rejected] += -coef
     return _finite_vec((token_weights.T @ x[rows]).ravel(), "dpo gradient")

@@ -8,7 +8,7 @@ naive run bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class TrainResult:
     records: tuple[RunRecord, ...]
     config: TrainConfig
     subspace_history: tuple[tuple[int, int], ...]  # (built_at_step, rank)
-    family_fingerprint: tuple
+    family_fingerprint: str
 
 
 def _descend(theta, eta, direction, out=None):
@@ -164,8 +164,8 @@ def train(config: TrainConfig, family) -> TrainResult:
     period divides the global step index, apply the method's update, then
     record probe losses at the new parameters together with the gradient
     norms, removed fraction, and subspace rank/age used for the step.
-    Entering a preference stage freezes the current parameters as that
-    stage's reference policy.
+    A preference stage trains against a copy of its task whose reference
+    policy is frozen at the stage-entry parameters; the family is only read.
     """
     config.validate()
     for stage in config.stages:
@@ -202,7 +202,7 @@ def train(config: TrainConfig, family) -> TrainResult:
     for stage in config.stages:
         task = family.tasks[stage.task]
         if stage.loss == "dpo_pairwise":
-            task.set_reference_params(theta)
+            task = replace(task, ref_params=theta.copy())
         period = stage.refresh_every if stage.refresh_every is not None else config.refresh_every
         for _ in range(stage.steps):
             use_subspace = config.method == "ortho" and config.ref_count > 0

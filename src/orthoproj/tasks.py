@@ -13,12 +13,13 @@ import inspect
 import math
 import typing
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import models
 from .errors import ConfigurationError, NumericError
-from .linalg import as_vector, norm
+from .linalg import norm
 from .models import Batch, LossKind, ModelSpec
 
 __all__ = [
@@ -47,18 +48,21 @@ POLICY_PRETRAIN = (1000, 1.0)
 _SAFETY_OWN_SCALE = 2.0
 
 
-@dataclass
+# every task array, in the order save_family writes and fingerprint hashes them
+_ARRAY_FIELDS = ("train_inputs", "train_targets", "probe_inputs", "probe_targets",
+                 "train_pairs", "probe_pairs", "ref_params")
+
+
+@dataclass(frozen=True)
 class DifferentiableTask:
     """A dataset plus a loss kind, with a fixed held-out probe batch.
 
     Training batches are drawn from the train arrays only; the probe arrays
-    never feed a gradient. For dpo_pairwise tasks, ``ref_params`` holds the
-    frozen reference policy and is replaced at stage transitions.
+    never feed a gradient. ``ref_params`` is a dpo_pairwise reference policy.
 
-    The probe batch, and the quadratic kind's whole-system batch, are built
-    (and so validated) once and reused. One is rebuilt when an array it came
-    from has been replaced by another object, so change the data by
-    assigning new arrays, not by writing into the existing ones.
+    Tasks are immutable, their arrays read-only: the probe batch and the
+    quadratic kind's whole-system batch are built (and validated) once, on
+    first use, and ``dataclasses.replace`` makes a task with new data.
     """
 
     name: str
@@ -71,14 +75,12 @@ class DifferentiableTask:
     train_pairs: np.ndarray | None = None
     probe_pairs: np.ndarray | None = None
     ref_params: np.ndarray | None = None
-    # slot -> (source arrays, Batch built from them)
-    _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _cached(self, slot: str, sources: tuple, build) -> Batch:
-        hit = self._batches.get(slot)
-        if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
-            hit = self._batches[slot] = (sources, build())
-        return hit[1]
+    def __post_init__(self):
+        for name in _ARRAY_FIELDS:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.flags.writeable = False
 
     @property
     def train_size(self) -> int:
@@ -86,10 +88,9 @@ class DifferentiableTask:
             return self.train_pairs.shape[0]
         return self.train_inputs.shape[0]
 
-    def set_reference_params(self, theta) -> None:
-        if self.kind.tag != "dpo_pairwise":
-            raise ConfigurationError(f"task {self.name!r} has no reference policy")
-        self.ref_params = as_vector(theta, "ref_params").copy()
+    @cached_property
+    def _system_batch(self) -> Batch:
+        return Batch(self.train_inputs, self.train_targets)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> Batch:
         """Draw a training batch; with replacement only when size exceeds
@@ -98,8 +99,7 @@ class DifferentiableTask:
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
         if self.spec.kind == "quadratic":
-            sources = (self.train_inputs, self.train_targets)
-            return self._cached("train", sources, lambda: Batch(*sources))
+            return self._system_batch
         n = self.train_size
         idx = rng.choice(n, size=size, replace=size > n)
         if self.kind.tag == "dpo_pairwise":
@@ -109,12 +109,8 @@ class DifferentiableTask:
             return Batch(inputs, pairs=pairs, ref_params=self.ref_params)
         return Batch(self.train_inputs[idx], self.train_targets[idx])
 
-    def probe(self) -> Batch:
-        """The fixed held-out evaluation batch."""
-        sources = (self.probe_inputs, self.probe_targets, self.probe_pairs, self.ref_params)
-        return self._cached("probe", sources, self._build_probe)
-
-    def _build_probe(self) -> Batch:
+    @cached_property
+    def _probe_batch(self) -> Batch:
         if self.kind.tag == "dpo_pairwise":
             inputs = self.probe_inputs[self.probe_pairs[:, 0]]
             pairs = np.column_stack([
@@ -125,6 +121,10 @@ class DifferentiableTask:
             return Batch(inputs, pairs=pairs, ref_params=self.ref_params)
         return Batch(self.probe_inputs, self.probe_targets)
 
+    def probe(self) -> Batch:
+        """The fixed held-out evaluation batch."""
+        return self._probe_batch
+
     def loss(self, theta, batch: Batch | None = None) -> float:
         return models.loss(self.spec, self.kind, theta, self.probe() if batch is None else batch)
 
@@ -132,7 +132,7 @@ class DifferentiableTask:
         return models.gradient(self.spec, self.kind, theta, self.probe() if batch is None else batch)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskFamily:
     """A named set of tasks sharing one parameter vector.
 
@@ -140,7 +140,7 @@ class TaskFamily:
     estimation and tax probes. ``safety_metric_task`` names the task whose
     probe defines the run-level safety metric (for multi-stage families this
     is the reference-free first-stage task, so theta0 vs theta_T is always
-    comparable).
+    comparable). Like its tasks, a family is immutable; ``theta0`` is read-only.
     """
 
     kind: str
@@ -151,11 +151,28 @@ class TaskFamily:
     safety_metric_task: str
     params: dict = field(default_factory=dict)
 
-    @property
-    def fingerprint(self) -> tuple:
-        return (self.kind, self.seed, self.theta0.size,
-                tuple(t.name for t in self.capability_tasks),
-                tuple(sorted(self.params.items())))
+    def __post_init__(self):
+        self.theta0.flags.writeable = False
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 hex digest of everything :func:`save_family` writes: the
+        header fields, each task's spec and loss, and the dtype, shape and
+        bytes of ``theta0`` and of every task array. Computed on first use."""
+        import hashlib  # loading it costs ~4 ms, so only families that are hashed pay
+        h = hashlib.sha256(repr((
+            self.kind, self.seed, sorted(self.params.items()), self.safety_metric_task,
+            [t.name for t in self.capability_tasks],
+            [(name, t.spec, t.kind) for name, t in sorted(self.tasks.items())],
+        )).encode())
+        labelled = [("theta0", self.theta0)] + [
+            (f"{name}.{fld}", getattr(t, fld))
+            for name, t in sorted(self.tasks.items()) for fld in _ARRAY_FIELDS]
+        for label, arr in labelled:
+            if arr is not None:
+                h.update(f"{label} {arr.dtype.str} {arr.shape}".encode())
+                h.update(memoryview(np.ascontiguousarray(arr)))
+        return h.hexdigest()
 
 
 def _snap(x: float) -> float:
@@ -342,8 +359,8 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
     Stage 1 ("sft") is categorical NLL on safe labels; stage 2 ("dpo") is
     the pairwise preference loss with preferred = the safe label and
     rejected = the strongest content token. The dpo task's reference policy
-    starts at theta0 and is re-frozen at stage transitions by the training
-    loop.
+    is theta0; the training loop trains each preference stage against a copy
+    of the task whose reference is the stage-entry parameters.
     """
     if vocab < 4:
         raise ConfigurationError(f"policy family needs vocab >= 4, got {vocab}")
@@ -404,16 +421,16 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
     w_dpo, l_dpo = safe_and_content_labels(x_dpo)
     x_dpo_probe = contexts(PROBE_ROWS, (sl_own, sl_sh))
     w_probe, l_probe = safe_and_content_labels(x_dpo_probe)
+
+    theta0 = _pretrain(0.01 * rng.standard_normal(spec.param_dim), cap_a, cap_b,
+                       POLICY_PRETRAIN, "policy")
     dpo = DifferentiableTask(
         "dpo", spec, LossKind("dpo_pairwise", beta=0.2),
         x_dpo, None, x_dpo_probe, None,
         train_pairs=np.column_stack([np.arange(n_safety), w_dpo, l_dpo]),
         probe_pairs=np.column_stack([np.arange(PROBE_ROWS), w_probe, l_probe]),
+        ref_params=theta0.copy(),
     )
-
-    theta0 = _pretrain(0.01 * rng.standard_normal(spec.param_dim), cap_a, cap_b,
-                       POLICY_PRETRAIN, "policy")
-    dpo.ref_params = theta0.copy()
     return TaskFamily(
         kind="policy_sft_dpo",
         seed=seed,
@@ -492,8 +509,7 @@ def save_family(family: TaskFamily, path) -> None:
     lines.extend(_array_block("theta0", family.theta0))
     for name in sorted(family.tasks):
         t = family.tasks[name]
-        for fld in ("train_inputs", "train_targets", "probe_inputs", "probe_targets",
-                    "train_pairs", "probe_pairs", "ref_params"):
+        for fld in _ARRAY_FIELDS:
             arr = getattr(t, fld)
             if arr is not None:
                 lines.extend(_array_block(f"{name}.{fld}", arr))
@@ -552,15 +568,11 @@ def load_family(path) -> TaskFamily:
         spec = ModelSpec(kind_str, tuple(int(v) for v in dims_str.split(",")), act)
         tag, beta = header[f"task.{name}.loss"].split()
         loss_kind = LossKind(tag, float(beta))
-        flat_targets = spec.kind != "quadratic" and tag != "dpo_pairwise"
-        tt = get_array(f"{name}.train_targets", optional=True)
-        pt = get_array(f"{name}.probe_targets", optional=True)
-        if tt is not None and flat_targets:
-            tt, pt = tt.ravel(), pt.ravel()
-            if tag == "nll_sft":
-                tt, pt = tt.astype(np.int64), pt.astype(np.int64)
-        elif tt is not None:
-            tt, pt = tt.ravel(), pt.ravel()
+        no_targets = tag == "dpo_pairwise"  # every other loss needs them
+        tt = get_array(f"{name}.train_targets", flatten=True, optional=no_targets)
+        pt = get_array(f"{name}.probe_targets", flatten=True, optional=no_targets)
+        if tag == "nll_sft":
+            tt, pt = tt.astype(np.int64), pt.astype(np.int64)
         tasks[name] = DifferentiableTask(
             name, spec, loss_kind,
             get_array(f"{name}.train_inputs"), tt,

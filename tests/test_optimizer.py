@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError
 from orthoproj.linalg import angle_between, dot, norm
 from orthoproj.metrics import alignment_tax, records_to_csv
@@ -218,6 +220,21 @@ class TestTrain:
         theta_half = fam.theta0 - 0.5 * eta * g_proj
         change_half = cap.loss(theta_half) - cap.loss(fam.theta0)
         assert abs(change / change_half - 4.0) <= 1e-6 * 4.0
+
+
+class TestSharedFamily:
+    def test_run_order_does_not_matter(self, policy_family):
+        fam = policy_family()
+        base = DEFAULTS["policy"].train
+
+        def run(method):
+            r = train(dataclasses.replace(base, method=method), fam)
+            return r.theta_final.tobytes(), records_to_csv(r.records)
+
+        first = {m: run(m) for m in ("naive", "ortho")}
+        second = {m: run(m) for m in ("ortho", "naive")}
+        assert first == second
+        assert first["naive"] != first["ortho"]
 
 
 class TestValidation:

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from orthoproj import tasks
+from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, NumericError
 from orthoproj.linalg import angle_between, norm, project_complement
+from orthoproj.metrics import alignment_tax
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import (load_family, policy_family, quadratic_family,
@@ -122,7 +125,7 @@ class TestPolicyFamily:
     def test_dpo_loss_is_log2_at_reference(self, policy_family):
         fam = policy_family()
         dpo = fam.tasks["dpo"]
-        dpo.set_reference_params(fam.theta0)
+        assert dpo.ref_params.tobytes() == fam.theta0.tobytes()
         assert dpo.loss(fam.theta0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_stage_transition_freezes_reference(self, policy_family):
@@ -144,14 +147,15 @@ class TestPolicyFamily:
         assert dpo.probe() is first  # built and validated once
         rng = np.random.default_rng(3)
         theta1 = fam.theta0 + 0.1 * rng.standard_normal(fam.theta0.size)
-        dpo.set_reference_params(theta1)
-        assert dpo.probe().ref_params.tobytes() == theta1.tobytes()
-        assert dpo.loss(theta1) == pytest.approx(math.log(2.0), abs=1e-15)
-        theta2 = fam.theta0 - 0.1 * rng.standard_normal(fam.theta0.size)
-        dpo.ref_params = theta2.copy()  # how policy_family sets it
-        assert dpo.probe().ref_params is dpo.ref_params
-        assert dpo.loss(theta2) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert dpo.probe().pairs.tobytes() == first.pairs.tobytes()
+        moved = dataclasses.replace(dpo, ref_params=theta1.copy())
+        assert moved.probe().ref_params.tobytes() == theta1.tobytes()
+        assert moved.probe() is moved.probe()
+        assert moved.loss(theta1) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert moved.probe().pairs.tobytes() == first.pairs.tobytes()
+        # the original task, and the probe it already built, are untouched
+        assert dpo.probe() is first
+        assert first.ref_params.tobytes() == fam.theta0.tobytes()
+        assert dpo.loss(fam.theta0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_naive_dpo_descends(self, policy_family):
         fam = policy_family()
@@ -184,6 +188,40 @@ class TestPolicyFamily:
             policy_family(2, 10, 10, 10, seed=0)
 
 
+def _array_bytes(fam):
+    out = {"theta0": fam.theta0.tobytes()}
+    for name, t in fam.tasks.items():
+        for fld in tasks._ARRAY_FIELDS:
+            arr = getattr(t, fld)
+            out[f"{name}.{fld}"] = None if arr is None else arr.tobytes()
+    return out
+
+
+class TestImmutability:
+    def test_training_leaves_the_family_untouched(self, policy_family):
+        fam = policy_family()
+        before = _array_bytes(fam)
+        result = train(DEFAULTS["policy"].train, fam)
+        assert result.theta_final.tobytes() != fam.theta0.tobytes()
+        assert _array_bytes(fam) == before
+        assert fam.tasks["dpo"].ref_params.tobytes() == fam.theta0.tobytes()
+
+    def test_arrays_are_read_only(self, policy_family, quadratic_family):
+        for fam in (policy_family(), quadratic_family(math.pi / 4)):
+            with pytest.raises(ValueError):
+                fam.theta0[0] = 1.0
+            for task in fam.tasks.values():
+                for fld in tasks._ARRAY_FIELDS:
+                    arr = getattr(task, fld)
+                    if arr is not None:
+                        with pytest.raises(ValueError):
+                            arr[0] = arr[0]
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    task.ref_params = fam.theta0.copy()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fam.theta0 = fam.theta0.copy()
+
+
 class TestSampling:
     def test_batch_without_replacement_when_possible(self, regression_family):
         fam = regression_family()
@@ -209,12 +247,13 @@ class TestSampling:
         cap, safety, theta0 = make_pair(6, math.pi / 4, seed=2)
         first = safety.sample_batch(np.random.default_rng(0), 1)
         assert safety.sample_batch(np.random.default_rng(1), 1) is first
-        safety.train_targets = safety.train_targets + 1.0
-        second = safety.sample_batch(np.random.default_rng(0), 1)
-        assert second.targets is safety.train_targets
-        safety.train_inputs = np.full_like(safety.train_inputs, np.nan)
+        shifted = dataclasses.replace(safety, train_targets=safety.train_targets + 1.0)
+        second = shifted.sample_batch(np.random.default_rng(0), 1)
+        assert second.targets is shifted.train_targets
+        assert safety.sample_batch(np.random.default_rng(0), 1) is first
+        broken = dataclasses.replace(safety, train_inputs=np.full_like(safety.train_inputs, np.nan))
         with pytest.raises(NumericError):
-            safety.sample_batch(np.random.default_rng(0), 1)
+            broken.sample_batch(np.random.default_rng(0), 1)
 
     def test_probe_never_in_training_draws(self, regression_family):
         fam = regression_family()
@@ -245,6 +284,27 @@ class TestSerialization:
             if task.train_pairs is not None:
                 assert other.train_pairs.tobytes() == task.train_pairs.tobytes()
         assert loaded.fingerprint == fam.fingerprint
+
+    def test_edited_family_file_is_a_different_family(self, tmp_path, regression_family):
+        fam = regression_family()
+        result = train(TrainConfig(method="naive", eta=0.02, steps=5, ref_count=2,
+                                   safety_batch=16, ref_batch=50, seed=0,
+                                   stages=(Stage("safety", "squared_error", 5),)), fam)
+        path = tmp_path / "fam.txt"
+        save_family(fam, path)
+        assert alignment_tax(result, load_family(path)).ref_names == ("cap_a", "cap_b")
+        # move one probe input of cap_a by one ulp
+        lines = path.read_text().splitlines()
+        row = 1 + next(i for i, l in enumerate(lines) if l.startswith("[array cap_a.probe_inputs"))
+        values = lines[row].split(",")
+        col = next(i for i, v in enumerate(values) if float(v) != 0.0)
+        values[col] = repr(float(np.nextafter(float(values[col]), np.inf)))
+        lines[row] = ",".join(values)
+        path.write_text("\n".join(lines) + "\n")
+        edited = load_family(path)
+        assert edited.fingerprint != fam.fingerprint
+        with pytest.raises(ConfigurationError, match="does not belong"):
+            alignment_tax(result, edited)
 
     def test_reloaded_family_trains_identically(self, tmp_path):
         fam = tasks.regression_family(16, 12, math.pi / 3, 1.0, 50, 80, seed=6)
