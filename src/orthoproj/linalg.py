@@ -1,9 +1,11 @@
 """Dense float64 vector arithmetic and thresholded Gram-Schmidt.
 
 Inner products accumulate strictly left to right, so every result here is
-independent of BLAS build and thread count. That keeps whole training runs
-bitwise reproducible from a seed. The products are formed and summed in
-blocks of ``BLOCK`` elements in one small buffer: each block's first product
+independent of BLAS build and thread count. The model passes use BLAS gemm,
+whose rounding can depend on both, so a whole training run is bitwise
+reproducible from a seed only for a fixed BLAS build and thread count.
+
+The products are formed and summed in blocks of ``BLOCK`` elements in one small buffer: each block's first product
 is added to the running sum carried from the previous block, then
 ``np.add.accumulate`` (sequential by definition) sums the block in place.
 That is the same sequence of roundings as one accumulate over all the

@@ -1,8 +1,8 @@
 """Small differentiable models covering both objective families.
 
-Likelihood-style losses (squared error on a quadratic system, linear and
-logistic regression, a two-layer MLP, categorical NLL for a linear softmax
-policy) and a pairwise preference loss against a frozen reference policy.
+Likelihood-style losses (squared error on a quadratic system and on a
+two-layer tanh MLP, categorical NLL for a linear softmax policy) and a
+pairwise preference loss against a frozen reference policy.
 All gradients are closed-form or hand-backpropagated; the independent
 finite-difference cross-check lives in :mod:`orthoproj.oracle`.
 """
@@ -18,46 +18,38 @@ from .linalg import as_vector
 
 __all__ = ["ModelSpec", "LossKind", "Batch", "loss", "gradient", "SUPPORTED_PAIRS"]
 
-MODEL_KINDS = ("quadratic", "linear_regression", "logistic_regression", "mlp2", "softmax_policy")
-LOSS_TAGS = ("squared_error", "cross_entropy", "nll_sft", "dpo_pairwise")
-ACTIVATIONS = ("tanh", "relu")
-
-# Which loss each model accepts. The quadratic system is a single analytic
-# objective, the rest are per-example batch means.
+# The model kinds and the losses each accepts. The quadratic system is a
+# single analytic objective, the rest are per-example batch means.
 SUPPORTED_PAIRS = {
     "quadratic": ("squared_error",),
-    "linear_regression": ("squared_error",),
-    "logistic_regression": ("cross_entropy",),
     "mlp2": ("squared_error",),
     "softmax_policy": ("nll_sft", "dpo_pairwise"),
 }
+LOSS_TAGS = tuple(tag for tags in SUPPORTED_PAIRS.values() for tag in tags)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture descriptor; the parameter dimension follows from it."""
+    """Architecture descriptor; the parameter dimension follows from it.
+    mlp2 is (inputs, hidden, outputs) with a tanh hidden layer."""
 
     kind: str
     dims: tuple[int, ...]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in SUPPORTED_PAIRS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if any(d < 1 for d in dims):
             raise ConfigurationError(f"dims must be positive, got {dims}")
-        arity = {"quadratic": 1, "linear_regression": 1, "logistic_regression": 1,
-                 "mlp2": 3, "softmax_policy": 2}[self.kind]
+        arity = {"quadratic": 1, "mlp2": 3, "softmax_policy": 2}[self.kind]
         if len(dims) != arity:
             raise ConfigurationError(f"{self.kind} needs {arity} dims, got {dims}")
-        if self.kind == "mlp2" and self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
 
     @property
     def param_dim(self) -> int:
-        if self.kind in ("quadratic", "linear_regression", "logistic_regression"):
+        if self.kind == "quadratic":
             return self.dims[0]
         if self.kind == "mlp2":
             i, h, o = self.dims
@@ -121,12 +113,6 @@ class Batch:
         if self.ref_params is not None:
             object.__setattr__(self, "ref_params", as_vector(self.ref_params, "ref_params"))
 
-    @property
-    def size(self) -> int:
-        if self.pairs is not None:
-            return self.pairs.shape[0]
-        return self.inputs.shape[0]
-
 
 def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
     if kind.tag not in SUPPORTED_PAIRS[spec.kind]:
@@ -168,12 +154,11 @@ def _unpack_mlp(theta: np.ndarray, dims: tuple[int, int, int]):
     return w1, b1, w2, b2
 
 
-def _mlp_forward(theta, dims, activation, x):
+def _mlp_forward(theta, dims, x):
     w1, b1, w2, b2 = _unpack_mlp(theta, dims)
-    z1 = x @ w1.T + b1
-    h = np.tanh(z1) if activation == "tanh" else np.maximum(z1, 0.0)
+    h = np.tanh(x @ w1.T + b1)
     y = h @ w2.T + b2
-    return z1, h, y
+    return h, y
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -251,18 +236,8 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
         r = x @ th - np.asarray(batch.targets, dtype=np.float64)
         return _finite(0.5 * float(np.sum(r * r)), "quadratic loss")
 
-    if spec.kind == "linear_regression":
-        r = x @ th - np.asarray(batch.targets, dtype=np.float64)
-        return _finite(float(np.sum(r * r)) / (2.0 * x.shape[0]), "regression loss")
-
-    if spec.kind == "logistic_regression":
-        z = x @ th
-        y = np.asarray(batch.targets, dtype=np.float64)
-        # mean softplus(z) - y z, the stable form of binary cross-entropy
-        return _finite(float(np.mean(np.logaddexp(0.0, z) - y * z)), "logistic loss")
-
     if spec.kind == "mlp2":
-        _, _, y_hat = _mlp_forward(th, spec.dims, spec.activation, x)
+        _, y_hat = _mlp_forward(th, spec.dims, x)
         t = np.asarray(batch.targets, dtype=np.float64).reshape(y_hat.shape)
         diff = y_hat - t
         return _finite(float(np.sum(diff * diff)) / (2.0 * x.shape[0]), "mlp loss")
@@ -289,28 +264,15 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
         r = x @ th - np.asarray(batch.targets, dtype=np.float64)
         return _finite_vec(x.T @ r, "quadratic gradient")
 
-    if spec.kind == "linear_regression":
-        r = x @ th - np.asarray(batch.targets, dtype=np.float64)
-        return _finite_vec(x.T @ r / x.shape[0], "regression gradient")
-
-    if spec.kind == "logistic_regression":
-        p = _sigmoid(x @ th)
-        y = np.asarray(batch.targets, dtype=np.float64)
-        return _finite_vec(x.T @ (p - y) / x.shape[0], "logistic gradient")
-
     if spec.kind == "mlp2":
-        z1, h, y_hat = _mlp_forward(th, spec.dims, spec.activation, x)
+        h, y_hat = _mlp_forward(th, spec.dims, x)
         t = np.asarray(batch.targets, dtype=np.float64).reshape(y_hat.shape)
         n = x.shape[0]
-        w1, _, w2, _ = _unpack_mlp(th, spec.dims)
+        _, _, w2, _ = _unpack_mlp(th, spec.dims)
         d_y = (y_hat - t) / n
         d_w2 = d_y.T @ h
         d_b2 = d_y.sum(axis=0)
-        d_h = d_y @ w2
-        if spec.activation == "tanh":
-            d_z1 = d_h * (1.0 - h * h)
-        else:
-            d_z1 = d_h * (z1 > 0.0)
+        d_z1 = (d_y @ w2) * (1.0 - h * h)
         d_w1 = d_z1.T @ x
         d_b1 = d_z1.sum(axis=0)
         g = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])

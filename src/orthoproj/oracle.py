@@ -30,14 +30,11 @@ class FDConfig:
     rounding at 64-bit precision."""
 
     h: float = 1e-5
-    scheme: str = "central"
     rel_tol: float = 1e-4
 
     def __post_init__(self):
         if not self.h > 0:
             raise ConfigurationError(f"h must be positive, got {self.h}")
-        if self.scheme != "central":
-            raise ConfigurationError(f"only the central scheme is implemented, got {self.scheme!r}")
 
 
 def fd_gradient(spec, kind, theta, batch, fd: FDConfig = FDConfig()) -> np.ndarray:
@@ -148,17 +145,17 @@ class TaylorReport:
         return worst
 
 
-def taylor_scaling(family, etas, method: str,
-                   ref_count: int = 1, delta: float = 1e-6) -> TaylorReport:
+def taylor_scaling(family, etas, method: str) -> TaylorReport:
     """Measure how the one-step reference-loss change scales with eta.
 
     Built for the quadratic pair, where the loss change under a step dtheta
     is exactly <g_ref, dtheta> + 0.5 * ||A_ref dtheta||^2. With a fresh
     subspace the projected step kills the linear term, leaving pure
     second-order scaling (log-log slope 2); a naive step with correlated
-    gradients is first-order (slope 1). Zero rows are excluded from the fit;
-    if every row is zero the change is curvature-only below float resolution
-    and the slope is reported as exactly 2.
+    gradients is first-order (slope 1). The subspace is spanned by the first
+    capability task's gradient (relative threshold 1e-6). Zero rows are
+    excluded from the fit; if every row is zero the change is curvature-only
+    below float resolution and the slope is reported as exactly 2.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
@@ -173,9 +170,8 @@ def taylor_scaling(family, etas, method: str,
     ref = family.capability_tasks[0]
     g_safe = safety.gradient(theta0, safety.probe())
     if method == "ortho":
-        sub = estimate_subspace(theta0, list(family.capability_tasks[:ref_count]),
-                                batch_size=1, rng=np.random.default_rng(0),
-                                delta=delta, epsilon=0.0, step=0)
+        sub = estimate_subspace(theta0, [ref], batch_size=1, rng=np.random.default_rng(0),
+                                delta=1e-6, epsilon=0.0, step=0)
         direction = project_complement(g_safe, sub.basis)
     else:
         direction = g_safe

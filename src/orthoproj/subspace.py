@@ -25,22 +25,15 @@ NO_REFRESH = math.inf  # sentinel refresh period: build once, never rebuild
 @dataclass(frozen=True)
 class CapabilitySubspace:
     """An orthonormal basis for the reference-gradient span plus the
-    metadata needed to audit staleness (step built, candidate count,
-    threshold settings)."""
+    metadata needed to audit staleness (step built, candidate count)."""
 
     basis: OrthonormalBasis
     built_at_step: int
     candidate_count: int
-    delta: float
-    epsilon: float
 
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-    @classmethod
-    def empty(cls, dim: int, step: int, delta: float, epsilon: float) -> "CapabilitySubspace":
-        return cls(OrthonormalBasis.empty(dim), step, 0, delta, epsilon)
 
 
 def needs_refresh(step: int, period) -> bool:
@@ -82,6 +75,4 @@ def estimate_subspace(model_state, ref_tasks, batch_size: int,
     max_norm = max(norm(g) for g in grads)
     delta_abs = delta * max_norm if max_norm > 0 else delta
     basis = gram_schmidt(grads, delta_abs, epsilon)
-    return CapabilitySubspace(basis, built_at_step=step,
-                              candidate_count=len(ref_tasks),
-                              delta=delta, epsilon=epsilon)
+    return CapabilitySubspace(basis, built_at_step=step, candidate_count=len(ref_tasks))

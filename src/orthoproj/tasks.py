@@ -103,22 +103,19 @@ class DifferentiableTask:
         n = self.train_size
         idx = rng.choice(n, size=size, replace=size > n)
         if self.kind.tag == "dpo_pairwise":
-            chosen = self.train_pairs[idx]
-            inputs = self.train_inputs[chosen[:, 0]]
-            pairs = np.column_stack([np.arange(len(idx)), chosen[:, 1], chosen[:, 2]])
-            return Batch(inputs, pairs=pairs, ref_params=self.ref_params)
+            return self._pair_batch(self.train_inputs, self.train_pairs[idx])
         return Batch(self.train_inputs[idx], self.train_targets[idx])
+
+    def _pair_batch(self, contexts: np.ndarray, pairs: np.ndarray) -> Batch:
+        """A dpo_pairwise batch with one input row per pair: pair p's
+        context row moves to row p, in the batch's own numbering."""
+        rows = np.column_stack([np.arange(pairs.shape[0]), pairs[:, 1], pairs[:, 2]])
+        return Batch(contexts[pairs[:, 0]], pairs=rows, ref_params=self.ref_params)
 
     @cached_property
     def _probe_batch(self) -> Batch:
         if self.kind.tag == "dpo_pairwise":
-            inputs = self.probe_inputs[self.probe_pairs[:, 0]]
-            pairs = np.column_stack([
-                np.arange(self.probe_pairs.shape[0]),
-                self.probe_pairs[:, 1],
-                self.probe_pairs[:, 2],
-            ])
-            return Batch(inputs, pairs=pairs, ref_params=self.ref_params)
+            return self._pair_batch(self.probe_inputs, self.probe_pairs)
         return Batch(self.probe_inputs, self.probe_targets)
 
     def probe(self) -> Batch:
@@ -296,7 +293,7 @@ def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
             y += noise_sigma * rng.standard_normal(n)
         return x, y
 
-    spec = ModelSpec("mlp2", (d, hidden, 1), activation="tanh")
+    spec = ModelSpec("mlp2", (d, hidden, 1))
     kind = LossKind("squared_error")
 
     def task(name, active, pieces, n_train):
@@ -477,7 +474,7 @@ def build_family(kind: str, seed: int, **params) -> TaskFamily:
 # serialization: self-describing text format (key=value header + CSV blocks)
 # ---------------------------------------------------------------------------
 
-_FORMAT_LINE = "orthoproj-family-format = 1"
+_FORMAT_LINE = "orthoproj-family-format = 2"
 
 
 def _array_block(label: str, arr: np.ndarray) -> list[str]:
@@ -503,7 +500,7 @@ def save_family(family: TaskFamily, path) -> None:
         lines.append(f"param.{key} = {family.params[key]!r}")
     for name in sorted(family.tasks):
         t = family.tasks[name]
-        lines.append(f"task.{name}.spec = {t.spec.kind} {','.join(map(str, t.spec.dims))} {t.spec.activation}")
+        lines.append(f"task.{name}.spec = {t.spec.kind} {','.join(map(str, t.spec.dims))}")
         lines.append(f"task.{name}.loss = {t.kind.tag} {t.kind.beta!r}")
     lines.append("")
     lines.extend(_array_block("theta0", family.theta0))
@@ -522,7 +519,8 @@ def load_family(path) -> TaskFamily:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != _FORMAT_LINE:
-        raise ConfigurationError(f"{path}: not a family file (missing format line)")
+        raise ConfigurationError(f"{path}: not a family file of this version "
+                                 f"(the first line must be {_FORMAT_LINE!r})")
 
     header: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
@@ -564,8 +562,8 @@ def load_family(path) -> TaskFamily:
     tasks: dict[str, DifferentiableTask] = {}
     task_names = sorted({k.split(".")[1] for k in header if k.startswith("task.")})
     for name in task_names:
-        kind_str, dims_str, act = header[f"task.{name}.spec"].split()
-        spec = ModelSpec(kind_str, tuple(int(v) for v in dims_str.split(",")), act)
+        kind_str, dims_str = header[f"task.{name}.spec"].split()
+        spec = ModelSpec(kind_str, tuple(int(v) for v in dims_str.split(",")))
         tag, beta = header[f"task.{name}.loss"].split()
         loss_kind = LossKind(tag, float(beta))
         no_targets = tag == "dpo_pairwise"  # every other loss needs them

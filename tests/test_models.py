@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.models import (SUPPORTED_PAIRS, Batch, LossKind, ModelSpec, _row_max,
                               _sigmoid, gradient, loss)
+from orthoproj.verify import _fd_cases
 
 SE = LossKind("squared_error")
 
@@ -39,7 +41,7 @@ class TestQuadratic:
 class TestMlp2:
     def test_forward_matches_independent_reimplementation(self):
         rng = np.random.default_rng(1)
-        spec = ModelSpec("mlp2", (4, 8, 1), activation="tanh")
+        spec = ModelSpec("mlp2", (4, 8, 1))
         theta = 0.5 * rng.standard_normal(spec.param_dim)
         x = rng.standard_normal((16, 4))
         y = rng.standard_normal(16)
@@ -55,10 +57,9 @@ class TestMlp2:
         got = loss(spec, SE, theta, Batch(x, y))
         assert abs(got - expected) <= 1e-12
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_directional_derivative(self, activation):
+    def test_directional_derivative(self):
         rng = np.random.default_rng(2)
-        spec = ModelSpec("mlp2", (4, 6, 2), activation=activation)
+        spec = ModelSpec("mlp2", (4, 6, 2))
         theta = 0.5 * rng.standard_normal(spec.param_dim)
         batch = Batch(rng.standard_normal((12, 4)), rng.standard_normal((12, 2)))
         v = rng.standard_normal(spec.param_dim)
@@ -218,17 +219,10 @@ class TestBatchLinearity:
             grads.append(gradient(spec, kind, theta, b))
         return np.mean(losses), np.mean(grads, axis=0)
 
-    @pytest.mark.parametrize("kind_name", ["linear_regression", "logistic_regression",
-                                           "mlp2", "softmax_policy"])
+    @pytest.mark.parametrize("kind_name", ["mlp2", "softmax_policy"])
     def test_mean_of_singletons(self, kind_name):
         rng = np.random.default_rng(4)
-        if kind_name == "linear_regression":
-            spec, tag = ModelSpec("linear_regression", (6,)), "squared_error"
-            x, y = rng.standard_normal((10, 6)), rng.standard_normal(10)
-        elif kind_name == "logistic_regression":
-            spec, tag = ModelSpec("logistic_regression", (6,)), "cross_entropy"
-            x, y = rng.standard_normal((10, 6)), (rng.random(10) < 0.5).astype(float)
-        elif kind_name == "mlp2":
+        if kind_name == "mlp2":
             spec, tag = ModelSpec("mlp2", (3, 5, 1)), "squared_error"
             x, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
         else:
@@ -253,7 +247,7 @@ class TestValidation:
             loss(spec, SE, [1.0, 2.0, 3.0], batch)
 
     def test_non_finite_inputs(self):
-        spec = ModelSpec("linear_regression", (2,))
+        spec = ModelSpec("quadratic", (2,))
         with pytest.raises(NumericError):
             loss(spec, SE, [1.0, 2.0], Batch(np.array([[np.inf, 0.0]]), np.zeros(1)))
 
@@ -297,5 +291,18 @@ class TestValidation:
     def test_param_dim(self):
         assert ModelSpec("mlp2", (4, 8, 1)).param_dim == 32 + 8 + 8 + 1
         assert ModelSpec("softmax_policy", (6, 8)).param_dim == 48
-        assert set(SUPPORTED_PAIRS) == {"quadratic", "linear_regression",
-                                        "logistic_regression", "mlp2", "softmax_policy"}
+        assert set(SUPPORTED_PAIRS) == {"quadratic", "mlp2", "softmax_policy"}
+
+
+def test_supported_pairs_are_the_pairs_in_use(quadratic_family, regression_family,
+                                              policy_family):
+    """Every (model, loss) pair is reached by a shipped family and checked
+    once by the finite-difference cases of verify, and no other pair exists."""
+    supported = sorted((k, tag) for k, tags in SUPPORTED_PAIRS.items() for tag in tags)
+    families = (quadratic_family(None), regression_family(), policy_family())
+    assert [f.kind for f in families] == [exp.family_kind for exp in DEFAULTS.values()]
+    reached = {(t.spec.kind, t.kind.tag) for f in families for t in f.tasks.values()}
+    assert reached == set(supported)
+    checked = sorted((spec.kind, kind.tag)
+                     for spec, kind, _, _ in _fd_cases(np.random.default_rng(0)))
+    assert checked == supported

@@ -40,8 +40,6 @@ class TestFdGradient:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             FDConfig(h=0.0)
-        with pytest.raises(ConfigurationError):
-            FDConfig(scheme="forward")
 
 
 class TestSteepestCheck:

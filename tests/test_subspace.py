@@ -99,10 +99,7 @@ class TestEstimateSubspace:
         # the batch rejects the data when it is built, inside the same
         # per-task error context as the gradient
         good = quadratic_task("ok", np.eye(2), np.zeros(2))
-        bad = DifferentiableTask("bad", ModelSpec("linear_regression", (2,)),
-                                 LossKind("squared_error"),
-                                 np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2),
-                                 np.eye(2), np.zeros(2))
+        bad = quadratic_task("bad", np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(NumericError, match=r"reference task 1 \(bad\): batch inputs"):
             estimate_subspace(np.zeros(2), [good, bad], 2, np.random.default_rng(0),
                               1e-6, 0.0, 0)

@@ -318,6 +318,22 @@ class TestSerialization:
         r2 = train(cfg, loaded)
         assert r1.theta_final.tobytes() == r2.theta_final.tobytes()
 
+    def test_version_1_file_is_refused(self, tmp_path, regression_family):
+        # version 2 writes the spec line as `kind dims`; version 1 added a
+        # third field, which a version-2 reader must not try to unpack
+        fam = regression_family()
+        path = tmp_path / "fam.txt"
+        save_family(fam, path)
+        assert load_family(path).fingerprint == fam.fingerprint
+        lines = path.read_text().splitlines()
+        assert lines[0] == "orthoproj-family-format = 2"
+        assert "task.safety.spec = mlp2 16,12,1" in lines
+        lines[0] = "orthoproj-family-format = 1"
+        lines = [l + " tanh" if ".spec = " in l else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match="orthoproj-family-format = 2"):
+            load_family(path)
+
     def test_reject_non_family_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a family\n")
