@@ -9,7 +9,9 @@ finite-difference cross-check lives in :mod:`orthoproj.oracle`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +91,10 @@ class Batch:
     (n, 3), and ref_params must be a finite 1-D vector (stored as float64).
     Checks that need the model (parameter length, which fields the loss
     needs) run in :func:`loss` and :func:`gradient`.
+
+    A batch is read, never written, and treated as immutable: a
+    dpo_pairwise batch computes the reference policy's per-pair margin on
+    first use and keeps it (:attr:`ref_margin`).
     """
 
     inputs: np.ndarray
@@ -113,6 +119,17 @@ class Batch:
         if self.ref_params is not None:
             object.__setattr__(self, "ref_params", as_vector(self.ref_params, "ref_params"))
 
+    @cached_property
+    def ref_margin(self) -> np.ndarray:
+        """dpo_pairwise: ``log pi_ref(y_w|x) - log pi_ref(y_l|x)`` per pair,
+        computed on first use and kept, since the reference is frozen. Read
+        it only after checking that ``ref_params`` fits the model."""
+        x, pairs = self.inputs, self.pairs
+        logits = x @ self.ref_params.reshape(-1, x.shape[1]).T
+        margin = _log_prob_margin(logits, pairs[:, 0], pairs[:, 1], pairs[:, 2])
+        margin.flags.writeable = False
+        return margin
+
 
 def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
     if kind.tag not in SUPPORTED_PAIRS[spec.kind]:
@@ -129,9 +146,9 @@ def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
 
 
 def _finite(value: float, what: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"non-finite {what}")
-    return float(value)
+    return value
 
 
 def _finite_vec(v: np.ndarray, what: str) -> np.ndarray:
@@ -155,9 +172,13 @@ def _unpack_mlp(theta: np.ndarray, dims: tuple[int, int, int]):
 
 
 def _mlp_forward(theta, dims, x):
+    """Hidden activations and outputs, each formed in its own fresh array."""
     w1, b1, w2, b2 = _unpack_mlp(theta, dims)
-    h = np.tanh(x @ w1.T + b1)
-    y = h @ w2.T + b2
+    h = x @ w1.T
+    h += b1
+    np.tanh(h, out=h)
+    y = h @ w2.T
+    y += b2
     return h, y
 
 
@@ -180,14 +201,15 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
 def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shifted logits and the (n, 1) column of row log-normalizers; the
-    log-probabilities are ``shifted - lse``.
+    log-probabilities are ``shifted - lse``. The logits ``z`` must be a
+    fresh array: they are shifted in place and returned.
 
     The row sum is taken over the C-contiguous rows of ``exp(shifted)``
     as it stands: numpy sums such rows pairwise, and a transposed layout or
     the other axis would round differently.
     """
-    shifted = z - _row_max(z)
-    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    z -= _row_max(z)
+    return z, np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 def _log_prob_margin(z, rows, preferred, rejected) -> np.ndarray:
@@ -209,6 +231,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _dpo_margins(spec, kind, theta, batch):
+    """beta * (policy margin - reference margin) per pair, with the batch's
+    inputs and pair columns. Only the policy forward runs on every call; the
+    reference margin is the batch's cached :attr:`Batch.ref_margin`."""
     c, v = spec.dims
     x, pairs, ref = batch.inputs, batch.pairs, batch.ref_params
     if ref.size != spec.param_dim:
@@ -217,8 +242,7 @@ def _dpo_margins(spec, kind, theta, batch):
     preferred = pairs[:, 1]
     rejected = pairs[:, 2]
     pol_margin = _log_prob_margin(x @ theta.reshape(v, c).T, rows, preferred, rejected)
-    ref_margin = _log_prob_margin(x @ ref.reshape(v, c).T, rows, preferred, rejected)
-    return kind.beta * (pol_margin - ref_margin), x, rows, preferred, rejected
+    return kind.beta * (pol_margin - batch.ref_margin), x, rows, preferred, rejected
 
 
 def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
@@ -233,14 +257,16 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     x = batch.inputs
 
     if spec.kind == "quadratic":
-        r = x @ th - np.asarray(batch.targets, dtype=np.float64)
-        return _finite(0.5 * float(np.sum(r * r)), "quadratic loss")
+        r = x @ th
+        r -= np.asarray(batch.targets, dtype=np.float64)
+        r *= r
+        return _finite(0.5 * float(np.add.reduce(r, axis=None)), "quadratic loss")
 
     if spec.kind == "mlp2":
-        _, y_hat = _mlp_forward(th, spec.dims, x)
-        t = np.asarray(batch.targets, dtype=np.float64).reshape(y_hat.shape)
-        diff = y_hat - t
-        return _finite(float(np.sum(diff * diff)) / (2.0 * x.shape[0]), "mlp loss")
+        _, diff = _mlp_forward(th, spec.dims, x)
+        diff -= np.asarray(batch.targets, dtype=np.float64).reshape(diff.shape)
+        diff *= diff
+        return _finite(float(np.add.reduce(diff, axis=None)) / (2.0 * x.shape[0]), "mlp loss")
 
     # softmax_policy
     c, v = spec.dims
@@ -248,11 +274,12 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
         shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
         labels = np.asarray(batch.targets)
         lp = shifted[np.arange(x.shape[0]), labels] - lse[:, 0]
-        return _finite(-float(np.mean(lp)), "nll loss")
+        return _finite(-(float(np.add.reduce(lp, axis=None)) / lp.size), "nll loss")
 
     margins, _, _, _, _ = _dpo_margins(spec, kind, th, batch)
     # -log sigmoid(m) == softplus(-m)
-    return _finite(float(np.mean(np.logaddexp(0.0, -margins))), "dpo loss")
+    return _finite(float(np.add.reduce(np.logaddexp(0.0, -margins), axis=None)) / margins.size,
+                   "dpo loss")
 
 
 def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
@@ -261,30 +288,37 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     x = batch.inputs
 
     if spec.kind == "quadratic":
-        r = x @ th - np.asarray(batch.targets, dtype=np.float64)
-        return _finite_vec(x.T @ r, "quadratic gradient")
+        r = x @ th
+        r -= np.asarray(batch.targets, dtype=np.float64)
+        # np.dot, not x.T @ r: for a one-row system matmul takes a slow path
+        return _finite_vec(np.dot(r, x), "quadratic gradient")
 
     if spec.kind == "mlp2":
-        h, y_hat = _mlp_forward(th, spec.dims, x)
-        t = np.asarray(batch.targets, dtype=np.float64).reshape(y_hat.shape)
-        n = x.shape[0]
+        h, d_y = _mlp_forward(th, spec.dims, x)
         _, _, w2, _ = _unpack_mlp(th, spec.dims)
-        d_y = (y_hat - t) / n
+        d_y -= np.asarray(batch.targets, dtype=np.float64).reshape(d_y.shape)
+        d_y /= x.shape[0]
         d_w2 = d_y.T @ h
-        d_b2 = d_y.sum(axis=0)
-        d_z1 = (d_y @ w2) * (1.0 - h * h)
+        d_b2 = np.add.reduce(d_y, axis=0)
+        h *= h
+        np.subtract(1.0, h, out=h)  # tanh' = 1 - h*h
+        d_z1 = d_y @ w2
+        d_z1 *= h
         d_w1 = d_z1.T @ x
-        d_b1 = d_z1.sum(axis=0)
+        d_b1 = np.add.reduce(d_z1, axis=0)
         g = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
         return _finite_vec(g, "mlp gradient")
 
     c, v = spec.dims
     if kind.tag == "nll_sft":
-        shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
-        p = np.exp(shifted - lse)
+        p, lse = _softmax_parts(x @ th.reshape(v, c).T)
+        p -= lse
+        np.exp(p, out=p)
         labels = np.asarray(batch.targets)
         p[np.arange(x.shape[0]), labels] -= 1.0
-        return _finite_vec((p.T @ x).ravel() / x.shape[0], "nll gradient")
+        g = (p.T @ x).ravel()
+        g /= x.shape[0]
+        return _finite_vec(g, "nll gradient")
 
     margins, x, rows, preferred, rejected = _dpo_margins(spec, kind, th, batch)
     n = margins.shape[0]

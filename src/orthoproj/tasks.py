@@ -12,6 +12,7 @@ import ast
 import inspect
 import math
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -109,7 +110,8 @@ class DifferentiableTask:
     def _pair_batch(self, contexts: np.ndarray, pairs: np.ndarray) -> Batch:
         """A dpo_pairwise batch with one input row per pair: pair p's
         context row moves to row p, in the batch's own numbering."""
-        rows = np.column_stack([np.arange(pairs.shape[0]), pairs[:, 1], pairs[:, 2]])
+        rows = pairs.copy()
+        rows[:, 0] = np.arange(pairs.shape[0])
         return Batch(contexts[pairs[:, 0]], pairs=rows, ref_params=self.ref_params)
 
     @cached_property
@@ -129,6 +131,31 @@ class DifferentiableTask:
         return models.gradient(self.spec, self.kind, theta, self.probe() if batch is None else batch)
 
 
+@dataclass(frozen=True, eq=False)
+class FrozenMap(Mapping):
+    """A read-only mapping that pickles (``types.MappingProxyType`` does
+    not): the items of a mapping, kept as a tuple of (key, value) pairs in
+    insertion order. A lookup scans the pairs, which suits the few tasks and
+    parameters of a family."""
+
+    pairs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(dict(self.pairs).items()))
+
+    def __getitem__(self, key):
+        for k, v in self.pairs:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
 @dataclass(frozen=True)
 class TaskFamily:
     """A named set of tasks sharing one parameter vector.
@@ -137,19 +164,22 @@ class TaskFamily:
     estimation and tax probes. ``safety_metric_task`` names the task whose
     probe defines the run-level safety metric (for multi-stage families this
     is the reference-free first-stage task, so theta0 vs theta_T is always
-    comparable). Like its tasks, a family is immutable; ``theta0`` is read-only.
+    comparable). Like its tasks, a family is immutable: ``theta0`` is
+    read-only and ``tasks`` and ``params`` are stored as :class:`FrozenMap`.
     """
 
     kind: str
     seed: int
     theta0: np.ndarray
     capability_tasks: tuple[DifferentiableTask, ...]
-    tasks: dict[str, DifferentiableTask]
+    tasks: Mapping[str, DifferentiableTask]
     safety_metric_task: str
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         self.theta0.flags.writeable = False
+        object.__setattr__(self, "tasks", FrozenMap(self.tasks))
+        object.__setattr__(self, "params", FrozenMap(self.params))
 
     @cached_property
     def fingerprint(self) -> str:
@@ -546,6 +576,17 @@ def load_family(path) -> TaskFamily:
             key, _, value = line.partition("=")
             header[key.strip()] = value.strip()
 
+    def get(key, n_fields=None):
+        if key not in header:
+            raise ConfigurationError(f"{path}: missing header line {key!r}")
+        if n_fields is None:
+            return header[key]
+        parts = header[key].split()
+        if len(parts) != n_fields:
+            raise ConfigurationError(f"{path}: line '{key} = {header[key]}' needs "
+                                     f"{n_fields} fields, got {len(parts)}")
+        return parts
+
     def get_array(label, flatten=False, optional=False):
         if label not in arrays:
             if optional:
@@ -562,9 +603,9 @@ def load_family(path) -> TaskFamily:
     tasks: dict[str, DifferentiableTask] = {}
     task_names = sorted({k.split(".")[1] for k in header if k.startswith("task.")})
     for name in task_names:
-        kind_str, dims_str = header[f"task.{name}.spec"].split()
+        kind_str, dims_str = get(f"task.{name}.spec", 2)
         spec = ModelSpec(kind_str, tuple(int(v) for v in dims_str.split(",")))
-        tag, beta = header[f"task.{name}.loss"].split()
+        tag, beta = get(f"task.{name}.loss", 2)
         loss_kind = LossKind(tag, float(beta))
         no_targets = tag == "dpo_pairwise"  # every other loss needs them
         tt = get_array(f"{name}.train_targets", flatten=True, optional=no_targets)
@@ -580,13 +621,16 @@ def load_family(path) -> TaskFamily:
             ref_params=get_array(f"{name}.ref_params", flatten=True, optional=True),
         )
 
-    capability = tuple(tasks[n] for n in header["capability_order"].split(","))
+    order = get("capability_order").split(",")
+    unknown = [n for n in order + [get("safety_metric_task")] if n not in tasks]
+    if unknown:
+        raise ConfigurationError(f"{path}: no task line for {unknown}")
     return TaskFamily(
-        kind=header["kind"],
-        seed=int(header["seed"]),
+        kind=get("kind"),
+        seed=int(get("seed")),
         theta0=get_array("theta0", flatten=True),
-        capability_tasks=capability,
+        capability_tasks=tuple(tasks[n] for n in order),
         tasks=tasks,
-        safety_metric_task=header["safety_metric_task"],
+        safety_metric_task=get("safety_metric_task"),
         params=params,
     )

@@ -210,6 +210,126 @@ class TestSoftmaxOracle:
         assert gradient(spec, kind, theta, batch).tobytes() == want_grad.tobytes()
 
 
+def _mlp_oracle(theta, dims, x, t):
+    """mlp2 loss and gradient as plain out-of-place expressions."""
+    i, hdim, o = dims
+    w1 = theta[:hdim * i].reshape(hdim, i)
+    b1 = theta[hdim * i:hdim * i + hdim]
+    w2 = theta[hdim * i + hdim:hdim * i + hdim + o * hdim].reshape(o, hdim)
+    b2 = theta[hdim * i + hdim + o * hdim:]
+    h = np.tanh(x @ w1.T + b1)
+    y_hat = h @ w2.T + b2
+    t = t.reshape(y_hat.shape)
+    n = x.shape[0]
+    diff = y_hat - t
+    want_loss = float(np.sum(diff * diff)) / (2.0 * n)
+    d_y = (y_hat - t) / n
+    d_w2 = d_y.T @ h
+    d_b2 = d_y.sum(axis=0)
+    d_z1 = (d_y @ w2) * (1.0 - h * h)
+    want_grad = np.concatenate([(d_z1.T @ x).ravel(), d_z1.sum(axis=0), d_w2.ravel(), d_b2])
+    return want_loss, want_grad
+
+
+class TestMlpOracle:
+    """The in-place mlp2 passes are byte-identical to the out-of-place formulas."""
+
+    @pytest.mark.parametrize("n", [1, 64, 200, 512])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 30.0])  # zero, normal, tanh-saturating
+    @pytest.mark.parametrize("dims", [(16, 12, 1), (5, 7, 3)])
+    def test_loss_and_gradient(self, n, scale, dims):
+        rng = np.random.default_rng(n + int(scale) + dims[2])
+        spec = ModelSpec("mlp2", dims)
+        theta = scale * rng.standard_normal(spec.param_dim)
+        x = rng.standard_normal((n, dims[0]))
+        t = rng.standard_normal((n, dims[2])) if dims[2] > 1 else rng.standard_normal(n)
+        want_loss, want_grad = _mlp_oracle(theta, dims, x, t)
+        batch = Batch(x, t)
+        assert loss(spec, SE, theta, batch) == want_loss
+        assert gradient(spec, SE, theta, batch).tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [3, 8193, 100000])
+def test_quadratic_gradient_matches_matmul_bytewise(rows, d):
+    rng = np.random.default_rng(rows * d)
+    a = rng.standard_normal((rows, d))
+    b = rng.standard_normal(rows)
+    theta = rng.standard_normal(d)
+    r = a @ theta - b
+    got = gradient(ModelSpec("quadratic", (d,)), SE, theta, Batch(a, b))
+    assert got.tobytes() == (a.T @ r).tobytes()
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@pytest.mark.parametrize("pair", sorted((k, tag) for k, tags in SUPPORTED_PAIRS.items()
+                                        for tag in tags))
+def test_batches_are_never_written(pair):
+    """loss and gradient only read a batch: read-only arrays work twice over."""
+    rng = np.random.default_rng(7)
+    model, tag = pair
+    spec = ModelSpec(model, {"quadratic": (6,), "mlp2": (4, 5, 2),
+                             "softmax_policy": (4, 6)}[model])
+    kind = LossKind(tag)
+    n = 8
+    if model == "quadratic":
+        x, t = _read_only(rng.standard_normal((2, 6)), rng.standard_normal(2))
+        batch = Batch(x, t)
+    elif model == "mlp2":
+        x, t = _read_only(rng.standard_normal((n, 4)), rng.standard_normal((n, 2)))
+        batch = Batch(x, t)
+    elif tag == "nll_sft":
+        x, t = _read_only(rng.standard_normal((n, 4)), rng.integers(0, 6, n))
+        batch = Batch(x, t)
+    else:
+        pairs = np.column_stack([np.arange(n), rng.integers(0, 6, n), rng.integers(0, 6, n)])
+        x, pairs, ref = _read_only(rng.standard_normal((n, 4)), pairs,
+                                   rng.standard_normal(spec.param_dim))
+        batch = Batch(x, pairs=pairs, ref_params=ref)
+    before = [np.array(a) for a in (batch.inputs, batch.targets, batch.pairs, batch.ref_params)]
+    theta = rng.standard_normal(spec.param_dim)
+    first = loss(spec, kind, theta, batch), gradient(spec, kind, theta, batch).tobytes()
+    assert (loss(spec, kind, theta, batch),
+            gradient(spec, kind, theta, batch).tobytes()) == first
+    after = [np.array(a) for a in (batch.inputs, batch.targets, batch.pairs, batch.ref_params)]
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+
+
+class TestReferenceMargin:
+    def _batch(self, n=6, ref_size=40):
+        rng = np.random.default_rng(5)
+        pairs = np.column_stack([np.arange(n), rng.integers(0, 8, n), rng.integers(0, 8, n)])
+        return Batch(rng.standard_normal((n, 5)), pairs=pairs,
+                     ref_params=rng.standard_normal(ref_size))
+
+    def test_computed_once_per_batch_and_read_only(self, monkeypatch):
+        import orthoproj.models as models
+        calls = []
+        original = models._log_prob_margin
+        monkeypatch.setattr(models, "_log_prob_margin",
+                            lambda *a: calls.append(1) or original(*a))
+        spec, kind = ModelSpec("softmax_policy", (5, 8)), LossKind("dpo_pairwise")
+        batch = self._batch()
+        theta = np.zeros(spec.param_dim)
+        for _ in range(3):
+            loss(spec, kind, theta, batch)
+            gradient(spec, kind, theta, batch)
+        assert len(calls) == 6 + 1  # one policy margin per call, one reference margin
+        assert not batch.ref_margin.flags.writeable
+
+    def test_reference_length_is_checked_first(self):
+        batch = self._batch(ref_size=41)  # no (vocab, 5) reshape exists
+        spec, kind = ModelSpec("softmax_policy", (5, 8)), LossKind("dpo_pairwise")
+        with pytest.raises(DimensionError, match="ref_params has length 41"):
+            loss(spec, kind, np.zeros(spec.param_dim), batch)
+        assert "ref_margin" not in vars(batch)
+
+
 class TestBatchLinearity:
     def _per_example_mean(self, spec, kind, theta, inputs, targets):
         losses, grads = [], []
@@ -250,6 +370,17 @@ class TestValidation:
         spec = ModelSpec("quadratic", (2,))
         with pytest.raises(NumericError):
             loss(spec, SE, [1.0, 2.0], Batch(np.array([[np.inf, 0.0]]), np.zeros(1)))
+
+    def test_non_finite_theta_in_saturated_layer(self):
+        # tanh(inf) = 1 keeps the loss and gradient finite, so theta itself
+        # must be checked
+        spec = ModelSpec("mlp2", (3, 4, 1))
+        theta = np.zeros(spec.param_dim)
+        theta[0] = np.inf
+        batch = Batch(np.ones((2, 3)), np.zeros(2))
+        for fn in (loss, gradient):
+            with pytest.raises(NumericError, match="theta"):
+                fn(spec, SE, theta, batch)
 
     def test_non_finite_result(self):
         spec = ModelSpec("quadratic", (2,))

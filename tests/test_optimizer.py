@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError
 from orthoproj.linalg import angle_between, dot, norm
 from orthoproj.metrics import alignment_tax, records_to_csv
-from orthoproj.models import LossKind, ModelSpec
+from orthoproj.models import Batch, LossKind, ModelSpec
 from orthoproj.optimizer import (NO_REFRESH, Stage, TrainConfig, naive_step,
                                  projected_step, replay_step, train)
 from orthoproj.subspace import estimate_subspace
@@ -235,6 +236,30 @@ class TestSharedFamily:
         second = {m: run(m) for m in ("ortho", "naive")}
         assert first == second
         assert first["naive"] != first["ortho"]
+
+
+class TestReferenceMargins:
+    def test_probe_margin_once_per_preference_stage(self, policy_family, monkeypatch):
+        computed = []
+        original = Batch.__dict__["ref_margin"].func
+
+        def counting(batch):
+            computed.append(batch)  # also keeps each batch alive, so ids stay unique
+            return original(batch)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(Batch, "ref_margin")
+        monkeypatch.setattr(Batch, "ref_margin", prop)
+        fam = policy_family()
+        stages = (Stage("sft", "nll_sft", 3), Stage("dpo", "dpo_pairwise", 4),
+                  Stage("dpo", "dpo_pairwise", 5))
+        cfg = dataclasses.replace(DEFAULTS["policy"].train, steps=12, stages=stages)
+        train(cfg, fam)
+        # one per sampled batch (a new batch each step) and one per stage's probe
+        assert len({id(b) for b in computed}) == len(computed) == 4 + 5 + 2
+        probes = [b for b in computed if b.inputs.shape[0] == fam.tasks["dpo"].probe_pairs.shape[0]]
+        assert len(probes) == 2
+        assert probes[0].ref_params.tobytes() != probes[1].ref_params.tobytes()
 
 
 class TestValidation:

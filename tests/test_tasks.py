@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,6 +223,39 @@ class TestImmutability:
                 fam.theta0 = fam.theta0.copy()
 
 
+    def test_family_maps_are_read_only(self, regression_family):
+        fam = regression_family()
+        with pytest.raises(TypeError):
+            fam.tasks["capability"] = fam.tasks["cap_a"]
+        with pytest.raises(TypeError):
+            fam.params["d"] = 3
+        assert dict(fam.params) == dict(DEFAULTS["regression"].family_params,
+                                        alpha=math.pi / 3, pretrain_steps=300,
+                                        pretrain_eta=0.05)
+
+    def test_pickle_round_trip_keeps_fingerprint(self):
+        fam = tasks.policy_family(8, 8, 20, 30, seed=1)
+        copy = pickle.loads(pickle.dumps(fam))  # before the digest is cached
+        assert copy.fingerprint == fam.fingerprint
+        assert list(copy.tasks) == list(fam.tasks)
+        assert copy.params == fam.params
+        assert copy.capability_tasks[0] is copy.tasks["cap_a"]
+        with pytest.raises(TypeError):
+            copy.tasks["cap_a"] = copy.tasks["cap_b"]
+
+    def test_replaced_reference_has_its_own_probe_margins(self, policy_family):
+        fam = policy_family()
+        dpo = fam.tasks["dpo"]
+        before = dpo.probe().ref_margin.tobytes()
+        assert dpo.loss(fam.theta0) == math.log(2.0)  # policy == reference
+        moved = dataclasses.replace(dpo, ref_params=dpo.ref_params + 0.1)
+        assert moved.probe() is not dpo.probe()
+        assert moved.probe().ref_margin.tobytes() != before
+        assert moved.loss(fam.theta0) != math.log(2.0)
+        assert dpo.probe().ref_margin.tobytes() == before
+        assert dpo.loss(fam.theta0) == math.log(2.0)
+
+
 class TestSampling:
     def test_batch_without_replacement_when_possible(self, regression_family):
         fam = regression_family()
@@ -333,6 +367,26 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError, match="orthoproj-family-format = 2"):
             load_family(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda l: l + " tanh" if l.startswith("task.safety.spec") else l,
+         r"task\.safety\.spec = mlp2 16,12,1 tanh' needs 2 fields, got 3"),
+        (lambda l: None if l.startswith("task.cap_b.loss") else l, "'task.cap_b.loss'"),
+        (lambda l: None if l.startswith("kind =") else l, "'kind'"),
+        (lambda l: None if l.startswith("seed =") else l, "'seed'"),
+        (lambda l: None if l.startswith("safety_metric_task") else l, "'safety_metric_task'"),
+        (lambda l: None if l.startswith("capability_order") else l, "'capability_order'"),
+    ], ids=["spec-third-field", "no-loss", "no-kind", "no-seed", "no-safety-metric-task",
+            "no-capability-order"])
+    def test_malformed_header_is_a_configuration_error(self, tmp_path, regression_family,
+                                                       edit, message):
+        path = tmp_path / "fam.txt"
+        save_family(regression_family(), path)
+        lines = [edit(l) for l in path.read_text().splitlines()]
+        path.write_text("\n".join(l for l in lines if l is not None) + "\n")
+        with pytest.raises(ConfigurationError, match=message) as info:
+            load_family(path)
+        assert str(path) in str(info.value)
 
     def test_reject_non_family_file(self, tmp_path):
         path = tmp_path / "junk.txt"
