@@ -170,6 +170,11 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
     scale-invariant default should pass ``delta_rel * max(candidate norms)``
     as :func:`orthoproj.subspace.estimate_subspace` does. A zero candidate is
     always discarded by the threshold, never normalized.
+
+    Each accepted residual is normalized straight into the next row of one
+    (candidates, dim) block, and that block is the basis's storage. Only
+    when a candidate was discarded are the used rows copied out, so that a
+    basis never holds rows it does not use.
     """
     if not np.isfinite(delta) or delta <= 0:
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
@@ -183,7 +188,8 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
         if v.size != dim:
             raise DimensionError(f"candidate {i} has length {v.size}, expected {dim}")
 
-    accepted: list[np.ndarray] = []
+    block = np.empty((len(vs), dim))
+    accepted: list[np.ndarray] = []  # views of block's leading rows
     for g in vs:
         residual = _remove_components(g, accepted)
         if norm(residual) < delta:
@@ -192,10 +198,12 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
         n = norm(residual)
         if n + epsilon <= 0.0:
             raise NumericError("residual collapsed to zero during re-orthogonalization")
-        accepted.append(residual / (n + epsilon))
+        accepted.append(np.divide(residual, n + epsilon, out=block[len(accepted)]))
     if not accepted:
         return OrthonormalBasis.empty(dim)
-    return OrthonormalBasis(np.array(accepted))
+    if len(accepted) < len(vs):  # a basis holds no unused rows
+        return OrthonormalBasis(block[:len(accepted)].copy())
+    return OrthonormalBasis(block)
 
 
 def project_complement(g, basis: OrthonormalBasis) -> np.ndarray:

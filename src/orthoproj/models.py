@@ -290,8 +290,10 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     if spec.kind == "quadratic":
         r = x @ th
         r -= np.asarray(batch.targets, dtype=np.float64)
-        # np.dot, not x.T @ r: for a one-row system matmul takes a slow path
-        return _finite_vec(np.dot(r, x), "quadratic gradient")
+        # both forms give the bytes of x.T @ r; matmul is slow for one row
+        # and np.dot for more
+        g = np.dot(r, x) if x.shape[0] == 1 else x.T @ r
+        return _finite_vec(g, "quadratic gradient")
 
     if spec.kind == "mlp2":
         h, d_y = _mlp_forward(th, spec.dims, x)

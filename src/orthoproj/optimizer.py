@@ -166,6 +166,13 @@ def train(config: TrainConfig, family) -> TrainResult:
     norms, removed fraction, and subspace rank/age used for the step.
     A preference stage trains against a copy of its task whose reference
     policy is frozen at the stage-entry parameters; the family is only read.
+
+    Memory: between steps the loop holds theta and the active basis (and a
+    preference stage's reference policy); no gradient outlives its step.
+    Within a step it holds at most three parameter-sized arrays for naive
+    (theta, the gradient, the new theta), four for replay, and the basis
+    plus four for ortho. A refresh frees the old basis before estimating
+    the new one.
     """
     config.validate()
     for stage in config.stages:
@@ -208,24 +215,29 @@ def train(config: TrainConfig, family) -> TrainResult:
             use_subspace = config.method == "ortho" and config.ref_count > 0
             try:
                 if use_subspace and (subspace is None or needs_refresh(t, period)):
+                    subspace = None  # the old basis is freed before the new one is built
                     subspace = estimate_subspace(theta, ref_tasks, config.ref_batch,
                                                  rng_ref, config.delta, config.epsilon, t)
                     history.append((t, subspace.rank))
 
+                # only the norms of a step's gradients outlive it
                 batch = task.sample_batch(rng_safety, config.safety_batch)
                 if use_subspace:
                     theta, g, g_proj = projected_step(theta, task, batch, subspace, config.eta)
                     g_norm, g_proj_norm = norm(g), norm(g_proj)
+                    del g, g_proj
                     rank, age = subspace.rank, t - subspace.built_at_step
                 elif config.method == "replay":
                     ref_batches = [rt.sample_batch(rng_ref, config.ref_batch) for rt in ref_tasks]
                     theta, g = replay_step(theta, task, batch, ref_tasks, ref_batches,
                                            config.eta, config.replay_lambda)
                     g_norm = g_proj_norm = norm(g)
+                    del g
                     rank, age = 0, 0
                 else:  # naive, or ortho degenerated by ref_count = 0
                     theta, g = naive_step(theta, task, batch, config.eta)
                     g_norm = g_proj_norm = norm(g)
+                    del g
                     rank, age = 0, 0
 
                 records.append(RunRecord(

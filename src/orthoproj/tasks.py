@@ -13,7 +13,7 @@ import inspect
 import math
 import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +54,14 @@ _ARRAY_FIELDS = ("train_inputs", "train_targets", "probe_inputs", "probe_targets
                  "train_pairs", "probe_pairs", "ref_params")
 
 
+def _reduce_via_constructor(obj):
+    # Pickle a frozen task or family as its constructor call. Default
+    # unpickling restores __dict__ without running __post_init__, and numpy
+    # does not pickle the writeable flag, so the arrays would come back
+    # writable; cached properties are rebuilt on first use, not carried.
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 @dataclass(frozen=True)
 class DifferentiableTask:
     """A dataset plus a loss kind, with a fixed held-out probe batch.
@@ -82,6 +90,8 @@ class DifferentiableTask:
             arr = getattr(self, name)
             if arr is not None:
                 arr.flags.writeable = False
+
+    __reduce__ = _reduce_via_constructor
 
     @property
     def train_size(self) -> int:
@@ -181,6 +191,8 @@ class TaskFamily:
         object.__setattr__(self, "tasks", FrozenMap(self.tasks))
         object.__setattr__(self, "params", FrozenMap(self.params))
 
+    __reduce__ = _reduce_via_constructor
+
     @cached_property
     def fingerprint(self) -> str:
         """sha256 hex digest of everything :func:`save_family` writes: the
@@ -237,7 +249,10 @@ def quadratic_family(d: int, alpha: float, seed: int,
 
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal(d)
-    u1 = np.zeros(d)
+    # u1 and w live in the rows of a_cap, so the only full-length array
+    # beyond the family's own is f (w's row holds s f before w is formed)
+    a_cap = np.zeros((2, d))
+    u1, w = a_cap
     u1[0::2] = rng.standard_normal(u1[0::2].size)
     u1 /= norm(u1)
     f = np.zeros(d)
@@ -245,10 +260,11 @@ def quadratic_family(d: int, alpha: float, seed: int,
     f /= norm(f)
 
     c, s = _snap(math.cos(alpha)), _snap(math.sin(alpha))
-    u2 = c * u1 + s * f
-    w = s * u1 - c * f
+    u2 = np.multiply(c, u1)  # u2 = c u1 + s f
+    u2 += np.multiply(s, f, out=w)
+    np.multiply(c, f, out=f)  # w = s u1 - c f
+    np.subtract(np.multiply(s, u1, out=w), f, out=w)
 
-    a_cap = np.vstack([u1, w])
     b_cap = a_cap @ theta0 - np.array([cap_residual, 0.0])
     a_safe = u2[None, :]
     b_safe = a_safe @ theta0 - np.array([safety_residual])
@@ -552,7 +568,15 @@ def load_family(path) -> TaskFamily:
         raise ConfigurationError(f"{path}: not a family file of this version "
                                  f"(the first line must be {_FORMAT_LINE!r})")
 
+    def parse(lineno, text, convert):
+        # a malformed value is reported with the file and line it sits on
+        try:
+            return convert(text)
+        except (ValueError, SyntaxError) as exc:
+            raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
+
     header: dict[str, str] = {}
+    line_of: dict[str, int] = {}  # header key -> its line number
     arrays: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
@@ -568,13 +592,18 @@ def load_family(path) -> TaskFamily:
             dtype = np.int64 if meta["dtype"] == "int" else np.float64
             data = np.empty((rows, cols), dtype=dtype)
             for r in range(rows):
-                parts = lines[i].split(",")
+                row = lines[i] if i < len(lines) else ""
                 i += 1
-                data[r] = [dtype(p) for p in parts]
+                values = parse(i, row, lambda text: [dtype(p) for p in text.split(",")])
+                if len(values) != cols:
+                    raise ConfigurationError(f"{path}, line {i}: row {r} of array {label} "
+                                             f"has {len(values)} fields, expected {cols}")
+                data[r] = values
             arrays[label] = data
         else:
             key, _, value = line.partition("=")
             header[key.strip()] = value.strip()
+            line_of[key.strip()] = i
 
     def get(key, n_fields=None):
         if key not in header:
@@ -598,15 +627,16 @@ def load_family(path) -> TaskFamily:
     params = {}
     for key, value in header.items():
         if key.startswith("param."):
-            params[key[len("param."):]] = ast.literal_eval(value)
+            params[key[len("param."):]] = parse(line_of[key], value, ast.literal_eval)
 
     tasks: dict[str, DifferentiableTask] = {}
     task_names = sorted({k.split(".")[1] for k in header if k.startswith("task.")})
     for name in task_names:
         kind_str, dims_str = get(f"task.{name}.spec", 2)
-        spec = ModelSpec(kind_str, tuple(int(v) for v in dims_str.split(",")))
+        spec = ModelSpec(kind_str, parse(line_of[f"task.{name}.spec"], dims_str,
+                                         lambda text: tuple(int(v) for v in text.split(","))))
         tag, beta = get(f"task.{name}.loss", 2)
-        loss_kind = LossKind(tag, float(beta))
+        loss_kind = LossKind(tag, parse(line_of[f"task.{name}.loss"], beta, float))
         no_targets = tag == "dpo_pairwise"  # every other loss needs them
         tt = get_array(f"{name}.train_targets", flatten=True, optional=no_targets)
         pt = get_array(f"{name}.probe_targets", flatten=True, optional=no_targets)
@@ -621,13 +651,14 @@ def load_family(path) -> TaskFamily:
             ref_params=get_array(f"{name}.ref_params", flatten=True, optional=True),
         )
 
+    seed = get("seed")
     order = get("capability_order").split(",")
     unknown = [n for n in order + [get("safety_metric_task")] if n not in tasks]
     if unknown:
         raise ConfigurationError(f"{path}: no task line for {unknown}")
     return TaskFamily(
         kind=get("kind"),
-        seed=int(get("seed")),
+        seed=parse(line_of["seed"], seed, int),
         theta0=get_array("theta0", flatten=True),
         capability_tasks=tuple(tasks[n] for n in order),
         tasks=tasks,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.linalg import (BLOCK, OrthonormalBasis, _seqdot, angle_between, dot,
-                              gram_schmidt, norm, project_complement)
+from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot,
+                              angle_between, dot, gram_schmidt, norm, project_complement)
 
 
 def kahan_dot(a, b):
@@ -133,6 +133,30 @@ class TestGramSchmidt:
         basis = gram_schmidt([[2.0, 0.0]], delta=1e-6, epsilon=1.0)
         # normalization by (norm + epsilon) leaves a deliberately short column
         assert norm(basis.vectors[0]) == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [3, 40, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("true_rank", [1, 2, 3])
+    def test_rows_match_the_out_of_place_normalization(self, true_rank, d, epsilon):
+        # candidates 2 and 4 repeat earlier ones, so at epsilon 0 every set
+        # has a discarded candidate in the middle (epsilon > 0 leaves
+        # residuals that are kept)
+        rng = np.random.default_rng(d + true_rank)
+        span = rng.standard_normal((true_rank, d))
+        cands = rng.standard_normal((5, true_rank)) @ span
+        cands[2], cands[4] = 3.0 * cands[0], -cands[1]
+        want = []
+        for g in cands:  # the loop before rows were normalized into one block
+            residual = _remove_components(g, want)
+            if norm(residual) < 1e-6:
+                continue
+            residual = _remove_components(residual, want)
+            want.append(residual / (norm(residual) + epsilon))
+        basis = gram_schmidt(cands, delta=1e-6, epsilon=epsilon)
+        assert basis.vectors.tobytes() == np.array(want).tobytes()
+        assert basis.rank == len(want)
+        assert basis.rank == min(true_rank, d) or epsilon > 0
+        assert basis.vectors.base is None  # a basis holds no unused rows
 
 
 class TestProjectComplement:

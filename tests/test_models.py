@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoproj import models
 from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.models import (SUPPORTED_PAIRS, Batch, LossKind, ModelSpec, _row_max,
@@ -259,6 +264,37 @@ def test_quadratic_gradient_matches_matmul_bytewise(rows, d):
     r = a @ theta - b
     got = gradient(ModelSpec("quadratic", (d,)), SE, theta, Batch(a, b))
     assert got.tobytes() == (a.T @ r).tobytes()
+
+
+_GRADIENT_BYTES_SCRIPT = """
+import numpy as np
+from orthoproj.models import Batch, LossKind, ModelSpec, gradient
+for rows in (1, 2, 3, 4):
+    for d in (3, 8193, 100000):
+        rng = np.random.default_rng(rows * d)
+        a = rng.standard_normal((rows, d))
+        b = rng.standard_normal(rows)
+        theta = rng.standard_normal(d)
+        got = gradient(ModelSpec("quadratic", (d,)), LossKind("squared_error"), theta, Batch(a, b))
+        want = (a.T @ (a @ theta - b)).tobytes()
+        print(rows, d, got.tobytes() == want, np.dot(a @ theta - b, a).tobytes() == want)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_quadratic_gradient_bytes_at_each_blas_thread_count(threads):
+    # the thread count is fixed before numpy loads, so it needs a fresh process;
+    # both forms the gradient chooses between must give the matmul bytes
+    src = str(Path(models.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", _GRADIENT_BYTES_SCRIPT], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 12
+    assert [line for line in lines if not line.endswith("True True")] == []
 
 
 def _read_only(*arrays):

@@ -1,10 +1,14 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthoproj import optimizer, tasks
 from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError
 from orthoproj.linalg import angle_between, dot, norm
@@ -13,7 +17,7 @@ from orthoproj.models import Batch, LossKind, ModelSpec
 from orthoproj.optimizer import (NO_REFRESH, Stage, TrainConfig, naive_step,
                                  projected_step, replay_step, train)
 from orthoproj.subspace import estimate_subspace
-from orthoproj.tasks import DifferentiableTask
+from orthoproj.tasks import DifferentiableTask, TaskFamily
 
 
 def origin_quadratic(d=2):
@@ -221,6 +225,73 @@ class TestTrain:
         theta_half = fam.theta0 - 0.5 * eta * g_proj
         change_half = cap.loss(theta_half) - cap.loss(fam.theta0)
         assert abs(change / change_half - 4.0) <= 1e-6 * 4.0
+
+
+class TestMemory:
+    """train() holds theta and the active basis between steps, and at most
+    k parameter-sized arrays in all within a step: 3 for naive, 4 for
+    replay and the basis plus 4 for ortho. The slack covers the boolean
+    finiteness masks (d bytes each) and small objects."""
+
+    D = 100_000
+
+    @pytest.mark.parametrize("method, k", [("naive", 3), ("replay", 4), ("ortho", 1 + 4)])
+    def test_peak_above_entry(self, method, k):
+        fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
+        cfg = TrainConfig(method=method, eta=0.05, steps=3, refresh_every=1, ref_count=1,
+                          stages=(Stage("safety", "squared_error", 3),))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = train(cfg, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if method == "ortho":
+            assert [rank for _, rank in result.subspace_history] == [1, 1, 1]
+        assert peak - start <= k * 8 * self.D + 256 * 1024
+
+
+def _random_quadratic_family(d, m, seed):
+    """A safety task and m capability facets, each a random quadratic system
+    of one to three rows in d dimensions."""
+    rng = np.random.default_rng(seed)
+    spec, kind = ModelSpec("quadratic", (d,)), LossKind("squared_error")
+
+    def task(name):
+        a = rng.standard_normal((int(rng.integers(1, 4)), d))
+        b = rng.standard_normal(a.shape[0])
+        return DifferentiableTask(name, spec, kind, a, b, a, b)
+
+    caps = tuple(task(f"cap{i}") for i in range(m))
+    safety = task("safety")
+    return TaskFamily("quadratic_pair", seed, rng.standard_normal(d), caps,
+                      {t.name: t for t in caps + (safety,)}, "safety")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_train_properties_hypothesis(d_extra, m, period, seed):
+    d = 1 + d_extra
+    fam = _random_quadratic_family(d, m, seed)
+    steps = []
+
+    def checked_step(theta, task, batch, subspace, eta):
+        out = projected_step(theta, task, batch, subspace, eta)
+        steps.append((subspace.basis.vectors, out[1], out[2]))
+        return out
+
+    cfg = TrainConfig(method="ortho", eta=0.01, steps=6, refresh_every=period, ref_count=m,
+                      seed=seed, stages=(Stage("safety", "squared_error", 6),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "projected_step", checked_step)
+        result = train(cfg, fam)
+    assert len(steps) == len(result.records) == 6
+    for record in result.records:
+        assert 0.0 <= record.removed_fraction <= 1.0
+        assert record.rank <= min(m, d)
+    for basis, g, g_proj in steps:
+        assert all(abs(dot(g_proj, u)) <= 1e-10 * norm(g) for u in basis)
 
 
 class TestSharedFamily:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,26 @@ from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import (load_family, policy_family, quadratic_family,
                              regression_family, save_family)
+
+
+def _out_of_place_quadratic(d, alpha, seed, cap_residual=0.3, safety_residual=2.5):
+    """quadratic_family's arrays as formed before it built them in place:
+    (theta0, A_cap, b_cap, A_safe, b_safe)."""
+    rng = np.random.default_rng(seed)
+    theta0 = rng.standard_normal(d)
+    u1 = np.zeros(d)
+    u1[0::2] = rng.standard_normal(u1[0::2].size)
+    u1 /= norm(u1)
+    f = np.zeros(d)
+    f[1::2] = rng.standard_normal(f[1::2].size)
+    f /= norm(f)
+    c, s = tasks._snap(math.cos(alpha)), tasks._snap(math.sin(alpha))
+    u2 = c * u1 + s * f
+    w = s * u1 - c * f
+    a_cap = np.vstack([u1, w])
+    a_safe = u2[None, :]
+    return (theta0, a_cap, a_cap @ theta0 - np.array([cap_residual, 0.0]),
+            a_safe, a_safe @ theta0 - np.array([safety_residual]))
 
 
 def make_pair(d, alpha, seed, **residuals):
@@ -62,6 +83,33 @@ class TestQuadraticPair:
         predicted = float(g @ dt) + 0.5 * float(image @ image)
         actual = cap.loss(theta0 + dt) - cap.loss(theta0)
         assert abs(actual - predicted) <= 1e-12 * max(1.0, abs(actual))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, math.pi / 2])
+    @pytest.mark.parametrize("d", [2, 3, 12, 1001])
+    def test_arrays_match_the_out_of_place_construction(self, d, alpha):
+        fam = quadratic_family(d, alpha, seed=d)
+        cap, safety = fam.tasks["capability"], fam.tasks["safety"]
+        got = (fam.theta0, cap.train_inputs, cap.train_targets,
+               safety.train_inputs, safety.train_targets)
+        want = _out_of_place_quadratic(d, alpha, seed=d)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
+
+    def test_build_peak_is_the_family_plus_one_vector(self):
+        d = 100_000
+        vec = 8 * d
+        quadratic_family(8, 0.3, seed=0)  # one-time lazy allocations happen here
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fam = quadratic_family(d, math.pi / 4, seed=0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # theta0, the two capability rows and the safety row
+        assert kept - start >= 4 * vec
+        assert fam.tasks["safety"].train_inputs.base.nbytes == vec
+        assert peak - kept <= vec + 256 * 1024
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -243,6 +291,20 @@ class TestImmutability:
         with pytest.raises(TypeError):
             copy.tasks["cap_a"] = copy.tasks["cap_b"]
 
+    def test_unpickled_arrays_are_read_only(self, policy_family, quadratic_family):
+        for fam in (policy_family(), quadratic_family(math.pi / 4)):
+            copy = pickle.loads(pickle.dumps(fam))
+            task = pickle.loads(pickle.dumps(fam.tasks[fam.safety_metric_task]))
+            arrays = [copy.theta0, task.train_inputs, task.probe_inputs]
+            arrays += [getattr(t, fld) for t in copy.tasks.values() for fld in tasks._ARRAY_FIELDS
+                       if getattr(t, fld) is not None]
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+            assert copy.fingerprint == fam.fingerprint
+            assert task.train_inputs.tobytes() == fam.tasks[task.name].train_inputs.tobytes()
+
     def test_replaced_reference_has_its_own_probe_margins(self, policy_family):
         fam = policy_family()
         dpo = fam.tasks["dpo"]
@@ -387,6 +449,42 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match=message) as info:
             load_family(path)
         assert str(path) in str(info.value)
+
+    @staticmethod
+    def _first_row_of(label, edit):
+        # an edit of the first data row of an array block
+        def apply(lines):
+            row = 1 + next(i for i, l in enumerate(lines) if l.startswith(f"[array {label} "))
+            lines[row] = edit(lines[row])
+            return row
+        return apply
+
+    @staticmethod
+    def _header(key, value):
+        def apply(lines):
+            row = next(i for i, l in enumerate(lines) if l.startswith(f"{key} ="))
+            lines[row] = f"{key} = {value}"
+            return row
+        return apply
+
+    @pytest.mark.parametrize("edit, message", [
+        (_header("seed", "zero"), "invalid literal for int"),
+        (_header("task.cap_a.loss", "squared_error x"), "could not convert string to float: 'x'"),
+        (_first_row_of("cap_b.train_inputs", lambda l: "abc," + l.split(",", 1)[1]),
+         "could not convert string to float: 'abc'"),
+        (_first_row_of("safety.probe_inputs", lambda l: l + ",1.0"),
+         "row 0 of array safety.probe_inputs has 17 fields, expected 16"),
+    ], ids=["seed-not-an-integer", "beta-not-a-number", "non-numeric-cell", "extra-field"])
+    def test_malformed_value_names_file_and_line(self, tmp_path, regression_family,
+                                                 edit, message):
+        path = tmp_path / "fam.txt"
+        save_family(regression_family(), path)
+        lines = path.read_text().splitlines()
+        row = edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=message) as info:
+            load_family(path)
+        assert f"{path}, line {row + 1}: " in str(info.value)
 
     def test_reject_non_family_file(self, tmp_path):
         path = tmp_path / "junk.txt"
