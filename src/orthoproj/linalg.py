@@ -5,11 +5,14 @@ independent of BLAS build and thread count. The model passes use BLAS gemm,
 whose rounding can depend on both, so a whole training run is bitwise
 reproducible from a seed only for a fixed BLAS build and thread count.
 
-The products are formed and summed in blocks of ``BLOCK`` elements in one small buffer: each block's first product
-is added to the running sum carried from the previous block, then
-``np.add.accumulate`` (sequential by definition) sums the block in place.
-That is the same sequence of roundings as one accumulate over all the
-products, without full-length temporaries.
+The products are formed in blocks of ``BLOCK`` elements in one small
+buffer, negated in place and subtracted from the running sum with
+``np.subtract.reduce``. IEEE 754 defines x - y as x + (-y), so s - (-p)
+rounds exactly as s + p, signed zeros included, and numpy folds a subtract
+reduction left to right with the sum in a register (only ``add`` reduces
+pairwise). The sum starts at -0.0, the exact additive identity. That is
+the same sequence of roundings as ``np.add.accumulate`` over all the
+products, with no partial sums stored and no full-length temporaries.
 
 Finiteness is read off the results. A non-finite entry always makes the
 fixed-order sum non-finite (inf * 0 and inf - inf are nan), so ``dot``,
@@ -53,22 +56,25 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def _seqdot(a: np.ndarray, b: np.ndarray) -> float:
-    # Left-to-right accumulation of a * b over equal-length 1-D arrays, BLOCK
-    # products at a time; the first block has no carry, so a lone -0.0
-    # product stays -0.0 as in one accumulate over all products.
+    # Left-to-right sum of a * b over equal-length 1-D arrays, BLOCK products
+    # at a time: carry - (-p0) - (-p1) - ... rounds as carry + p0 + p1 + ...
+    # The carry starts at -0.0, so every block runs the same body and a lone
+    # -0.0 product stays -0.0.
     n = a.size
     if n == 0:
         return 0.0
-    blk = np.multiply(a[:BLOCK], b[:BLOCK])
-    np.add.accumulate(blk, out=blk)
-    carry = blk[-1]
-    for lo in range(BLOCK, n, BLOCK):
-        part = blk[:min(n - lo, BLOCK)]
+    # one block needs no slices; they are a tenth of a short sum's time
+    part = np.multiply(a, b) if n <= BLOCK else np.multiply(a[:BLOCK], b[:BLOCK])
+    carry = -0.0
+    lo = BLOCK
+    while True:
+        np.negative(part, out=part)
+        carry = np.subtract.reduce(part, initial=carry)
+        if lo >= n:
+            return float(carry)
+        part = part[:n - lo]
         np.multiply(a[lo:lo + BLOCK], b[lo:lo + BLOCK], out=part)
-        part[0] = carry + part[0]
-        np.add.accumulate(part, out=part)
-        carry = part[-1]
-    return float(carry)
+        lo += BLOCK
 
 
 def dot(a, b) -> float:

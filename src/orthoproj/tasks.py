@@ -575,6 +575,27 @@ def load_family(path) -> TaskFamily:
         except (ValueError, SyntaxError) as exc:
             raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
 
+    def array_header(text):
+        # "[array LABEL rows=R cols=C dtype=int|float]" -> (label, rows, cols, dtype)
+        if not text.endswith("]"):
+            raise ValueError("array header does not end with ']'")
+        _, label, *fields = text[1:-1].split()
+        meta = {}
+        for field in fields:
+            key, eq, value = field.partition("=")
+            if not eq:
+                raise ValueError(f"array {label} header field {field!r} has no '='")
+            meta[key] = value
+        for key in ("rows", "cols", "dtype"):
+            if key not in meta:
+                raise ValueError(f"array {label} header has no {key}=")
+        rows, cols = int(meta["rows"]), int(meta["cols"])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"array {label} has negative rows or cols")
+        if meta["dtype"] not in ("int", "float"):
+            raise ValueError(f"array {label} dtype must be int or float, got {meta['dtype']!r}")
+        return label, rows, cols, np.int64 if meta["dtype"] == "int" else np.float64
+
     header: dict[str, str] = {}
     line_of: dict[str, int] = {}  # header key -> its line number
     arrays: dict[str, np.ndarray] = {}
@@ -585,11 +606,7 @@ def load_family(path) -> TaskFamily:
         if not line:
             continue
         if line.startswith("[array "):
-            inner = line[1:-1].split()
-            label = inner[1]
-            meta = dict(part.split("=") for part in inner[2:])
-            rows, cols = int(meta["rows"]), int(meta["cols"])
-            dtype = np.int64 if meta["dtype"] == "int" else np.float64
+            label, rows, cols, dtype = parse(i, line, array_header)
             data = np.empty((rows, cols), dtype=dtype)
             for r in range(rows):
                 row = lines[i] if i < len(lines) else ""

@@ -1,10 +1,16 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoproj import linalg
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot,
                               angle_between, dot, gram_schmidt, norm, project_complement)
@@ -276,6 +282,109 @@ def test_blocked_seqdot_matches_one_accumulate(n, seed, spread):
 
 def test_seqdot_keeps_a_lone_negative_zero():
     assert math.copysign(1.0, _seqdot(np.array([-0.0]), np.array([1.0]))) == -1.0
+
+
+def _one_accumulate(a, b) -> bytes:
+    # the reference order: one np.add.accumulate over all products
+    return np.float64(np.add.accumulate(a * b)[-1] if a.size else 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 9, BLOCK, 2 * BLOCK + 5])
+@pytest.mark.parametrize("step", [3, -1, -2])
+def test_strided_inputs_match_one_accumulate(n, step):
+    rng = np.random.default_rng(n)
+    a = (rng.standard_normal(abs(step) * n) * 10.0 ** rng.integers(-40, 41, abs(step) * n))[::step]
+    b = rng.standard_normal(abs(step) * n)[::step]
+    assert not a.flags.c_contiguous or n == 1
+    assert np.float64(dot(a, b)).tobytes() == _one_accumulate(a, b)
+    assert np.float64(norm(a)).tobytes() == np.sqrt(np.frombuffer(_one_accumulate(a, a))).tobytes()
+
+
+@pytest.mark.parametrize("pad", [0, BLOCK - 2])
+def test_signed_zeros_and_exact_cancellation_match_one_accumulate(pad):
+    # every sequence of up to four products from {+-0, +-1}, including
+    # [1, -1, 0, -0]; the -0.0 padding moves them across a block boundary
+    # without changing the sum
+    for length in range(1, 5):
+        for products in itertools.product([0.0, -0.0, 1.0, -1.0], repeat=length):
+            a = np.concatenate([np.full(pad, -0.0), products])
+            b = np.ones_like(a)
+            assert np.float64(dot(a, b)).tobytes() == _one_accumulate(a, b), products
+
+
+def test_empty_sum_is_positive_zero():
+    empty = np.zeros(0)
+    for s in (_seqdot(empty, empty), dot([], []), norm([])):
+        assert np.float64(s).tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, BLOCK + 5])
+def test_non_finite_inputs_raise_as_an_upfront_check(bad, at):
+    rng = np.random.default_rng(at)
+    good = rng.standard_normal(2 * BLOCK + 3)
+    worse = good.copy()
+    worse[at] = bad
+    basis = gram_schmidt([rng.standard_normal(good.size)], delta=1e-8)
+    with np.errstate(invalid="ignore"):
+        for call, message in [(lambda: dot(worse, good), "a contains non-finite"),
+                              (lambda: dot(good, worse), "b contains non-finite"),
+                              (lambda: norm(worse), "a contains non-finite"),
+                              (lambda: project_complement(worse, basis), "g contains non-finite")]:
+            with pytest.raises(NumericError, match=message):
+                call()
+
+
+def test_overflow_from_finite_inputs_matches_one_accumulate():
+    # inf, then inf - inf = nan, both returned rather than raised
+    big = np.array([1e200, 1e200, 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in (big, big * [1.0, 1.0, -1.0]):
+            assert np.float64(dot(big, b)).tobytes() == _one_accumulate(big, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 8, 9, 17, 100, BLOCK + 1]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 150))
+def test_subtract_reduce_is_a_left_fold(n, seed, spread):
+    # _seqdot rests on numpy folding a subtract reduction left to right; a
+    # numpy that reassociated it (as add.reduce is, pairwise) fails here
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+    want = carry = float(rng.standard_normal() * 10.0 ** rng.integers(-spread, spread + 1))
+    for v in x.tolist():
+        want = want - v
+    assert np.float64(np.subtract.reduce(x, initial=carry)).tobytes() == np.float64(want).tobytes()
+
+
+_LINALG_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+from orthoproj.linalg import dot, gram_schmidt, norm, project_complement
+rng = np.random.default_rng(5)
+d = 100_000
+cands = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-20, 21, (4, d))
+g = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 21, d)
+basis = gram_schmidt(cands, delta=1e-8)
+for out in (dot(cands[0], g), norm(g), project_complement(g, basis), basis.vectors):
+    print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_linalg_bytes_at_each_blas_thread_count():
+    # the thread count is fixed before numpy loads, so each needs a fresh process
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _LINALG_BYTES_SCRIPT], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_angle_between_exact_cases():

@@ -486,6 +486,26 @@ class TestSerialization:
             load_family(path)
         assert f"{path}, line {row + 1}: " in str(info.value)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("rows=1", "rows=one", "invalid literal for int"),
+        (" cols=6", "", "array theta0 header has no cols="),
+        ("dtype=float", "float", "array theta0 header field 'float' has no '='"),
+        ("rows=1", "rows=-1", "array theta0 has negative rows or cols"),
+        ("dtype=float", "dtype=floa", "array theta0 dtype must be int or float, got 'floa'"),
+        ("float]", "float", "array header does not end with"),
+    ], ids=["rows-not-an-integer", "no-cols", "field-without-equals", "negative-rows",
+            "unknown-dtype", "no-closing-bracket"])
+    def test_malformed_array_header_names_file_and_line(self, tmp_path, old, new, message):
+        path = tmp_path / "fam.txt"
+        save_family(quadratic_family(6, 0.3, 0), path)
+        lines = path.read_text().splitlines()
+        row = lines.index("[array theta0 rows=1 cols=6 dtype=float]")
+        lines[row] = lines[row].replace(old, new)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=message) as info:
+            load_family(path)
+        assert f"{path}, line {row + 1}: " in str(info.value)
+
     def test_reject_non_family_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a family\n")
