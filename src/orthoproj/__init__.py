@@ -17,8 +17,7 @@ from .optimizer import (NO_REFRESH, Stage, TrainConfig, TrainResult, naive_step,
                         projected_step, replay_step, train)
 from .oracle import FDConfig, fd_gradient, steepest_check, taylor_scaling
 from .subspace import CapabilitySubspace, estimate_subspace, needs_refresh
-from .tasks import (DifferentiableTask, TaskFamily, build_family, load_family,
-                    policy_family, quadratic_family, regression_family,
-                    save_family)
+from .tasks import (DifferentiableTask, TaskFamily, build_family, policy_family,
+                    quadratic_family, regression_family)
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ and the effect of projecting it out is measurable.
 
 from __future__ import annotations
 
-import ast
 import inspect
 import math
 import typing
@@ -32,8 +31,6 @@ __all__ = [
     "FAMILIES",
     "family_schema",
     "build_family",
-    "save_family",
-    "load_family",
 ]
 
 PROBE_ROWS = 512  # held-out probe size for data-driven tasks
@@ -49,7 +46,7 @@ POLICY_PRETRAIN = (1000, 1.0)
 _SAFETY_OWN_SCALE = 2.0
 
 
-# every task array, in the order save_family writes and fingerprint hashes them
+# every task array field, in the order fingerprint hashes them
 _ARRAY_FIELDS = ("train_inputs", "train_targets", "probe_inputs", "probe_targets",
                  "train_pairs", "probe_pairs", "ref_params")
 
@@ -174,8 +171,11 @@ class TaskFamily:
     estimation and tax probes. ``safety_metric_task`` names the task whose
     probe defines the run-level safety metric (for multi-stage families this
     is the reference-free first-stage task, so theta0 vs theta_T is always
-    comparable). Like its tasks, a family is immutable: ``theta0`` is
-    read-only and ``tasks`` and ``params`` are stored as :class:`FrozenMap`.
+    comparable). Both name members of ``tasks``: each capability task is the
+    very object ``tasks`` holds under its name, so the fingerprint, which
+    hashes ``tasks``, covers every array training and the tax read. Like its
+    tasks, a family is immutable: ``theta0`` is read-only and ``tasks`` and
+    ``params`` are stored as :class:`FrozenMap`.
     """
 
     kind: str
@@ -190,14 +190,23 @@ class TaskFamily:
         self.theta0.flags.writeable = False
         object.__setattr__(self, "tasks", FrozenMap(self.tasks))
         object.__setattr__(self, "params", FrozenMap(self.params))
+        strays = [t.name for t in self.capability_tasks if self.tasks.get(t.name) is not t]
+        if strays:
+            raise ConfigurationError(f"capability tasks {strays} are not members of tasks")
+        if self.safety_metric_task not in self.tasks:
+            raise ConfigurationError(f"safety_metric_task {self.safety_metric_task!r} "
+                                     "is not a task of the family")
 
     __reduce__ = _reduce_via_constructor
 
     @cached_property
     def fingerprint(self) -> str:
-        """sha256 hex digest of everything :func:`save_family` writes: the
-        header fields, each task's spec and loss, and the dtype, shape and
-        bytes of ``theta0`` and of every task array. Computed on first use."""
+        """sha256 hex digest of the family: ``kind``, ``seed``, ``params``,
+        ``safety_metric_task``, the capability task names in order, each
+        task's name, spec and loss, and the dtype, shape and bytes of
+        ``theta0`` and of every task's ``_ARRAY_FIELDS`` array. Capability
+        tasks are members of ``tasks``, so their arrays are hashed there.
+        Computed on first use."""
         import hashlib  # loading it costs ~4 ms, so only families that are hashed pay
         h = hashlib.sha256(repr((
             self.kind, self.seed, sorted(self.params.items()), self.safety_metric_task,
@@ -514,171 +523,3 @@ def build_family(kind: str, seed: int, **params) -> TaskFamily:
     if unknown:
         raise ConfigurationError(f"unknown keys {unknown} for family {kind}")
     return FAMILIES[kind](seed=seed, **{k: schema[k][0](v) for k, v in params.items()})
-
-
-# ---------------------------------------------------------------------------
-# serialization: self-describing text format (key=value header + CSV blocks)
-# ---------------------------------------------------------------------------
-
-_FORMAT_LINE = "orthoproj-family-format = 2"
-
-
-def _array_block(label: str, arr: np.ndarray) -> list[str]:
-    a = np.atleast_2d(np.asarray(arr))
-    dtype = "int" if np.issubdtype(a.dtype, np.integer) else "float"
-    lines = [f"[array {label} rows={a.shape[0]} cols={a.shape[1]} dtype={dtype}]"]
-    for row in a:
-        if dtype == "int":
-            lines.append(",".join(str(int(v)) for v in row))
-        else:
-            lines.append(",".join(repr(float(v)) for v in row))
-    return lines
-
-
-def save_family(family: TaskFamily, path) -> None:
-    """Write a family to a self-describing text file (bitwise round-trip)."""
-    lines = [_FORMAT_LINE,
-             f"kind = {family.kind}",
-             f"seed = {family.seed}",
-             f"safety_metric_task = {family.safety_metric_task}",
-             "capability_order = " + ",".join(t.name for t in family.capability_tasks)]
-    for key in sorted(family.params):
-        lines.append(f"param.{key} = {family.params[key]!r}")
-    for name in sorted(family.tasks):
-        t = family.tasks[name]
-        lines.append(f"task.{name}.spec = {t.spec.kind} {','.join(map(str, t.spec.dims))}")
-        lines.append(f"task.{name}.loss = {t.kind.tag} {t.kind.beta!r}")
-    lines.append("")
-    lines.extend(_array_block("theta0", family.theta0))
-    for name in sorted(family.tasks):
-        t = family.tasks[name]
-        for fld in _ARRAY_FIELDS:
-            arr = getattr(t, fld)
-            if arr is not None:
-                lines.extend(_array_block(f"{name}.{fld}", arr))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_family(path) -> TaskFamily:
-    """Read a family file written by :func:`save_family`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != _FORMAT_LINE:
-        raise ConfigurationError(f"{path}: not a family file of this version "
-                                 f"(the first line must be {_FORMAT_LINE!r})")
-
-    def parse(lineno, text, convert):
-        # a malformed value is reported with the file and line it sits on
-        try:
-            return convert(text)
-        except (ValueError, SyntaxError) as exc:
-            raise ConfigurationError(f"{path}, line {lineno}: {exc}") from None
-
-    def array_header(text):
-        # "[array LABEL rows=R cols=C dtype=int|float]" -> (label, rows, cols, dtype)
-        if not text.endswith("]"):
-            raise ValueError("array header does not end with ']'")
-        _, label, *fields = text[1:-1].split()
-        meta = {}
-        for field in fields:
-            key, eq, value = field.partition("=")
-            if not eq:
-                raise ValueError(f"array {label} header field {field!r} has no '='")
-            meta[key] = value
-        for key in ("rows", "cols", "dtype"):
-            if key not in meta:
-                raise ValueError(f"array {label} header has no {key}=")
-        rows, cols = int(meta["rows"]), int(meta["cols"])
-        if rows < 0 or cols < 0:
-            raise ValueError(f"array {label} has negative rows or cols")
-        if meta["dtype"] not in ("int", "float"):
-            raise ValueError(f"array {label} dtype must be int or float, got {meta['dtype']!r}")
-        return label, rows, cols, np.int64 if meta["dtype"] == "int" else np.float64
-
-    header: dict[str, str] = {}
-    line_of: dict[str, int] = {}  # header key -> its line number
-    arrays: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("[array "):
-            label, rows, cols, dtype = parse(i, line, array_header)
-            data = np.empty((rows, cols), dtype=dtype)
-            for r in range(rows):
-                row = lines[i] if i < len(lines) else ""
-                i += 1
-                values = parse(i, row, lambda text: [dtype(p) for p in text.split(",")])
-                if len(values) != cols:
-                    raise ConfigurationError(f"{path}, line {i}: row {r} of array {label} "
-                                             f"has {len(values)} fields, expected {cols}")
-                data[r] = values
-            arrays[label] = data
-        else:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-            line_of[key.strip()] = i
-
-    def get(key, n_fields=None):
-        if key not in header:
-            raise ConfigurationError(f"{path}: missing header line {key!r}")
-        if n_fields is None:
-            return header[key]
-        parts = header[key].split()
-        if len(parts) != n_fields:
-            raise ConfigurationError(f"{path}: line '{key} = {header[key]}' needs "
-                                     f"{n_fields} fields, got {len(parts)}")
-        return parts
-
-    def get_array(label, flatten=False, optional=False):
-        if label not in arrays:
-            if optional:
-                return None
-            raise ConfigurationError(f"{path}: missing array {label!r}")
-        a = arrays[label]
-        return a.ravel() if flatten else a
-
-    params = {}
-    for key, value in header.items():
-        if key.startswith("param."):
-            params[key[len("param."):]] = parse(line_of[key], value, ast.literal_eval)
-
-    tasks: dict[str, DifferentiableTask] = {}
-    task_names = sorted({k.split(".")[1] for k in header if k.startswith("task.")})
-    for name in task_names:
-        kind_str, dims_str = get(f"task.{name}.spec", 2)
-        spec = ModelSpec(kind_str, parse(line_of[f"task.{name}.spec"], dims_str,
-                                         lambda text: tuple(int(v) for v in text.split(","))))
-        tag, beta = get(f"task.{name}.loss", 2)
-        loss_kind = LossKind(tag, parse(line_of[f"task.{name}.loss"], beta, float))
-        no_targets = tag == "dpo_pairwise"  # every other loss needs them
-        tt = get_array(f"{name}.train_targets", flatten=True, optional=no_targets)
-        pt = get_array(f"{name}.probe_targets", flatten=True, optional=no_targets)
-        if tag == "nll_sft":
-            tt, pt = tt.astype(np.int64), pt.astype(np.int64)
-        tasks[name] = DifferentiableTask(
-            name, spec, loss_kind,
-            get_array(f"{name}.train_inputs"), tt,
-            get_array(f"{name}.probe_inputs"), pt,
-            train_pairs=get_array(f"{name}.train_pairs", optional=True),
-            probe_pairs=get_array(f"{name}.probe_pairs", optional=True),
-            ref_params=get_array(f"{name}.ref_params", flatten=True, optional=True),
-        )
-
-    seed = get("seed")
-    order = get("capability_order").split(",")
-    unknown = [n for n in order + [get("safety_metric_task")] if n not in tasks]
-    if unknown:
-        raise ConfigurationError(f"{path}: no task line for {unknown}")
-    return TaskFamily(
-        kind=get("kind"),
-        seed=parse(line_of["seed"], seed, int),
-        theta0=get_array("theta0", flatten=True),
-        capability_tasks=tuple(tasks[n] for n in order),
-        tasks=tasks,
-        safety_metric_task=get("safety_metric_task"),
-        params=params,
-    )

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,10 @@ from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, NumericError
 from orthoproj.linalg import angle_between, norm, project_complement
 from orthoproj.metrics import alignment_tax
+from orthoproj.models import LossKind
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
-from orthoproj.tasks import (load_family, policy_family, quadratic_family,
-                             regression_family, save_family)
+from orthoproj.tasks import policy_family, quadratic_family, regression_family
 
 
 def _out_of_place_quadratic(d, alpha, seed, cap_residual=0.3, safety_residual=2.5):
@@ -359,158 +363,102 @@ class TestSampling:
         assert not (probe_rows & train_rows)
 
 
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        fam = tasks.policy_family(8, 8, 50, 60, seed=4)
-        path = tmp_path / "family.txt"
-        save_family(fam, path)
-        loaded = load_family(path)
-        assert loaded.kind == fam.kind
-        assert loaded.seed == fam.seed
-        assert loaded.theta0.tobytes() == fam.theta0.tobytes()
-        assert loaded.params == fam.params
-        for name, task in fam.tasks.items():
-            other = loaded.tasks[name]
-            assert other.spec == task.spec
-            assert other.kind == task.kind
-            assert other.train_inputs.tobytes() == task.train_inputs.tobytes()
-            if task.train_targets is not None:
-                assert other.train_targets.tobytes() == task.train_targets.tobytes()
-                assert other.train_targets.dtype == task.train_targets.dtype
-            if task.train_pairs is not None:
-                assert other.train_pairs.tobytes() == task.train_pairs.tobytes()
-        assert loaded.fingerprint == fam.fingerprint
+def _with_task(fam, task):
+    """fam with task in place of its namesake, in tasks and capability_tasks."""
+    members = dict(fam.tasks, **{task.name: task})
+    return dataclasses.replace(fam, tasks=members,
+                               capability_tasks=tuple(members[t.name] for t in fam.capability_tasks))
 
-    def test_edited_family_file_is_a_different_family(self, tmp_path, regression_family):
+
+def _nudged(arr):
+    """A copy of arr with one element moved: a float by one ulp, an integer by 1."""
+    out = arr.copy()
+    if np.issubdtype(arr.dtype, np.integer):
+        out.flat[0] += 1
+    else:
+        i = np.flatnonzero(arr)[0]
+        out.flat[i] = np.nextafter(out.flat[i], np.inf)
+    return out
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("fld", ("theta0",) + tasks._ARRAY_FIELDS)
+    def test_one_element_edit_is_a_different_family(self, policy_family, fld):
+        fam = policy_family()
+        if fld == "theta0":
+            edited = [dataclasses.replace(fam, theta0=_nudged(fam.theta0))]
+        else:
+            edited = [_with_task(fam, dataclasses.replace(t, **{fld: _nudged(getattr(t, fld))}))
+                      for t in fam.tasks.values() if getattr(t, fld) is not None]
+        assert edited
+        for other in edited:
+            assert other.fingerprint != fam.fingerprint
+
+    def test_negative_zero_is_a_different_family(self, policy_family):
+        fam = policy_family()
+        cap_a = fam.tasks["cap_a"]
+        flipped = cap_a.train_inputs.copy()
+        i = np.flatnonzero(flipped == 0.0)[0]
+        flipped.flat[i] = -0.0
+        assert np.array_equal(flipped, cap_a.train_inputs)
+        edited = _with_task(fam, dataclasses.replace(cap_a, train_inputs=flipped))
+        assert edited.fingerprint != fam.fingerprint
+
+    def test_params_and_beta_are_hashed(self, policy_family):
+        fam = policy_family()
+        more_vocab = dataclasses.replace(fam, params=dict(fam.params, vocab=fam.params["vocab"] + 1))
+        dpo = fam.tasks["dpo"]
+        new_beta = _with_task(fam, dataclasses.replace(dpo, kind=LossKind("dpo_pairwise", beta=0.3)))
+        digests = {fam.fingerprint, more_vocab.fingerprint, new_beta.fingerprint}
+        assert len(digests) == 3
+
+    def test_edited_family_is_a_different_family(self, regression_family):
         fam = regression_family()
         result = train(TrainConfig(method="naive", eta=0.02, steps=5, ref_count=2,
                                    safety_batch=16, ref_batch=50, seed=0,
                                    stages=(Stage("safety", "squared_error", 5),)), fam)
-        path = tmp_path / "fam.txt"
-        save_family(fam, path)
-        assert alignment_tax(result, load_family(path)).ref_names == ("cap_a", "cap_b")
-        # move one probe input of cap_a by one ulp
-        lines = path.read_text().splitlines()
-        row = 1 + next(i for i, l in enumerate(lines) if l.startswith("[array cap_a.probe_inputs"))
-        values = lines[row].split(",")
-        col = next(i for i, v in enumerate(values) if float(v) != 0.0)
-        values[col] = repr(float(np.nextafter(float(values[col]), np.inf)))
-        lines[row] = ",".join(values)
-        path.write_text("\n".join(lines) + "\n")
-        edited = load_family(path)
+        assert alignment_tax(result, fam).ref_names == ("cap_a", "cap_b")
+        cap_a = fam.tasks["cap_a"]
+        edited = _with_task(fam, dataclasses.replace(cap_a, probe_inputs=_nudged(cap_a.probe_inputs)))
         assert edited.fingerprint != fam.fingerprint
         with pytest.raises(ConfigurationError, match="does not belong"):
             alignment_tax(result, edited)
 
-    def test_reloaded_family_trains_identically(self, tmp_path):
-        fam = tasks.regression_family(16, 12, math.pi / 3, 1.0, 50, 80, seed=6)
-        path = tmp_path / "fam.txt"
-        save_family(fam, path)
-        loaded = load_family(path)
-        cfg = TrainConfig(method="ortho", eta=0.02, steps=10, refresh_every=5,
-                          ref_count=2, safety_batch=16, ref_batch=50, seed=0,
-                          stages=(Stage("safety", "squared_error", 10),))
-        r1 = train(cfg, fam)
-        r2 = train(cfg, loaded)
-        assert r1.theta_final.tobytes() == r2.theta_final.tobytes()
+    def test_capability_task_outside_tasks_is_rejected(self):
+        # an edited capability task left out of tasks would escape the hash
+        fam = tasks.regression_family(16, 12, 1.0, 1.0, 50, 80, seed=6)
+        cap_a, cap_b = fam.capability_tasks
+        edited = dataclasses.replace(cap_a, probe_targets=cap_a.probe_targets + 1)
+        with pytest.raises(ConfigurationError, match=r"\['cap_a'\] are not members of tasks"):
+            dataclasses.replace(fam, capability_tasks=(edited, cap_b))
 
-    def test_version_1_file_is_refused(self, tmp_path, regression_family):
-        # version 2 writes the spec line as `kind dims`; version 1 added a
-        # third field, which a version-2 reader must not try to unpack
-        fam = regression_family()
-        path = tmp_path / "fam.txt"
-        save_family(fam, path)
-        assert load_family(path).fingerprint == fam.fingerprint
-        lines = path.read_text().splitlines()
-        assert lines[0] == "orthoproj-family-format = 2"
-        assert "task.safety.spec = mlp2 16,12,1" in lines
-        lines[0] = "orthoproj-family-format = 1"
-        lines = [l + " tanh" if ".spec = " in l else l for l in lines]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="orthoproj-family-format = 2"):
-            load_family(path)
+    def test_unknown_safety_metric_task_is_rejected(self, regression_family):
+        with pytest.raises(ConfigurationError, match="'cap_c' is not a task"):
+            dataclasses.replace(regression_family(), safety_metric_task="cap_c")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda l: l + " tanh" if l.startswith("task.safety.spec") else l,
-         r"task\.safety\.spec = mlp2 16,12,1 tanh' needs 2 fields, got 3"),
-        (lambda l: None if l.startswith("task.cap_b.loss") else l, "'task.cap_b.loss'"),
-        (lambda l: None if l.startswith("kind =") else l, "'kind'"),
-        (lambda l: None if l.startswith("seed =") else l, "'seed'"),
-        (lambda l: None if l.startswith("safety_metric_task") else l, "'safety_metric_task'"),
-        (lambda l: None if l.startswith("capability_order") else l, "'capability_order'"),
-    ], ids=["spec-third-field", "no-loss", "no-kind", "no-seed", "no-safety-metric-task",
-            "no-capability-order"])
-    def test_malformed_header_is_a_configuration_error(self, tmp_path, regression_family,
-                                                       edit, message):
-        path = tmp_path / "fam.txt"
-        save_family(regression_family(), path)
-        lines = [edit(l) for l in path.read_text().splitlines()]
-        path.write_text("\n".join(l for l in lines if l is not None) + "\n")
-        with pytest.raises(ConfigurationError, match=message) as info:
-            load_family(path)
-        assert str(path) in str(info.value)
+    def test_shipped_fingerprints_at_one_and_two_blas_threads(self):
+        # the thread count is fixed before numpy loads, so each needs a fresh process
+        src = str(Path(tasks.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _FINGERPRINTS_SCRIPT],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines())
+        assert len(outputs[0]) == len(DEFAULTS)
+        assert outputs[0] == outputs[1]
 
-    @staticmethod
-    def _first_row_of(label, edit):
-        # an edit of the first data row of an array block
-        def apply(lines):
-            row = 1 + next(i for i, l in enumerate(lines) if l.startswith(f"[array {label} "))
-            lines[row] = edit(lines[row])
-            return row
-        return apply
 
-    @staticmethod
-    def _header(key, value):
-        def apply(lines):
-            row = next(i for i, l in enumerate(lines) if l.startswith(f"{key} ="))
-            lines[row] = f"{key} = {value}"
-            return row
-        return apply
-
-    @pytest.mark.parametrize("edit, message", [
-        (_header("seed", "zero"), "invalid literal for int"),
-        (_header("task.cap_a.loss", "squared_error x"), "could not convert string to float: 'x'"),
-        (_first_row_of("cap_b.train_inputs", lambda l: "abc," + l.split(",", 1)[1]),
-         "could not convert string to float: 'abc'"),
-        (_first_row_of("safety.probe_inputs", lambda l: l + ",1.0"),
-         "row 0 of array safety.probe_inputs has 17 fields, expected 16"),
-    ], ids=["seed-not-an-integer", "beta-not-a-number", "non-numeric-cell", "extra-field"])
-    def test_malformed_value_names_file_and_line(self, tmp_path, regression_family,
-                                                 edit, message):
-        path = tmp_path / "fam.txt"
-        save_family(regression_family(), path)
-        lines = path.read_text().splitlines()
-        row = edit(lines)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match=message) as info:
-            load_family(path)
-        assert f"{path}, line {row + 1}: " in str(info.value)
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("rows=1", "rows=one", "invalid literal for int"),
-        (" cols=6", "", "array theta0 header has no cols="),
-        ("dtype=float", "float", "array theta0 header field 'float' has no '='"),
-        ("rows=1", "rows=-1", "array theta0 has negative rows or cols"),
-        ("dtype=float", "dtype=floa", "array theta0 dtype must be int or float, got 'floa'"),
-        ("float]", "float", "array header does not end with"),
-    ], ids=["rows-not-an-integer", "no-cols", "field-without-equals", "negative-rows",
-            "unknown-dtype", "no-closing-bracket"])
-    def test_malformed_array_header_names_file_and_line(self, tmp_path, old, new, message):
-        path = tmp_path / "fam.txt"
-        save_family(quadratic_family(6, 0.3, 0), path)
-        lines = path.read_text().splitlines()
-        row = lines.index("[array theta0 rows=1 cols=6 dtype=float]")
-        lines[row] = lines[row].replace(old, new)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match=message) as info:
-            load_family(path)
-        assert f"{path}, line {row + 1}: " in str(info.value)
-
-    def test_reject_non_family_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a family\n")
-        with pytest.raises(ConfigurationError):
-            load_family(path)
+_FINGERPRINTS_SCRIPT = """
+from orthoproj.config import DEFAULTS
+from orthoproj.tasks import build_family
+for stem, exp in sorted(DEFAULTS.items()):
+    fam = build_family(exp.family_kind, exp.family_seed, **exp.family_params_dict())
+    print(stem, fam.fingerprint)
+"""
 
 
 class TestBuildFamily:
