@@ -27,7 +27,8 @@ print(f"{doubled.candidate_count} candidates -> rank {doubled.rank}")
 print("\n== refresh period: fresh bases track the moving loss geometry")
 for period in (2, 5, 10, NO_REFRESH):
     stages = tuple(dataclasses.replace(s, refresh_every=period) for s in EXP.train.stages)
-    cfg = dataclasses.replace(EXP.train, refresh_every=period, stages=stages)
+    # the tax and the removed fraction need no per-step probe losses
+    cfg = dataclasses.replace(EXP.train, refresh_every=period, stages=stages, probes=False)
     result = train(cfg, fam)
     report = alignment_tax(result, fam)
     removed = sum(r.removed_fraction for r in result.records) / len(result.records)

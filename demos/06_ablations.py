@@ -18,8 +18,9 @@ fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
 
 def run(refresh=None, **overrides):
     # without a refresh override, the shipped schedule: coarse refresh for
-    # the likelihood stage, fine for the preference stage
-    cfg = EXP.train
+    # the likelihood stage, fine for the preference stage. The tax reads
+    # only the endpoints, so the runs skip the per-step probes.
+    cfg = dataclasses.replace(EXP.train, probes=False)
     if refresh is not None:
         stages = tuple(dataclasses.replace(s, refresh_every=refresh) for s in cfg.stages)
         cfg = dataclasses.replace(cfg, refresh_every=refresh, stages=stages)

@@ -8,6 +8,7 @@ naive run bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +48,10 @@ class TrainConfig:
     the subspace (the first M, unless ref_facets picks specific ones);
     delta is the relative Gram-Schmidt threshold and epsilon the
     normalization stabilizer; replay_lambda weighs the mixed-in mean
-    reference gradient for the replay method.
+    reference gradient for the replay method. probes=False evaluates the
+    probes only on each stage's last step (see :func:`train`); it is a
+    library option for callers that read only a run's endpoints, not a
+    config-file key.
     """
 
     method: str = "ortho"
@@ -63,10 +67,13 @@ class TrainConfig:
     seed: int = 0
     stages: tuple[Stage, ...] = ()
     ref_facets: tuple[int, ...] | None = None
+    probes: bool = True
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if not isinstance(self.probes, bool):
+            raise ConfigurationError(f"probes must be True or False, got {self.probes!r}")
         if not self.eta > 0:
             raise ConfigurationError(f"eta must be positive, got {self.eta}")
         if self.steps < 1:
@@ -167,6 +174,13 @@ def train(config: TrainConfig, family) -> TrainResult:
     A preference stage trains against a copy of its task whose reference
     policy is frozen at the stage-entry parameters; the family is only read.
 
+    With ``config.probes`` False the probes run only on each stage's last
+    step. Every other record holds ``nan`` for ``safety_loss`` and for each
+    of its ``ref_losses`` (one per capability facet, as with probes on); its
+    gradient norms, removed fraction, rank and age, the stage-end records,
+    ``theta_final`` and ``subspace_history`` are the bytes of a probed run.
+    A non-finite step is then reported by the next step's gradient.
+
     Memory: between steps the loop holds theta and the active basis (and a
     preference stage's reference policy); no gradient outlives its step.
     Within a step it holds at most three parameter-sized arrays for naive
@@ -194,6 +208,7 @@ def train(config: TrainConfig, family) -> TrainResult:
     else:
         ref_tasks = list(family.capability_tasks[:config.ref_count])
     probe_tasks = list(family.capability_tasks)
+    unprobed = (math.nan,) * len(probe_tasks)
 
     seed_seq = np.random.SeedSequence(config.seed)
     child_safety, child_ref = seed_seq.spawn(2)
@@ -211,7 +226,7 @@ def train(config: TrainConfig, family) -> TrainResult:
         if stage.loss == "dpo_pairwise":
             task = replace(task, ref_params=theta.copy())
         period = stage.refresh_every if stage.refresh_every is not None else config.refresh_every
-        for _ in range(stage.steps):
+        for i in range(stage.steps):
             use_subspace = config.method == "ortho" and config.ref_count > 0
             try:
                 if use_subspace and (subspace is None or needs_refresh(t, period)):
@@ -240,11 +255,16 @@ def train(config: TrainConfig, family) -> TrainResult:
                     del g
                     rank, age = 0, 0
 
+                if config.probes or i == stage.steps - 1:
+                    safety_loss = task.loss(theta)
+                    ref_losses = tuple(pt.loss(theta) for pt in probe_tasks)
+                else:
+                    safety_loss, ref_losses = math.nan, unprobed
                 records.append(RunRecord(
                     step=t,
                     stage=stage.task,
-                    safety_loss=task.loss(theta),
-                    ref_losses=tuple(pt.loss(theta) for pt in probe_tasks),
+                    safety_loss=safety_loss,
+                    ref_losses=ref_losses,
                     g_norm=g_norm,
                     g_tilde_norm=g_proj_norm,
                     removed_fraction=_removed_fraction(g_norm, g_proj_norm),

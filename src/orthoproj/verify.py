@@ -57,7 +57,7 @@ def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: in
                               tol_residual: float = 1e-8, tol_idem: float = 1e-12,
                               tol_pyth: float = 1e-9, budget_s: float = 10.0,
                               inject: bool = False) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     project = _projector(inject)
     worst_gram = worst_resid = worst_idem = worst_pyth = 0.0
     contraction_violations = 0
@@ -81,7 +81,7 @@ def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: in
                 coeffs_sq = sum(dot(g, u) ** 2 for u in basis.vectors)
                 pyth = abs(g_norm ** 2 - (norm(proj) ** 2 + coeffs_sq)) / g_norm ** 2
                 worst_pyth = max(worst_pyth, pyth)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = (worst_gram <= tol_gram and worst_resid <= tol_residual
               and worst_idem <= tol_idem and worst_pyth <= tol_pyth
               and contraction_violations == 0 and elapsed < budget_s)
@@ -97,7 +97,7 @@ def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: in
 
 def check_rank_filtering(seed: int = 0, d: int = 50, ranks=(1, 2, 3, 4, 5),
                          n_candidates: int = 8, n_seeds: int = 50) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     failures = 0
     trials = 0
     root = np.random.SeedSequence(seed + 1)
@@ -112,7 +112,7 @@ def check_rank_filtering(seed: int = 0, d: int = 50, ranks=(1, 2, 3, 4, 5),
             trials += 1
             if basis.rank != r:
                 failures += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return CheckResult("rank_filtering", failures == 0,
                        f"{trials} candidate sets, rank mismatches={failures}", elapsed)
 
@@ -151,7 +151,7 @@ def _fd_cases(rng: np.random.Generator):
 
 def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
                                tol: float = 1e-4) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     fd = oracle.FDConfig(h=1e-5, rel_tol=tol)
     worst = 0.0
     worst_case = ""
@@ -163,7 +163,7 @@ def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
             err = oracle.gradient_agreement(spec, kind, theta, batch, fd)
             if err > worst:
                 worst, worst_case = err, f"{spec.kind}/{kind.tag}"
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return CheckResult("gradient_correctness", worst <= tol,
                        f"max per-coordinate rel err={worst:.2e}<= {tol:g} (worst: {worst_case}), "
                        f"{n_configs} configs x {len(cases)} pairs", elapsed)
@@ -177,7 +177,7 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
                          n_samples: int = 10_000, slack: float = 1e-9,
                          tol_attain: float = 1e-12, tol_feasible: float = 1e-9,
                          inject: bool = False) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     project = _projector(inject)
     violations = 0
     worst_attain = 0.0
@@ -206,7 +206,7 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
             worst_attain = max(worst_attain, abs(dot(g, v_star) - bound))
             feas = max((abs(dot(v_star, u)) for u in basis.vectors), default=0.0)
             worst_feasible = max(worst_feasible, feas)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = violations == 0 and worst_attain <= tol_attain and worst_feasible <= tol_feasible
     return CheckResult("steepest_descent_bound", passed,
                        f"{cells} (d, rank) cells x {n_samples} samples: violations={violations}, "
@@ -221,7 +221,7 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
 def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
                       slope_tol: float = 0.2, remainder_tol: float = 1e-6,
                       quarter_tol: float = 1e-6) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     fam = _default_family("quadratic", seed)
     rep_orth = oracle.taylor_scaling(fam, etas, "ortho")
     rep_naive = oracle.taylor_scaling(fam, etas, "naive")
@@ -241,7 +241,7 @@ def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
     quarter_err = abs(change_full / change_half - 4.0) / 4.0
     ok_quarter = quarter_err <= quarter_tol
 
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = ok_slopes and ok_remainder and ok_quarter
     return CheckResult("first_order_preservation", passed,
                        f"slope(ortho)={rep_orth.slope:.3f} in 2.0+-0.2, "
@@ -260,7 +260,7 @@ def _bitwise_equal(a, b) -> bool:
 
 
 def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     fam = _default_family("regression", seed)
     base = replace(DEFAULTS["regression"].train, steps=steps, seed=seed,
                    stages=(Stage("safety", "squared_error", steps),))
@@ -269,7 +269,7 @@ def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
     replay_l0 = train(replace(base, method="replay", replay_lambda=0.0), fam)
     ok_m0 = _bitwise_equal(naive, ortho_m0)
     ok_l0 = _bitwise_equal(naive, replay_l0)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return CheckResult("reduction_identities", ok_m0 and ok_l0,
                        f"{steps}-step runs bitwise: ortho(M=0)==naive: {ok_m0}, "
                        f"replay(lambda=0)==naive: {ok_l0}", elapsed)
@@ -291,11 +291,14 @@ def _default_family(stem: str, seed: int):
 
 
 def _mitigation_margins(stem: str, seed: int):
-    """Per-seed mitigation measurements on a shipped experiment."""
+    """Per-seed mitigation measurements on a shipped experiment. They read
+    only a run's endpoints (the DPO drop reads the last DPO-stage record),
+    so the legs skip the per-step probes."""
     fam = _default_family(stem, seed)
     out = {}
     for method in ("ortho", "naive", "replay"):
-        result = train(replace(DEFAULTS[stem].train, method=method, seed=seed), fam)
+        result = train(replace(DEFAULTS[stem].train, method=method, seed=seed,
+                               probes=False), fam)
         report = alignment_tax(result, fam)
         out[method] = (result, report)
     o, n, p = out["ortho"][1], out["naive"][1], out["replay"][1]
@@ -318,7 +321,7 @@ def _mitigation_margins(stem: str, seed: int):
 def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
                          golden_tol: float = 0.05,
                          goldens: dict | None = None) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     goldens = GOLDEN_MARGINS if goldens is None else goldens
     problems = []
     summary = []
@@ -349,7 +352,7 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
                             problems.append(f"{kind}/seed{seed}: {key}[{i}] {got:.4g} departs "
                                             f"from recorded {want:.4g}")
             summary.append(f"{kind[:10]}/s{seed}: ratio={m['gain_ratio']:.2f}")
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     details = "; ".join(summary)
     if problems:
         details = " | ".join(problems[:4]) + (f" (+{len(problems)-4} more)" if len(problems) > 4 else "")
@@ -361,9 +364,9 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
 # ---------------------------------------------------------------------------
 
 def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     fam = _default_family("policy", seed)
-    base = replace(DEFAULTS["policy"].train, seed=seed)
+    base = replace(DEFAULTS["policy"].train, seed=seed, probes=False)  # taxes read endpoints only
     problems = []
 
     def tax_with(**overrides):
@@ -395,7 +398,7 @@ def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckRe
     if not spread < refsize_spread:
         problems.append(f"refsize tax spread {spread:.2f}x >= {refsize_spread}x")
 
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     details = (f"K taxes={{{', '.join(f'{k}: {v:.3g}' for k, v in k_taxes.items())}}}; "
                f"M taxes={{{', '.join(f'{k}: {v:.3g}' for k, v in m_taxes.items())}}}; "
                f"refsize spread={spread:.2f}x")
@@ -409,7 +412,7 @@ def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckRe
 # ---------------------------------------------------------------------------
 
 def check_determinism(seed: int = 0) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     import tempfile
     from pathlib import Path
 
@@ -425,7 +428,7 @@ def check_determinism(seed: int = 0) -> CheckResult:
             payloads.append(tuple(sorted(
                 (p.name, p.read_bytes()) for p in out.iterdir() if p.suffix == ".csv")))
     same = payloads[0] == payloads[1]
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return CheckResult("determinism", same,
                        f"repeated run CSVs bitwise identical: {same}", elapsed)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -292,6 +293,61 @@ def test_train_properties_hypothesis(d_extra, m, period, seed):
         assert record.rank <= min(m, d)
     for basis, g, g_proj in steps:
         assert all(abs(dot(g_proj, u)) <= 1e-10 * norm(g) for u in basis)
+    probe_free = train(dataclasses.replace(cfg, probes=False), fam)
+    assert probe_free.theta_final.tobytes() == result.theta_final.tobytes()
+
+
+NON_PROBE_FIELDS = ("step", "stage", "g_norm", "g_tilde_norm", "removed_fraction", "rank", "age")
+
+
+class TestEndpointOnly:
+    """probes=False runs the probes on each stage's last step only and
+    changes nothing else a run produces."""
+
+    @pytest.fixture
+    def shipped(self, quadratic_family, regression_family, policy_family):
+        def alpha(stem):
+            return DEFAULTS[stem].family_params_dict()["alpha"]
+        return {"quadratic": lambda: quadratic_family(alpha("quadratic")),
+                "regression": lambda: regression_family(alpha("regression")),
+                "policy": policy_family}
+
+    @pytest.mark.parametrize("method", ["naive", "ortho", "replay"])
+    @pytest.mark.parametrize("stem", ["quadratic", "regression", "policy"])
+    def test_probe_free_run_matches_the_default(self, shipped, stem, method):
+        fam = shipped[stem]()
+        cfg = dataclasses.replace(DEFAULTS[stem].train, method=method)
+        calls = []
+        loss = DifferentiableTask.loss
+
+        def counting(task, theta, batch=None):
+            calls.append(task.name)
+            return loss(task, theta, batch)
+
+        n_probes = 1 + len(fam.capability_tasks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DifferentiableTask, "loss", counting)
+            full = train(cfg, fam)
+            assert len(calls) == n_probes * cfg.steps
+            calls.clear()
+            off = train(dataclasses.replace(cfg, probes=False), fam)
+            assert len(calls) == n_probes * len(cfg.stages)
+
+        assert off.theta_final.tobytes() == full.theta_final.tobytes()
+        assert off.subspace_history == full.subspace_history
+        assert len(off.records) == len(full.records)
+        stage_ends = {end - 1 for end in itertools.accumulate(s.steps for s in cfg.stages)}
+        for a, b in zip(off.records, full.records):
+            assert all(getattr(a, f) == getattr(b, f) for f in NON_PROBE_FIELDS)
+            assert len(a.ref_losses) == len(b.ref_losses)
+            if a.step in stage_ends:
+                assert a == b
+            else:
+                assert math.isnan(a.safety_loss)
+                assert all(math.isnan(v) for v in a.ref_losses)
+        header = records_to_csv(full.records).split("\n", 1)[0]
+        assert records_to_csv(off.records).split("\n", 1)[0] == header
+        assert alignment_tax(off, fam) == alignment_tax(full, fam)
 
 
 class TestSharedFamily:
@@ -354,3 +410,6 @@ class TestValidation:
             train(TrainConfig(**dict(QUAD_BASE, ref_count=5)), fam)
         with pytest.raises(ConfigurationError):
             TrainConfig(**dict(QUAD_BASE, ref_facets=(0, 1))).validate()
+        for probes in ("no", 0, None):
+            with pytest.raises(ConfigurationError, match="probes"):
+                TrainConfig(**dict(QUAD_BASE, probes=probes)).validate()

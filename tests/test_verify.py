@@ -1,0 +1,55 @@
+"""The verify legs that read only a run's endpoints skip the per-step
+probes; their margins and details must be those of fully probed runs."""
+
+import dataclasses
+
+import pytest
+
+from orthoproj import cli, verify
+from orthoproj.optimizer import TrainConfig, train
+from orthoproj.tasks import TaskFamily
+
+
+def probed_train(config, family):
+    return train(dataclasses.replace(config, probes=True), family)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stem", verify.MITIGATION_STEMS)
+def test_mitigation_margins_equal_probed_runs(monkeypatch, stem, seed):
+    endpoint_only = verify._mitigation_margins(stem, seed)
+    monkeypatch.setattr(verify, "train", probed_train)
+    assert endpoint_only == verify._mitigation_margins(stem, seed)
+
+
+def test_ablation_details_equal_probed_runs(monkeypatch):
+    endpoint_only = verify.check_ablation_trends()
+    monkeypatch.setattr(verify, "train", probed_train)
+    probed = verify.check_ablation_trends()
+    assert endpoint_only.passed and probed.passed
+    assert endpoint_only.details == probed.details
+
+
+def test_legs_call_train_with_config_and_family_only(monkeypatch):
+    # benchmark hooks stand in for verify.train and cli.train with a
+    # two-argument function, so a leg must pass nothing else
+    calls = {"verify": [], "cli": []}
+
+    def recorder(where):
+        def hooked(*args, **kwargs):
+            calls[where].append((args, kwargs))
+            return train(*args, **kwargs)
+        return hooked
+
+    monkeypatch.setattr(verify, "train", recorder("verify"))
+    monkeypatch.setattr(cli, "train", recorder("cli"))
+    assert all(r.passed for r in verify.run_all(0))
+    assert calls["verify"] and calls["cli"]
+    for args, kwargs in calls["verify"] + calls["cli"]:
+        assert kwargs == {} and len(args) == 2
+        assert isinstance(args[0], TrainConfig) and isinstance(args[1], TaskFamily)
+    configs = [args[0] for args, _ in calls["verify"]]
+    # 18 tax_mitigation legs and 11 ablation_trends legs go without probes;
+    # reduction_identities and determinism compare records, so keep them
+    assert sum(not c.probes for c in configs) == 18 + 11
+    assert all(args[0].probes for args, _ in calls["cli"])
