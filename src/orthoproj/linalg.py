@@ -14,12 +14,15 @@ pairwise). The sum starts at -0.0, the exact additive identity. That is
 the same sequence of roundings as ``np.add.accumulate`` over all the
 products, with no partial sums stored and no full-length temporaries.
 
-Finiteness is read off the results. A non-finite entry always makes the
+Finiteness is read off sums. A non-finite entry always makes the
 fixed-order sum non-finite (inf * 0 and inf - inf are nan), so ``dot``,
-``norm`` and ``project_complement`` validate their inputs only when a sum
-comes out non-finite or a shape check fails; they then raise exactly what
-an upfront check would have raised. A sum that overflows from finite inputs
-is returned as inf, not raised.
+``norm``, ``project_complement`` and ``gram_schmidt`` validate their inputs
+only when a sum comes out non-finite or a shape check fails; they then
+raise exactly what an upfront check would have raised. A sum that overflows
+from finite inputs is returned as inf, not raised. The upfront check,
+:func:`all_finite`, is a sum too: the BLAS sum of squares, with an
+entry-by-entry mask only when that sum overflows, so its decision is exact
+at any thread count.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from .errors import DimensionError, NumericError, ConfigurationError
 
 __all__ = [
+    "all_finite",
     "as_vector",
     "dot",
     "norm",
@@ -42,15 +46,30 @@ __all__ = [
     "angle_between",
 ]
 
-BLOCK = 8192  # products formed and summed per pass of _seqdot (64 KiB)
+BLOCK = 32768  # products formed and summed per pass of _seqdot (256 KiB)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a float array, mostly without the mask.
+
+    A nan or infinite entry makes the sum of squares nan or +inf in any
+    order and at any BLAS thread count, so a finite sum proves every entry
+    finite; only a sum that overflows from finite entries needs the mask.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def _as_1d(x, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
+    return v
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating on the way in."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    v = _as_1d(x, name)
+    if not all_finite(v):
         raise NumericError(f"{name} contains non-finite entries")
     return v
 
@@ -98,7 +117,7 @@ def norm(a) -> float:
     s = _seqdot(av, av) if av.ndim == 1 else math.nan
     if not math.isfinite(s):  # a bad input, or finite squares that overflowed
         as_vector(av, "a")
-    return float(np.sqrt(s))
+    return math.sqrt(s)
 
 
 def _subtract_components(g: np.ndarray, coeffs, rows) -> np.ndarray:
@@ -135,7 +154,7 @@ class OrthonormalBasis:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2:
             raise DimensionError(f"basis must be 2-D, got shape {v.shape}")
-        if v.size and not np.isfinite(v).all():
+        if not all_finite(v):
             raise NumericError("basis contains non-finite entries")
         object.__setattr__(self, "vectors", v)
 
@@ -177,6 +196,10 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
     as :func:`orthoproj.subspace.estimate_subspace` does. A zero candidate is
     always discarded by the threshold, never normalized.
 
+    Candidates are checked for finiteness through the threshold norm: a
+    non-finite candidate raises ``NumericError`` naming it when its turn
+    comes, after the shape checks of every candidate.
+
     Each accepted residual is normalized straight into the next row of one
     (candidates, dim) block, and that block is the basis's storage. Only
     when a candidate was discarded are the used rows copied out, so that a
@@ -186,7 +209,7 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
-    vs = [as_vector(c, f"candidate {i}") for i, c in enumerate(candidates)]
+    vs = [_as_1d(c, f"candidate {i}") for i, c in enumerate(candidates)]
     if not vs:
         return OrthonormalBasis.empty(0)
     dim = vs[0].size
@@ -196,9 +219,14 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
 
     block = np.empty((len(vs), dim))
     accepted: list[np.ndarray] = []  # views of block's leading rows
-    for g in vs:
+    for i, g in enumerate(vs):
         residual = _remove_components(g, accepted)
-        if norm(residual) < delta:
+        try:
+            threshold_norm = norm(residual)
+        except NumericError:  # a non-finite candidate always has a non-finite residual
+            as_vector(g, f"candidate {i}")
+            raise
+        if threshold_norm < delta:
             continue
         residual = _remove_components(residual, accepted)
         n = norm(residual)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NumericError, ConfigurationError
-from .linalg import as_vector
+from .linalg import all_finite, as_vector
 
 __all__ = ["ModelSpec", "LossKind", "Batch", "loss", "gradient", "SUPPORTED_PAIRS"]
 
@@ -108,7 +108,7 @@ class Batch:
             raise DimensionError(f"batch inputs must be 2-D, got shape {x.shape}")
         if x.shape[0] < 1:
             raise DimensionError("batch must contain at least one row")
-        if not np.isfinite(x).all():
+        if not all_finite(x):
             raise NumericError("batch inputs contain non-finite entries")
         object.__setattr__(self, "inputs", x)
         if self.pairs is not None:
@@ -152,7 +152,7 @@ def _finite(value: float, what: str) -> float:
 
 
 def _finite_vec(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise NumericError(f"non-finite {what}")
     return v
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigurationError, NumericError
-from .linalg import OrthonormalBasis, as_vector, gram_schmidt, norm
+from .linalg import OrthonormalBasis, gram_schmidt, norm
 
 __all__ = ["CapabilitySubspace", "NO_REFRESH", "needs_refresh", "estimate_subspace"]
 
@@ -63,7 +63,7 @@ def estimate_subspace(model_state, ref_tasks, batch_size: int,
     """
     if not ref_tasks:
         raise ConfigurationError("estimate_subspace needs at least one reference task")
-    theta = as_vector(model_state, "model_state")
+    theta = np.asarray(model_state, dtype=np.float64)  # models.gradient validates it
     grads = []
     for i, task in enumerate(ref_tasks):
         try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigurationError, NumericError
-from .linalg import norm
+from .linalg import all_finite, norm
 from .models import Batch, LossKind, ModelSpec
 
 __all__ = [
@@ -391,7 +391,7 @@ def _pretrain(theta, cap_a, cap_b, budget, label):
         g_a = cap_a.gradient(theta, batch_a)
         g_b = cap_b.gradient(theta, batch_b)
         theta = theta - eta * 0.5 * (g_a + g_b)
-    if not np.isfinite(theta).all():
+    if not all_finite(theta):
         raise NumericError(f"{label} pre-training diverged")
     return theta
 

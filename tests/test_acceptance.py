@@ -92,10 +92,10 @@ def test_criterion_9_run_determinism():
 
 
 def test_criterion_10_verify_command_under_budget():
-    start = time.time()
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "orthoproj.cli", "verify"],
                           capture_output=True, text=True, timeout=300)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = proc.returncode == 0 and elapsed < 120.0
     print(f"\nACCEPTANCE 10 verify command: {'PASS' if passed else 'FAIL'} - "
           f"exit={proc.returncode}, elapsed={elapsed:.1f}s < 120s")

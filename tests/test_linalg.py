@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orthoproj import linalg
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot,
+from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot, all_finite,
                               angle_between, dot, gram_schmidt, norm, project_complement)
 
 
@@ -335,12 +336,82 @@ def test_non_finite_inputs_raise_as_an_upfront_check(bad, at):
                 call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d", [10, 2 * BLOCK + 3])
+@pytest.mark.parametrize("which", [0, 2])
+def test_gram_schmidt_names_a_non_finite_candidate(bad, d, which):
+    # candidate 2 comes after two accepted rows; a non-finite entry at the
+    # start, middle or end of it is read off its threshold norm
+    rng = np.random.default_rng(d + which)
+    for at in (0, d // 2, d - 1):
+        cands = rng.standard_normal((4, d))
+        cands[which, at] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=f"^candidate {which} contains non-finite"):
+            gram_schmidt(cands, delta=1e-8)
+
+
+def test_gram_schmidt_checks_every_shape_before_finiteness():
+    with pytest.raises(DimensionError, match="candidate 1 has length 3"):
+        gram_schmidt([[np.nan, 0.0], [1.0, 0.0, 0.0]], delta=1e-6)
+    with pytest.raises(DimensionError, match="candidate 1 must be 1-D"):
+        gram_schmidt([[np.nan, 0.0], [[1.0, 0.0]]], delta=1e-6)
+
+
+def test_gram_schmidt_with_overflowing_finite_candidates():
+    # squares that overflow give an inf threshold norm, which accepts the
+    # candidate and normalizes it to zeros; a coefficient that overflows
+    # makes the residual itself non-finite, which norm reports as before
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = gram_schmidt([[1e200, 1e200]], delta=1e-6)
+        assert basis.vectors.tobytes() == np.zeros((1, 2)).tobytes()
+        basis = gram_schmidt([[1.0, 0.0, 0.0], [1e200, 1e200, 1e200]], delta=1e-6)
+        assert basis.vectors.tobytes() == np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]).tobytes()
+        with pytest.raises(NumericError, match="^a contains non-finite"):
+            gram_schmidt([[1.0, 1.0], [1.7e308, 1.7e308]], delta=1e-6)
+
+
 def test_overflow_from_finite_inputs_matches_one_accumulate():
     # inf, then inf - inf = nan, both returned rather than raised
     big = np.array([1e200, 1e200, 1e200])
     with np.errstate(over="ignore", invalid="ignore"):
         for b in (big, big * [1.0, 1.0, -1.0]):
             assert np.float64(dot(big, b)).tobytes() == _one_accumulate(big, b)
+
+
+_VIEWS = {
+    "as is": lambda a: a,
+    "strided": lambda a: a[..., ::2],
+    "reversed": lambda a: a[..., ::-1],
+    "transposed": lambda a: a.T,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)),
+       st.sampled_from(sorted(_VIEWS)))
+def test_all_finite_is_the_entry_mask(a, view):
+    v = _VIEWS[view](a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all_finite(v) == bool(np.isfinite(v).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1,), (5,), (0,), (BLOCK + 3,), (4, 6), (0, 3)]), st.sampled_from(sorted(_VIEWS)),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]), st.sampled_from([0, 0.5, 1]),
+       st.sampled_from([1.0, 1.4e154, 1e300]), st.integers(0, 2 ** 32 - 1))
+def test_all_finite_with_planted_entries(shape, view, bad, where, scale, seed):
+    # at scale 1.4e154 and up a finite entry's square overflows, so the sum
+    # of squares is inf and the decision falls to the mask
+    rng = np.random.default_rng(seed)
+    a = _VIEWS[view](rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * scale)
+    if bad is not None and a.size:
+        a[np.unravel_index(round(where * (a.size - 1)), a.shape)] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = all_finite(a)
+    assert got == bool(np.isfinite(a).all())
+    assert got == (bad is None or a.size == 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,7 +442,7 @@ for out in (dot(cands[0], g), norm(g), project_complement(g, basis), basis.vecto
 """
 
 
-def test_linalg_bytes_at_each_blas_thread_count():
+def _output_at_each_blas_thread_count(script):
     # the thread count is fixed before numpy loads, so each needs a fresh process
     src = str(Path(linalg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -379,11 +450,43 @@ def test_linalg_bytes_at_each_blas_thread_count():
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _LINALG_BYTES_SCRIPT], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
+    return outputs
+
+
+def test_linalg_bytes_at_each_blas_thread_count():
+    outputs = _output_at_each_blas_thread_count(_LINALG_BYTES_SCRIPT)
     assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
+
+
+_ALL_FINITE_SCRIPT = """
+import numpy as np
+from orthoproj.linalg import all_finite
+rng = np.random.default_rng(9)
+for n in (1, 100, 200_000):
+    plants = [(None, 0)] + [(bad, at) for bad in (np.nan, np.inf, -np.inf)
+                            for at in (0, n // 2, n - 1)]
+    for scale in (1.0, 1e160):
+        for bad, at in plants:
+            a = rng.standard_normal(n) * scale
+            if bad is not None:
+                a[at] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = all_finite(a)
+            print(n, scale, bad, at, got, got == bool(np.isfinite(a).all()))
+"""
+
+
+def test_all_finite_decisions_at_each_blas_thread_count():
+    # a BLAS sum of squares at d = 200,000 is split across threads at two;
+    # at scale 1e160 every square overflows and the mask decides
+    outputs = _output_at_each_blas_thread_count(_ALL_FINITE_SCRIPT)
+    assert len(outputs[0]) == 3 * 2 * (1 + 3 * 3)
+    assert all(line.endswith("True") for line in outputs[0])
     assert outputs[0] == outputs[1]
 
 

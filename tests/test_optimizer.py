@@ -231,8 +231,9 @@ class TestTrain:
 class TestMemory:
     """train() holds theta and the active basis between steps, and at most
     k parameter-sized arrays in all within a step: 3 for naive, 4 for
-    replay and the basis plus 4 for ortho. The slack covers the boolean
-    finiteness masks (d bytes each) and small objects."""
+    replay and the basis plus 4 for ortho. The slack covers small objects,
+    and a boolean finiteness mask (d bytes), which is built only when a
+    finite array's sum of squares overflows."""
 
     D = 100_000
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthoproj.errors import ConfigurationError, NumericError
+from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.models import LossKind, ModelSpec
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import NO_REFRESH, estimate_subspace, needs_refresh
@@ -102,6 +102,28 @@ class TestEstimateSubspace:
         bad = quadratic_task("bad", np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(NumericError, match=r"reference task 1 \(bad\): batch inputs"):
             estimate_subspace(np.zeros(2), [good, bad], 2, np.random.default_rng(0),
+                              1e-6, 0.0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_reports_the_first_task(self, bad, regression_family):
+        # theta is validated by each reference task's gradient, including an
+        # inf weight in the mlp's first layer, which tanh would saturate
+        fam = regression_family()
+        theta = fam.theta0.copy()
+        theta[0] = bad
+        with pytest.raises(NumericError, match=r"reference task 0 \(cap_a\): theta contains "
+                                               r"non-finite"):
+            estimate_subspace(theta, list(fam.capability_tasks), 50,
+                              np.random.default_rng(0), 1e-6, 0.0, 0)
+        first = quadratic_task("first", np.eye(2), np.zeros(2))
+        with pytest.raises(NumericError, match=r"reference task 0 \(first\): theta"):
+            estimate_subspace(np.array([1.0, bad]), [first, first], 1,
+                              np.random.default_rng(0), 1e-6, 0.0, 0)
+
+    def test_two_dimensional_theta_is_rejected(self):
+        task = quadratic_task("cap", np.eye(2), np.zeros(2))
+        with pytest.raises(DimensionError, match="theta must be 1-D"):
+            estimate_subspace(np.zeros((1, 2)), [task], 1, np.random.default_rng(0),
                               1e-6, 0.0, 0)
 
 
