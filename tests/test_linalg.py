@@ -142,7 +142,7 @@ class TestGramSchmidt:
         assert norm(basis.vectors[0]) == pytest.approx(2.0 / 3.0)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5])
-    @pytest.mark.parametrize("d", [3, 40, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("d", [3, 40, 16387, 2 * BLOCK + 3])
     @pytest.mark.parametrize("true_rank", [1, 2, 3])
     def test_rows_match_the_out_of_place_normalization(self, true_rank, d, epsilon):
         # candidates 2 and 4 repeat earlier ones, so at epsilon 0 every set
@@ -290,7 +290,9 @@ def _one_accumulate(a, b) -> bytes:
     return np.float64(np.add.accumulate(a * b)[-1] if a.size else 0.0).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 9, BLOCK, 2 * BLOCK + 5])
+# the fixed sizes 8192 and 16389 (and 8190, 8197, 16387 below) are within
+# one block; written as numbers, their case names stay put when BLOCK changes
+@pytest.mark.parametrize("n", [1, 9, 8192, 16389, BLOCK, 2 * BLOCK + 5])
 @pytest.mark.parametrize("step", [3, -1, -2])
 def test_strided_inputs_match_one_accumulate(n, step):
     rng = np.random.default_rng(n)
@@ -301,7 +303,7 @@ def test_strided_inputs_match_one_accumulate(n, step):
     assert np.float64(norm(a)).tobytes() == np.sqrt(np.frombuffer(_one_accumulate(a, a))).tobytes()
 
 
-@pytest.mark.parametrize("pad", [0, BLOCK - 2])
+@pytest.mark.parametrize("pad", [0, 8190, BLOCK - 2])
 def test_signed_zeros_and_exact_cancellation_match_one_accumulate(pad):
     # every sequence of up to four products from {+-0, +-1}, including
     # [1, -1, 0, -0]; the -0.0 padding moves them across a block boundary
@@ -320,7 +322,7 @@ def test_empty_sum_is_positive_zero():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("at", [0, BLOCK + 5])
+@pytest.mark.parametrize("at", [0, 8197, BLOCK + 5])
 def test_non_finite_inputs_raise_as_an_upfront_check(bad, at):
     rng = np.random.default_rng(at)
     good = rng.standard_normal(2 * BLOCK + 3)
