@@ -14,22 +14,33 @@ pairwise). The sum starts at -0.0, the exact additive identity. That is
 the same sequence of roundings as ``np.add.accumulate`` over all the
 products, with no partial sums stored and no full-length temporaries.
 
+:func:`dots` sums each row of a basis against one vector. Rows of at most
+``BLOCK`` elements go through one multiply, one in-place negate and one
+``np.subtract.reduce`` along the rows, which folds every row left to right
+with the same roundings; longer rows are summed one at a time as above.
+``project_complement`` and ``gram_schmidt`` take their coefficients this
+way.
+
 Finiteness is read off sums. A non-finite entry always makes the
 fixed-order sum non-finite (inf * 0 and inf - inf are nan), so ``dot``,
-``norm``, ``project_complement`` and ``gram_schmidt`` validate their inputs
-only when a sum comes out non-finite or a shape check fails; they then
-raise exactly what an upfront check would have raised. A sum that overflows
-from finite inputs is returned as inf, not raised. The upfront check,
-:func:`all_finite`, is a sum too: the BLAS sum of squares, with an
-entry-by-entry mask only when that sum overflows, so its decision is exact
-at any thread count.
+``dots``, ``norm``, ``project_complement`` and ``gram_schmidt`` validate
+their inputs only when a sum comes out non-finite or a shape check fails;
+they then raise exactly what an upfront check would have raised. Under a
+strict numpy error state (``np.errstate(all="raise")``, or warnings as
+errors) the arithmetic on a non-finite input can raise first (squares
+never do, so ``norm`` cannot); the others catch that, validate their
+inputs and raise the same ``NumericError``. A
+sum that overflows from finite inputs is returned as inf under numpy's
+default error state and follows a strict one (a ``FloatingPointError`` or
+warning). The upfront check, :func:`all_finite`, is a sum too: the BLAS
+sum of squares, with an entry-by-entry mask only when that sum overflows,
+so its decision is exact at any thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +50,7 @@ __all__ = [
     "all_finite",
     "as_vector",
     "dot",
+    "dots",
     "norm",
     "OrthonormalBasis",
     "gram_schmidt",
@@ -47,6 +59,9 @@ __all__ = [
 ]
 
 BLOCK = 32768  # products formed and summed per pass of _seqdot (256 KiB)
+
+# what numpy raises from arithmetic on inf or nan under a strict error state
+_ERROR_STATE = (FloatingPointError, RuntimeWarning)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -96,18 +111,67 @@ def _seqdot(a: np.ndarray, b: np.ndarray) -> float:
         lo += BLOCK
 
 
+def _seqdots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # [_seqdot(u, v) for u in rows] over a (k, n) array and an n-vector. A
+    # subtract reduction along axis 1 folds each row of the fresh product
+    # array left to right from -0.0, as _seqdot does with one block.
+    n = v.size
+    if n > BLOCK:  # row by row, a block at a time: one pass was no faster here
+        return np.array([_seqdot(u, v) for u in rows])
+    if n == 0:  # the fold would give -0.0; an empty sum is +0.0
+        return np.zeros(len(rows))
+    part = np.multiply(rows, v)
+    np.negative(part, out=part)
+    return np.subtract.reduce(part, axis=1, initial=-0.0)
+
+
+def _check_pair(av: np.ndarray, bv: np.ndarray) -> None:
+    as_vector(av, "a")
+    as_vector(bv, "b")
+    if av.size != bv.size:
+        raise DimensionError(f"length mismatch: {av.size} vs {bv.size}")
+
+
 def dot(a, b) -> float:
     """Inner product with a fixed left-to-right accumulation order."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     s = math.nan
-    if av.ndim == 1 and bv.ndim == 1 and av.size == bv.size:
-        s = _seqdot(av, bv)
+    try:
+        if av.ndim == 1 and bv.ndim == 1 and av.size == bv.size:
+            s = _seqdot(av, bv)
+    except _ERROR_STATE:
+        _check_pair(av, bv)
+        raise
     if not math.isfinite(s):  # a bad input, or finite products that overflowed
-        as_vector(av, "a")
-        as_vector(bv, "b")
-        if av.size != bv.size:
-            raise DimensionError(f"length mismatch: {av.size} vs {bv.size}")
+        _check_pair(av, bv)
+    return s
+
+
+def _check_rows(rv: np.ndarray, vv: np.ndarray) -> None:
+    if not all_finite(rv):
+        raise NumericError("rows contains non-finite entries")
+    as_vector(vv, "v")
+
+
+def dots(rows, v) -> np.ndarray:
+    """``[dot(u, v) for u in rows]`` bit for bit, as one float64 array.
+
+    ``rows`` is a (k, n) array and ``v`` an n-vector; shapes are checked
+    first, then finiteness is read off the k sums. Rows of at most ``BLOCK``
+    elements are summed in one pass over all of them.
+    """
+    rv = np.asarray(rows, dtype=np.float64)
+    vv = _as_1d(v, "v")
+    if rv.ndim != 2 or rv.shape[1] != vv.size:
+        raise DimensionError(f"rows must have shape (k, {vv.size}), got {rv.shape}")
+    try:
+        s = _seqdots(rv, vv)
+    except _ERROR_STATE:
+        _check_rows(rv, vv)
+        raise
+    if not all_finite(s):  # a bad input, or finite products that overflowed
+        _check_rows(rv, vv)
     return s
 
 
@@ -131,12 +195,13 @@ def _subtract_components(g: np.ndarray, coeffs, rows) -> np.ndarray:
     return out
 
 
-def _remove_components(g: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+def _remove_components(g: np.ndarray, rows) -> np.ndarray:
     # One classical pass: all coefficients taken from the incoming vector,
     # then subtracted in basis order. No rows returns g itself.
     if len(rows) == 0:
         return g
-    return _subtract_components(g, [_seqdot(g, u) for u in rows], rows)
+    rows = np.asarray(rows)
+    return _subtract_components(g, _seqdots(rows, g), rows)
 
 
 @dataclass(frozen=True)
@@ -205,9 +270,9 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
     when a candidate was discarded are the used rows copied out, so that a
     basis never holds rows it does not use.
     """
-    if not np.isfinite(delta) or delta <= 0:
+    if not math.isfinite(delta) or delta <= 0:
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
-    if not np.isfinite(epsilon) or epsilon < 0:
+    if not math.isfinite(epsilon) or epsilon < 0:
         raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
     vs = [_as_1d(c, f"candidate {i}") for i, c in enumerate(candidates)]
     if not vs:
@@ -218,25 +283,26 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
             raise DimensionError(f"candidate {i} has length {v.size}, expected {dim}")
 
     block = np.empty((len(vs), dim))
-    accepted: list[np.ndarray] = []  # views of block's leading rows
+    k = 0  # rows accepted so far, block[:k]
     for i, g in enumerate(vs):
-        residual = _remove_components(g, accepted)
         try:
+            residual = _remove_components(g, block[:k])
             threshold_norm = norm(residual)
-        except NumericError:  # a non-finite candidate always has a non-finite residual
+        except (NumericError, *_ERROR_STATE):  # a non-finite candidate has a non-finite residual
             as_vector(g, f"candidate {i}")
             raise
         if threshold_norm < delta:
             continue
-        residual = _remove_components(residual, accepted)
+        residual = _remove_components(residual, block[:k])
         n = norm(residual)
         if n + epsilon <= 0.0:
             raise NumericError("residual collapsed to zero during re-orthogonalization")
-        accepted.append(np.divide(residual, n + epsilon, out=block[len(accepted)]))
-    if not accepted:
+        np.divide(residual, n + epsilon, out=block[k])
+        k += 1
+    if k == 0:
         return OrthonormalBasis.empty(dim)
-    if len(accepted) < len(vs):  # a basis holds no unused rows
-        return OrthonormalBasis(block[:len(accepted)].copy())
+    if k < len(vs):  # a basis holds no unused rows
+        return OrthonormalBasis(block[:k].copy())
     return OrthonormalBasis(block)
 
 
@@ -255,10 +321,14 @@ def project_complement(g, basis: OrthonormalBasis) -> np.ndarray:
             return gv.copy()
         raise DimensionError(f"g has length {gv.size}, basis dimension is {basis.dim}")
     rows = basis.vectors
-    coeffs = [_seqdot(gv, u) for u in rows]
-    if not math.isfinite(coeffs[0]):  # a bad g, or finite products that overflowed
+    try:
+        coeffs = _seqdots(rows, gv)
+        if not math.isfinite(coeffs[0]):  # a bad g, or finite products that overflowed
+            as_vector(gv, "g")
+        return _subtract_components(gv, coeffs, rows)
+    except _ERROR_STATE:
         as_vector(gv, "g")
-    return _subtract_components(gv, coeffs, rows)
+        raise
 
 
 def angle_between(a, b) -> float:

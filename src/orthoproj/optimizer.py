@@ -147,8 +147,11 @@ def replay_step(theta, task, batch, ref_tasks, ref_batches, eta, lam):
     g = task.gradient(theta, batch)
     if not ref_tasks:
         return _descend(theta, eta, g), g
-    acc = np.zeros_like(g)
-    for ref_task, ref_batch in zip(ref_tasks, ref_batches):
+    # accumulate into the first reference gradient; adding 0.0 first rounds
+    # as the sum from zeros did, turning -0.0 entries into +0.0
+    acc = ref_tasks[0].gradient(theta, ref_batches[0])
+    np.add(acc, 0.0, out=acc)
+    for ref_task, ref_batch in zip(ref_tasks[1:], ref_batches[1:]):
         acc += ref_task.gradient(theta, ref_batch)
     # g + lam * (acc / M), then the step, every operation in place in acc
     np.divide(acc, len(ref_tasks), out=acc)

@@ -23,7 +23,7 @@ import numpy as np
 from . import oracle, tasks
 from .config import DEFAULTS
 from .goldens import GOLDEN_MARGINS
-from .linalg import OrthonormalBasis, dot, gram_schmidt, norm, project_complement
+from .linalg import OrthonormalBasis, dot, dots, gram_schmidt, norm, project_complement
 from .metrics import alignment_tax, records_to_csv
 from .models import Batch, LossKind, ModelSpec
 from .optimizer import NO_REFRESH, Stage, train
@@ -72,14 +72,15 @@ def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: in
                 g = rng.standard_normal(d)
                 g_norm = norm(g)
                 proj = project(g, basis)
-                resid = max((abs(dot(proj, u)) for u in basis.vectors), default=0.0)
+                resid = max((abs(c) for c in dots(basis.vectors, proj).tolist()), default=0.0)
                 worst_resid = max(worst_resid, resid / g_norm)
-                if norm(proj) > g_norm:
+                proj_norm = norm(proj)
+                if proj_norm > g_norm:
                     contraction_violations += 1
                 twice = project(proj, basis)
                 worst_idem = max(worst_idem, float(np.abs(twice - proj).max()))
-                coeffs_sq = sum(dot(g, u) ** 2 for u in basis.vectors)
-                pyth = abs(g_norm ** 2 - (norm(proj) ** 2 + coeffs_sq)) / g_norm ** 2
+                coeffs_sq = sum(c ** 2 for c in dots(basis.vectors, g).tolist())
+                pyth = abs(g_norm ** 2 - (proj_norm ** 2 + coeffs_sq)) / g_norm ** 2
                 worst_pyth = max(worst_pyth, pyth)
     elapsed = time.perf_counter() - start
     passed = (worst_gram <= tol_gram and worst_resid <= tol_residual
@@ -204,7 +205,7 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
             # analytic attainment, via the (possibly injected) projector
             v_star = -g_perp / norm(g_perp)
             worst_attain = max(worst_attain, abs(dot(g, v_star) - bound))
-            feas = max((abs(dot(v_star, u)) for u in basis.vectors), default=0.0)
+            feas = max((abs(c) for c in dots(basis.vectors, v_star).tolist()), default=0.0)
             worst_feasible = max(worst_feasible, feas)
     elapsed = time.perf_counter() - start
     passed = violations == 0 and worst_attain <= tol_attain and worst_feasible <= tol_feasible

@@ -261,3 +261,30 @@ class TestVerifyCommand:
     def test_seed_override_changes_samples_not_verdicts(self, seed, capsys):
         # reseeding the sampled test matrices must not change any gate
         assert main(["verify", "--seed", str(seed)]) == 0
+
+
+
+_COMPARE_DIGESTS_SCRIPT = """
+import contextlib, hashlib, io, sys, tempfile
+from pathlib import Path
+from orthoproj.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    for cfg in sorted(Path(sys.argv[1]).glob("*.cfg")):
+        out = Path(tmp) / cfg.stem
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        for f in sorted(out.rglob("*.csv")):
+            print(cfg.stem, f.relative_to(out).as_posix(), hashlib.sha256(f.read_bytes()).hexdigest())
+"""
+
+
+def test_compare_outputs_at_each_blas_thread_count(at_each_blas_thread_count):
+    # whole runs at the shipped sizes, model passes included, give the same
+    # bytes at one and two OpenBLAS threads
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    one, two = at_each_blas_thread_count(_COMPARE_DIGESTS_SCRIPT, str(configs))
+    stems = sorted(p.stem for p in configs.glob("*.cfg"))
+    assert stems == ["policy", "quadratic", "regression"]
+    files = ["naive/records.csv", "ortho/records.csv", "replay/records.csv", "summary.csv"]
+    assert [line.rsplit(" ", 1)[0] for line in one] == [f"{s} {f}" for s in stems for f in files]
+    assert one == two

@@ -1,9 +1,7 @@
+import contextlib
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orthoproj import linalg
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot, all_finite,
-                              angle_between, dot, gram_schmidt, norm, project_complement)
+                              angle_between, dot, dots, gram_schmidt, norm, project_complement)
 
 
 def kahan_dot(a, b):
@@ -27,6 +24,29 @@ def kahan_dot(a, b):
         comp = (t - total) - term
         total = t
     return total
+
+
+ERROR_STATES = ("default", "raise", "warnings as errors")
+
+
+@contextlib.contextmanager
+def numpy_error_state(name):
+    """numpy's default error state with its warnings ignored, every floating
+    point error raised, or the default state with warnings as errors."""
+    with warnings.catch_warnings():
+        if name == "raise":
+            with np.errstate(all="raise"):
+                yield
+            return
+        warnings.simplefilter("error" if name == "warnings as errors" else "ignore")
+        with np.errstate(divide="warn", over="warn", invalid="warn", under="ignore"):
+            yield
+
+
+def raises_in_every_error_state(exc, call, match=None):
+    for state in ERROR_STATES:
+        with numpy_error_state(state), pytest.raises(exc, match=match):
+            call()
 
 
 class TestDot:
@@ -49,18 +69,19 @@ class TestDot:
             dot([1, 2], [1, 2, 3])
 
     def test_non_finite(self):
-        with pytest.raises(NumericError):
-            dot([1, np.nan], [1, 2])
+        # inf - inf raises under a strict error state before the sum is read
+        for a, b in (([1, np.nan], [1, 2]), ([np.inf, -np.inf], [1, 1])):
+            raises_in_every_error_state(NumericError, lambda: dot(a, b), "a contains non-finite")
 
     def test_size_mismatch_with_non_finite_reports_the_entry(self):
         # the finiteness of a is checked before the lengths, as before
-        with pytest.raises(NumericError, match="a contains non-finite"):
-            dot([1, np.nan], [1, 2, 3])
+        raises_in_every_error_state(NumericError, lambda: dot([1, np.nan], [1, 2, 3]),
+                                    "a contains non-finite")
 
     def test_inf_against_zero_raises(self):
         # inf * 0 is nan, so the sum shows the bad entry
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="b contains"):
-            dot([1.0, 0.0], [2.0, np.inf])
+        raises_in_every_error_state(NumericError, lambda: dot([1.0, 0.0], [2.0, np.inf]),
+                                    "b contains")
 
     def test_overflow_from_finite_inputs_is_returned(self):
         with np.errstate(over="ignore"):
@@ -68,8 +89,8 @@ class TestDot:
             assert dot([1e200, 1e200], [1e200, 1e200]) == math.inf
 
     def test_norm_rejects_non_finite_and_matrices(self):
-        with pytest.raises(NumericError):
-            norm([1.0, np.inf])
+        raises_in_every_error_state(NumericError, lambda: norm([1.0, np.inf]))
+        raises_in_every_error_state(NumericError, lambda: norm([np.inf, -np.inf, np.nan]))
         with pytest.raises(DimensionError):
             norm(np.eye(2))
 
@@ -133,8 +154,7 @@ class TestGramSchmidt:
             gram_schmidt([[1.0, 0.0]], delta=1e-6, epsilon=-1.0)
         with pytest.raises(DimensionError):
             gram_schmidt([[1.0, 0.0], [1.0, 0.0, 0.0]], delta=1e-6)
-        with pytest.raises(NumericError):
-            gram_schmidt([[np.inf, 0.0]], delta=1e-6)
+        raises_in_every_error_state(NumericError, lambda: gram_schmidt([[np.inf, 0.0]], delta=1e-6))
 
     def test_epsilon_stabilizer_shrinks_norm(self):
         basis = gram_schmidt([[2.0, 0.0]], delta=1e-6, epsilon=1.0)
@@ -188,10 +208,12 @@ class TestProjectComplement:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_g_raises_even_off_the_basis(self, bad):
         # the bad entry meets a zero in the first basis vector; the first
-        # coefficient still comes out non-finite
-        basis = OrthonormalBasis(np.array([[1.0, 0.0, 0.0]]))
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="g contains"):
-            project_complement([1.0, 2.0, bad], basis)
+        # coefficient still comes out non-finite (inf * 0 raises under a
+        # strict error state, as does inf - inf)
+        basis = OrthonormalBasis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        for g in ([1.0, 2.0, bad], [bad, -bad, 0.0]):
+            raises_in_every_error_state(NumericError, lambda: project_complement(g, basis),
+                                        "g contains")
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(5)
@@ -329,13 +351,15 @@ def test_non_finite_inputs_raise_as_an_upfront_check(bad, at):
     worse = good.copy()
     worse[at] = bad
     basis = gram_schmidt([rng.standard_normal(good.size)], delta=1e-8)
-    with np.errstate(invalid="ignore"):
-        for call, message in [(lambda: dot(worse, good), "a contains non-finite"),
-                              (lambda: dot(good, worse), "b contains non-finite"),
-                              (lambda: norm(worse), "a contains non-finite"),
-                              (lambda: project_complement(worse, basis), "g contains non-finite")]:
-            with pytest.raises(NumericError, match=message):
-                call()
+    zero = np.zeros_like(good)  # bad * 0 is nan: the invalid operation of a strict error state
+    for call, message in [(lambda: dot(worse, good), "a contains non-finite"),
+                          (lambda: dot(good, worse), "b contains non-finite"),
+                          (lambda: dot(zero, worse), "b contains non-finite"),
+                          (lambda: norm(worse), "a contains non-finite"),
+                          (lambda: project_complement(worse, basis), "g contains non-finite"),
+                          (lambda: dots(np.stack([good, worse]), good), "rows contains non-finite"),
+                          (lambda: dots(np.stack([zero, good]), worse), "v contains non-finite")]:
+        raises_in_every_error_state(NumericError, call, message)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -348,9 +372,8 @@ def test_gram_schmidt_names_a_non_finite_candidate(bad, d, which):
     for at in (0, d // 2, d - 1):
         cands = rng.standard_normal((4, d))
         cands[which, at] = bad
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NumericError, match=f"^candidate {which} contains non-finite"):
-            gram_schmidt(cands, delta=1e-8)
+        raises_in_every_error_state(NumericError, lambda: gram_schmidt(cands, delta=1e-8),
+                                    f"^candidate {which} contains non-finite")
 
 
 def test_gram_schmidt_checks_every_shape_before_finiteness():
@@ -379,6 +402,91 @@ def test_overflow_from_finite_inputs_matches_one_accumulate():
     with np.errstate(over="ignore", invalid="ignore"):
         for b in (big, big * [1.0, 1.0, -1.0]):
             assert np.float64(dot(big, b)).tobytes() == _one_accumulate(big, b)
+
+
+def test_overflow_from_finite_inputs_follows_a_strict_error_state():
+    big = np.array([1e200, 1e200])
+    basis = OrthonormalBasis(np.array([[0.6, -0.8]]))  # 1.02e308 + 1.36e308 overflows
+    with np.errstate(over="raise"):
+        for call in (lambda: dot(big, big), lambda: dots(big[None, :], big), lambda: norm(big),
+                     lambda: project_complement([1.7e308, -1.7e308], basis),
+                     lambda: gram_schmidt([big], delta=1e-6)):
+            with pytest.raises(FloatingPointError):
+                call()
+
+
+def _row_accumulates(rows, v) -> bytes:
+    return b"".join(_one_accumulate(u, v) for u in rows)
+
+
+DOTS_SIZES = [0, 1, 10, BLOCK - 1, BLOCK, BLOCK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 8]), st.sampled_from(DOTS_SIZES),
+       st.sampled_from(["as is", "leading rows", "strided"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 150))
+def test_dots_is_a_dot_per_row(k, n, view, seed, spread):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-spread, spread + 1, shape)
+
+    rows = {"as is": lambda: draw((k, n)),
+            "leading rows": lambda: draw((k + 3, n))[:k],  # as gram_schmidt passes block[:k]
+            "strided": lambda: draw((2 * k, 2 * n))[::2, ::-2]}[view]()
+    v = draw(n)
+    v[rng.random(n) < 0.05] = -0.0
+    got = dots(rows, v)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert got.tobytes() == np.array([dot(u, v) for u in rows], dtype=np.float64).tobytes()
+    assert got.tobytes() == _row_accumulates(rows, v)
+
+
+@pytest.mark.parametrize("pad", [0, 8190, BLOCK - 2])
+def test_dots_signed_zeros_and_exact_cancellation(pad):
+    # one row per sequence of up to four products from {+-0, +-1}; the
+    # -0.0 padding takes the longest rows past BLOCK
+    for length in range(1, 5):
+        seqs = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0], repeat=length)))
+        rows = np.concatenate([np.full((len(seqs), pad), -0.0), seqs], axis=1)
+        v = np.ones(rows.shape[1])
+        assert dots(rows, v).tobytes() == _row_accumulates(rows, v)
+    # an empty row sums to +0.0, as _seqdot's does
+    assert dots(np.zeros((3, 0)), np.zeros(0)).tobytes() == np.zeros(3).tobytes()
+
+
+def test_dots_checks_shapes_before_finiteness():
+    for rows, v, message in [(np.ones(3), np.ones(3), r"rows must have shape \(k, 3\)"),
+                             (np.ones((2, 3, 1)), np.ones(3), "rows must have shape"),
+                             ([[np.nan, 1.0]], [1.0, 2.0, 3.0], r"got \(1, 2\)"),
+                             (np.ones((2, 3)), np.ones((3, 1)), "v must be 1-D")]:
+        with pytest.raises(DimensionError, match=message):
+            dots(rows, v)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [3, BLOCK + 2])
+def test_dots_names_a_non_finite_input(bad, n):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, n))
+    v = rng.standard_normal(n)
+    bad_rows, bad_v = rows.copy(), v.copy()
+    bad_rows[2, n // 2], bad_v[n - 1] = bad, bad
+    for r, w, message in [(bad_rows, v, "^rows contains non-finite"),
+                          (rows, bad_v, "^v contains non-finite"),
+                          (bad_rows, bad_v, "^rows contains non-finite")]:
+        raises_in_every_error_state(NumericError, lambda: dots(r, w), message)
+
+
+def test_dots_overflow_from_finite_inputs_is_returned():
+    # inf, then inf - inf = nan, as dot returns them
+    big = np.array([1e200, 1e200, 1e200])
+    rows = np.stack([big, big * [1.0, 1.0, -1.0], np.ones(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dots(rows, big)
+        assert got.tobytes() == _row_accumulates(rows, big)
+    assert math.isinf(got[0]) and math.isnan(got[1]) and got[2] == 3e200
 
 
 _VIEWS = {
@@ -433,35 +541,22 @@ def test_subtract_reduce_is_a_left_fold(n, seed, spread):
 _LINALG_BYTES_SCRIPT = """
 import hashlib
 import numpy as np
-from orthoproj.linalg import dot, gram_schmidt, norm, project_complement
+from orthoproj.linalg import dot, dots, gram_schmidt, norm, project_complement
 rng = np.random.default_rng(5)
-d = 100_000
-cands = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-20, 21, (4, d))
-g = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 21, d)
-basis = gram_schmidt(cands, delta=1e-8)
-for out in (dot(cands[0], g), norm(g), project_complement(g, basis), basis.vectors):
-    print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())
+for d, m in ((100_000, 4), (1000, 8)):
+    cands = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-20, 21, (m, d))
+    g = rng.standard_normal(d) * 10.0 ** rng.integers(-20, 21, d)
+    basis = gram_schmidt(cands, delta=1e-8)
+    rank3 = gram_schmidt(cands[:3], delta=1e-8)
+    for out in (dot(cands[0], g), dots(cands, g), norm(g), project_complement(g, basis),
+                project_complement(g, rank3), basis.vectors):
+        print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())
 """
 
 
-def _output_at_each_blas_thread_count(script):
-    # the thread count is fixed before numpy loads, so each needs a fresh process
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.splitlines())
-    return outputs
-
-
-def test_linalg_bytes_at_each_blas_thread_count():
-    outputs = _output_at_each_blas_thread_count(_LINALG_BYTES_SCRIPT)
-    assert len(outputs[0]) == 4
+def test_linalg_bytes_at_each_blas_thread_count(at_each_blas_thread_count):
+    outputs = at_each_blas_thread_count(_LINALG_BYTES_SCRIPT)
+    assert len(outputs[0]) == 2 * 6
     assert outputs[0] == outputs[1]
 
 
@@ -483,10 +578,10 @@ for n in (1, 100, 200_000):
 """
 
 
-def test_all_finite_decisions_at_each_blas_thread_count():
+def test_all_finite_decisions_at_each_blas_thread_count(at_each_blas_thread_count):
     # a BLAS sum of squares at d = 200,000 is split across threads at two;
     # at scale 1e160 every square overflows and the mask decides
-    outputs = _output_at_each_blas_thread_count(_ALL_FINITE_SCRIPT)
+    outputs = at_each_blas_thread_count(_ALL_FINITE_SCRIPT)
     assert len(outputs[0]) == 3 * 2 * (1 + 3 * 3)
     assert all(line.endswith("True") for line in outputs[0])
     assert outputs[0] == outputs[1]

@@ -147,6 +147,29 @@ class TestStepArithmetic:
             assert got is not theta
         assert theta.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_replay_sums_reference_gradients_from_zeros(self, m):
+        # 0.0 + -0.0 is +0.0, so the sum from zeros has +0.0 wherever every
+        # reference gradient has -0.0; where theta and the safety gradient
+        # hold -0.0 as well, that sign reaches theta'
+        class Fixed:
+            def __init__(self, g):
+                self.g = np.array(g)
+
+            def gradient(self, theta, batch):
+                return self.g.copy()
+
+        theta = np.array([-0.0, -0.0, 1.0, -0.0])
+        safety = Fixed([-0.0, -0.0, 2.0, 0.5])
+        refs = [Fixed([-0.0, 0.0, -0.0, 3.0]), Fixed([-0.0, -0.0, 0.0, -1.0])][:m]
+        got, _ = replay_step(theta, safety, None, refs, [None] * m, 0.5, 0.7)
+        acc = np.zeros_like(theta)
+        for t in refs:
+            acc += t.gradient(theta, None)
+        want = theta - 0.5 * (safety.gradient(theta, None) + 0.7 * (acc / m))
+        assert got.tobytes() == want.tobytes()
+        assert [math.copysign(1.0, x) for x in got[:2]] == [-1.0, -1.0]
+
 
 class TestTrain:
     def test_single_step_orthogonal_matches_naive(self, quadratic_family):
@@ -230,17 +253,24 @@ class TestTrain:
 
 class TestMemory:
     """train() holds theta and the active basis between steps, and at most
-    k parameter-sized arrays in all within a step: 3 for naive, 4 for
-    replay and the basis plus 4 for ortho. The slack covers small objects,
-    and a boolean finiteness mask (d bytes), which is built only when a
-    finite array's sum of squares overflows."""
+    k parameter-sized arrays in all within a step: 3 for naive, 3 for
+    replay with one reference facet (it accumulates into the first
+    reference gradient) and 4 with two, and the basis plus 4 for ortho. The
+    slack covers small objects, and a boolean finiteness mask (d bytes),
+    which is built only when a finite array's sum of squares overflows."""
 
     D = 100_000
 
-    @pytest.mark.parametrize("method, k", [("naive", 3), ("replay", 4), ("ortho", 1 + 4)])
-    def test_peak_above_entry(self, method, k):
-        fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
-        cfg = TrainConfig(method=method, eta=0.05, steps=3, refresh_every=1, ref_count=1,
+    # the case ids stay method-k; m is the number of reference facets
+    @pytest.mark.parametrize("method, m, k", [("naive", 1, 3), ("replay", 1, 3),
+                                              ("replay", 2, 4), ("ortho", 1, 1 + 4)],
+                             ids=["naive-3", "replay-3", "replay-4", "ortho-5"])
+    def test_peak_above_entry(self, method, m, k):
+        if m == 1:
+            fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
+        else:
+            fam = _random_quadratic_family(self.D, m, seed=0)
+        cfg = TrainConfig(method=method, eta=0.05, steps=3, refresh_every=1, ref_count=m,
                           stages=(Stage("safety", "squared_error", 3),))
         tracemalloc.start()
         try:
