@@ -16,19 +16,18 @@ fam = build_family(EXP.family_kind, EXP.family_seed, **EXP.family_params_dict())
 
 print("== estimation: one gradient per reference facet, orthonormalized")
 sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), batch_size=200,
-                        rng=np.random.default_rng(0), delta=1e-6, epsilon=0.0, step=0)
+                        rng=np.random.default_rng(0), delta=1e-6, step=0)
 print(f"{sub.candidate_count} facets -> rank {sub.rank} basis, built at step {sub.built_at_step}")
 
 print("\n== duplicated facets add no rank (the threshold discards them)")
 doubled = estimate_subspace(fam.theta0, list(fam.capability_tasks) * 2, 200,
-                            np.random.default_rng(0), 1e-6, 0.0, 0)
+                            np.random.default_rng(0), 1e-6, 0)
 print(f"{doubled.candidate_count} candidates -> rank {doubled.rank}")
 
 print("\n== refresh period: fresh bases track the moving loss geometry")
 for period in (2, 5, 10, NO_REFRESH):
-    stages = tuple(dataclasses.replace(s, refresh_every=period) for s in EXP.train.stages)
     # the tax and the removed fraction need no per-step probe losses
-    cfg = dataclasses.replace(EXP.train, refresh_every=period, stages=stages, probes=False)
+    cfg = dataclasses.replace(EXP.train.with_refresh(period), probes=False)
     result = train(cfg, fam)
     report = alignment_tax(result, fam)
     removed = sum(r.removed_fraction for r in result.records) / len(result.records)

@@ -22,8 +22,7 @@ def run(refresh=None, **overrides):
     # only the endpoints, so the runs skip the per-step probes.
     cfg = dataclasses.replace(EXP.train, probes=False)
     if refresh is not None:
-        stages = tuple(dataclasses.replace(s, refresh_every=refresh) for s in cfg.stages)
-        cfg = dataclasses.replace(cfg, refresh_every=refresh, stages=stages)
+        cfg = cfg.with_refresh(refresh)
     return alignment_tax(train(dataclasses.replace(cfg, **overrides), fam), fam)
 
 

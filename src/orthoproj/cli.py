@@ -19,7 +19,7 @@ from .config import ExperimentFile, parse_config_file, render_config
 from .errors import ConfigurationError, NumericError
 from .metrics import (alignment_tax, records_to_csv, summarize, summary_table,
                       tax_report_to_csv)
-from .optimizer import NO_REFRESH, Stage, train
+from .optimizer import NO_REFRESH, train
 from .plots import line_chart, scatter_chart
 from .tasks import build_family
 
@@ -117,9 +117,7 @@ def _sweep_configs(experiment: ExperimentFile, axis: str, values):
         t = experiment.train
         try:
             if axis == "K":
-                period = NO_REFRESH if value == "inf" else int(value)
-                stages = tuple(Stage(s.task, s.loss, s.steps, period) for s in t.stages)
-                t = dataclasses.replace(t, refresh_every=period, stages=stages)
+                t = t.with_refresh(NO_REFRESH if value == "inf" else int(value))
             elif axis == "M":
                 t = dataclasses.replace(t, ref_count=int(value))
             else:  # refsize

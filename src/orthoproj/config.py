@@ -58,7 +58,6 @@ class ExperimentFile:
     rendered config, which always writes the seed, parses back equal.
     """
 
-    version: int
     family_kind: str
     family_seed: int
     family_params: tuple[tuple[str, float | int], ...]
@@ -71,7 +70,7 @@ class ExperimentFile:
 
 
 def _shipped(stem: str, kind: str, family: dict, **train) -> ExperimentFile:
-    return ExperimentFile(CONFIG_VERSION, kind, 0, tuple(sorted(family.items())),
+    return ExperimentFile(kind, 0, tuple(sorted(family.items())),
                           TrainConfig(**train), f"runs/{stem}")
 
 
@@ -98,7 +97,7 @@ DEFAULTS = {
 
 _TRAIN_KEYS = {
     "method": str, "eta": float, "steps": int, "refresh_every": "period",
-    "ref_count": int, "delta": float, "epsilon": float, "safety_batch": int,
+    "ref_count": int, "delta": float, "safety_batch": int,
     "ref_batch": int, "replay_lambda": float, "seed": int, "stages": "stages",
 }
 
@@ -244,7 +243,6 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
     family_seed = (_convert(int, family_seed_raw, *pos("family", "seed"))
                    if family_seed_raw is not None else int(train.seed))
     return ExperimentFile(
-        version=version,
         family_kind=kind,
         family_seed=family_seed,
         family_params=tuple(sorted(params.items())),
@@ -274,7 +272,7 @@ def render_config(experiment: ExperimentFile) -> str:
         stage_strs.append(base)
     lines = [
         "[experiment]",
-        f"version = {experiment.version}",
+        f"version = {CONFIG_VERSION}",
         "",
         "[family]",
         f"kind = {experiment.family_kind}",
@@ -291,7 +289,6 @@ def render_config(experiment: ExperimentFile) -> str:
         f"refresh_every = {_period_str(t.refresh_every)}",
         f"ref_count = {t.ref_count}",
         f"delta = {t.delta!r}",
-        f"epsilon = {t.epsilon!r}",
         f"safety_batch = {t.safety_batch}",
         f"ref_batch = {t.ref_batch}",
         f"replay_lambda = {t.replay_lambda!r}",

@@ -1,11 +1,12 @@
 """Recorded mitigation margins from the first full run of the default
 benchmark families on this implementation.
 
-The verify suite re-measures these quantities and requires agreement within
-5 percent; the qualitative gates (strict per-probe tax ordering, 70 percent
-gain floors) are checked independently of these numbers. Regenerate with
-``python -m orthoproj.goldens`` after an intentional change to the default
-families or training settings.
+The verify suite re-measures every recorded quantity (each method's per-probe
+taxes, the gain ratio and, for the policy family, the DPO drop ratio) and
+requires agreement within 5 percent; the qualitative gates (strict per-probe
+tax ordering, 70 percent gain floors) are checked independently of these
+numbers. Regenerate with ``python -m orthoproj.goldens`` after an
+intentional change to the default families or training settings.
 """
 
 from __future__ import annotations

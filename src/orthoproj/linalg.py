@@ -208,9 +208,8 @@ def _remove_components(g: np.ndarray, rows) -> np.ndarray:
 class OrthonormalBasis:
     """Orthonormal set stored row-wise: ``vectors[j]`` is the j-th direction.
 
-    Invariants (guaranteed by :func:`gram_schmidt` with epsilon=0): every row
-    has unit norm to 1e-10 and distinct rows have inner products below 1e-10
-    in magnitude.
+    Invariants (guaranteed by :func:`gram_schmidt`): every row has unit norm
+    to 1e-10 and distinct rows have inner products below 1e-10 in magnitude.
     """
 
     vectors: np.ndarray  # (rank, dim) float64
@@ -246,15 +245,16 @@ class OrthonormalBasis:
         return float(np.abs(self.gram() - np.eye(self.rank)).max())
 
 
-def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalBasis:
+def gram_schmidt(candidates, delta: float) -> OrthonormalBasis:
     """Orthonormalize candidates in order, discarding near-collinear ones.
 
     A candidate is accepted iff the norm of its residual, after removing
     projections onto the previously accepted directions, is at least
     ``delta``. Accepted residuals get one extra re-orthogonalization pass
-    before normalizing by (norm + epsilon); a single classical pass loses
-    orthogonality on nearly collinear inputs, and the extra pass does not
-    change which candidates are accepted.
+    and are then divided by their own norm, which the threshold keeps well
+    away from zero; a single classical pass loses orthogonality on nearly
+    collinear inputs, and the extra pass does not change which candidates
+    are accepted.
 
     ``delta`` is an absolute threshold here. Callers that want the
     scale-invariant default should pass ``delta_rel * max(candidate norms)``
@@ -272,8 +272,6 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
     """
     if not math.isfinite(delta) or delta <= 0:
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
-    if not math.isfinite(epsilon) or epsilon < 0:
-        raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
     vs = [_as_1d(c, f"candidate {i}") for i, c in enumerate(candidates)]
     if not vs:
         return OrthonormalBasis.empty(0)
@@ -295,9 +293,9 @@ def gram_schmidt(candidates, delta: float, epsilon: float = 0.0) -> OrthonormalB
             continue
         residual = _remove_components(residual, block[:k])
         n = norm(residual)
-        if n + epsilon <= 0.0:
+        if n <= 0.0:
             raise NumericError("residual collapsed to zero during re-orthogonalization")
-        np.divide(residual, n + epsilon, out=block[k])
+        np.divide(residual, n, out=block[k])
         k += 1
     if k == 0:
         return OrthonormalBasis.empty(dim)

@@ -46,12 +46,11 @@ class TrainConfig:
     refresh_every (the period K) is a positive integer or ``NO_REFRESH``;
     ref_count (M) selects how many of the family's capability facets feed
     the subspace (the first M, unless ref_facets picks specific ones);
-    delta is the relative Gram-Schmidt threshold and epsilon the
-    normalization stabilizer; replay_lambda weighs the mixed-in mean
-    reference gradient for the replay method. probes=False evaluates the
-    probes only on each stage's last step (see :func:`train`); it is a
-    library option for callers that read only a run's endpoints, not a
-    config-file key.
+    delta is the relative Gram-Schmidt threshold, the rank filter's only
+    tolerance; replay_lambda weighs the mixed-in mean reference gradient for
+    the replay method. probes=False evaluates the probes only on each
+    stage's last step (see :func:`train`). ref_facets and probes are library
+    options, not config-file keys; every other field is a ``[train]`` key.
     """
 
     method: str = "ortho"
@@ -60,7 +59,6 @@ class TrainConfig:
     refresh_every: int | float = 5
     ref_count: int = 2
     delta: float = 1e-6
-    epsilon: float = 0.0
     safety_batch: int = 32
     ref_batch: int = 200
     replay_lambda: float = 1.0
@@ -68,6 +66,12 @@ class TrainConfig:
     stages: tuple[Stage, ...] = ()
     ref_facets: tuple[int, ...] | None = None
     probes: bool = True
+
+    def with_refresh(self, period) -> "TrainConfig":
+        """This config with refresh period ``period`` on the run and on
+        every stage, as the K ablations set it."""
+        return replace(self, refresh_every=period,
+                       stages=tuple(replace(s, refresh_every=period) for s in self.stages))
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -86,8 +90,6 @@ class TrainConfig:
             raise ConfigurationError(f"ref_count must be >= 0, got {self.ref_count}")
         if not self.delta > 0:
             raise ConfigurationError(f"delta must be positive, got {self.delta}")
-        if self.epsilon < 0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.safety_batch < 1 or self.ref_batch < 1:
             raise ConfigurationError("batch sizes must be positive")
         if self.replay_lambda < 0:
@@ -235,7 +237,7 @@ def train(config: TrainConfig, family) -> TrainResult:
                 if use_subspace and (subspace is None or needs_refresh(t, period)):
                     subspace = None  # the old basis is freed before the new one is built
                     subspace = estimate_subspace(theta, ref_tasks, config.ref_batch,
-                                                 rng_ref, config.delta, config.epsilon, t)
+                                                 rng_ref, config.delta, t)
                     history.append((t, subspace.rank))
 
                 # only the norms of a step's gradients outlive it

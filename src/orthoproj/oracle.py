@@ -19,25 +19,16 @@ from .errors import ConfigurationError, NumericError, PreconditionError
 from .linalg import OrthonormalBasis, as_vector, dot, norm, project_complement
 from .subspace import estimate_subspace
 
-__all__ = ["FDConfig", "fd_gradient", "gradient_agreement",
+__all__ = ["FD_STEP", "fd_gradient", "gradient_agreement",
            "SteepestReport", "steepest_check",
            "TaylorReport", "taylor_scaling"]
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Central-difference settings; h = 1e-5 balances truncation against
-    rounding at 64-bit precision."""
-
-    h: float = 1e-5
-    rel_tol: float = 1e-4
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ConfigurationError(f"h must be positive, got {self.h}")
+# central-difference step; 1e-5 balances truncation against rounding in float64
+FD_STEP = 1e-5
 
 
-def fd_gradient(spec, kind, theta, batch, fd: FDConfig = FDConfig()) -> np.ndarray:
+def fd_gradient(spec, kind, theta, batch) -> np.ndarray:
     """Coordinate-wise central differences of the loss.
 
     Deliberately shares no code with :func:`orthoproj.models.gradient`; it
@@ -47,33 +38,33 @@ def fd_gradient(spec, kind, theta, batch, fd: FDConfig = FDConfig()) -> np.ndarr
     out = np.empty_like(th)
     for i in range(th.size):
         orig = th[i]
-        th[i] = orig + fd.h
+        th[i] = orig + FD_STEP
         f_plus = models.loss(spec, kind, th, batch)
-        th[i] = orig - fd.h
+        th[i] = orig - FD_STEP
         f_minus = models.loss(spec, kind, th, batch)
         th[i] = orig
-        out[i] = (f_plus - f_minus) / (2.0 * fd.h)
+        out[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     if not np.all(np.isfinite(out)):
         raise NumericError("finite-difference probe produced non-finite values")
     return out
 
 
-def gradient_agreement(spec, kind, theta, batch, fd: FDConfig = FDConfig()) -> float:
+def gradient_agreement(spec, kind, theta, batch, rel_tol: float = 1e-4) -> float:
     """Worst per-coordinate relative disagreement between the analytic
     gradient and central differences.
 
     Central differences resolve a derivative no finer than
-    roundoff(loss) / (2h); the denominator floors at that resolution divided
-    by the tolerance, so coordinates whose true value sits below what the
-    probe can measure (exact zeros included) do not register as
-    disagreements while every measurable coordinate is still held to the
-    relative tolerance.
+    roundoff(loss) / (2 * FD_STEP); the denominator floors at that
+    resolution divided by ``rel_tol``, so coordinates whose true value sits
+    below what the probe can measure (exact zeros included) do not register
+    as disagreements while every measurable coordinate is still held to
+    ``rel_tol``.
     """
     analytic = models.gradient(spec, kind, theta, batch)
-    approx = fd_gradient(spec, kind, theta, batch, fd)
+    approx = fd_gradient(spec, kind, theta, batch)
     loss_scale = max(1.0, abs(models.loss(spec, kind, theta, batch)))
-    fd_noise = 8.0 * np.finfo(np.float64).eps * loss_scale / (2.0 * fd.h)
-    floor = fd_noise / fd.rel_tol
+    fd_noise = 8.0 * np.finfo(np.float64).eps * loss_scale / (2.0 * FD_STEP)
+    floor = fd_noise / rel_tol
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(approx)), floor)
     return float((np.abs(analytic - approx) / denom).max())
 
@@ -171,7 +162,7 @@ def taylor_scaling(family, etas, method: str) -> TaylorReport:
     g_safe = safety.gradient(theta0, safety.probe())
     if method == "ortho":
         sub = estimate_subspace(theta0, [ref], batch_size=1, rng=np.random.default_rng(0),
-                                delta=1e-6, epsilon=0.0, step=0)
+                                delta=1e-6, step=0)
         direction = project_complement(g_safe, sub.basis)
     else:
         direction = g_safe

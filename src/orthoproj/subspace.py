@@ -52,7 +52,7 @@ def needs_refresh(step: int, period) -> bool:
 
 
 def estimate_subspace(model_state, ref_tasks, batch_size: int,
-                      rng: np.random.Generator, delta: float, epsilon: float,
+                      rng: np.random.Generator, delta: float,
                       step: int) -> CapabilitySubspace:
     """Sample one mini-batch per reference task, take the gradients at the
     current parameters, and orthonormalize them in task order.
@@ -74,5 +74,5 @@ def estimate_subspace(model_state, ref_tasks, batch_size: int,
         grads.append(g)
     max_norm = max(norm(g) for g in grads)
     delta_abs = delta * max_norm if max_norm > 0 else delta
-    basis = gram_schmidt(grads, delta_abs, epsilon)
+    basis = gram_schmidt(grads, delta_abs)
     return CapabilitySubspace(basis, built_at_step=step, candidate_count=len(ref_tasks))

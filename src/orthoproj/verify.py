@@ -153,7 +153,6 @@ def _fd_cases(rng: np.random.Generator):
 def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
                                tol: float = 1e-4) -> CheckResult:
     start = time.perf_counter()
-    fd = oracle.FDConfig(h=1e-5, rel_tol=tol)
     worst = 0.0
     worst_case = ""
     cases = []
@@ -161,7 +160,7 @@ def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
     for child in root.spawn(n_configs):
         cases = _fd_cases(np.random.default_rng(child))
         for spec, kind, theta, batch in cases:
-            err = oracle.gradient_agreement(spec, kind, theta, batch, fd)
+            err = oracle.gradient_agreement(spec, kind, theta, batch, rel_tol=tol)
             if err > worst:
                 worst, worst_case = err, f"{spec.kind}/{kind.tag}"
     elapsed = time.perf_counter() - start
@@ -200,7 +199,6 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
             bound = -norm(g_perp)
             report = oracle.steepest_check(g, basis, n_samples, rng, slack=slack)
             cells += 1
-            violations += int(np.count_nonzero(np.array([report.min_directional]) < bound - slack))
             violations += report.violations
             # analytic attainment, via the (possibly injected) projector
             v_star = -g_perp / norm(g_perp)
@@ -233,7 +231,7 @@ def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
     # eta -> eta/2 must shrink the projected step's reference-loss change 4x
     safety = fam.tasks["safety"]
     ref = fam.capability_tasks[0]
-    sub = estimate_subspace(fam.theta0, [ref], 1, np.random.default_rng(0), 1e-6, 0.0, 0)
+    sub = estimate_subspace(fam.theta0, [ref], 1, np.random.default_rng(0), 1e-6, 0)
     g = project_complement(safety.gradient(fam.theta0), sub.basis)
     l0 = ref.loss(fam.theta0)
     eta = etas[0]
@@ -320,10 +318,8 @@ def _mitigation_margins(stem: str, seed: int):
 
 
 def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
-                         golden_tol: float = 0.05,
-                         goldens: dict | None = None) -> CheckResult:
+                         golden_tol: float = 0.05) -> CheckResult:
     start = time.perf_counter()
-    goldens = GOLDEN_MARGINS if goldens is None else goldens
     problems = []
     summary = []
     for stem in MITIGATION_STEMS:
@@ -338,7 +334,7 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
             if "dpo_drop_ratio" in m and not m["dpo_drop_ratio"] >= ratio_floor:
                 problems.append(f"{kind}/seed{seed}: dpo drop ratio "
                                 f"{m['dpo_drop_ratio']:.3f} < {ratio_floor}")
-            golden = goldens.get(kind, {}).get(str(seed))
+            golden = GOLDEN_MARGINS.get(kind, {}).get(str(seed))
             if golden is not None:
                 for key in ("gain_ratio", "dpo_drop_ratio"):
                     if key in golden:
@@ -346,7 +342,7 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
                         if rel > golden_tol:
                             problems.append(f"{kind}/seed{seed}: {key} {m[key]:.4f} departs "
                                             f"{rel:.1%} from recorded {golden[key]:.4f}")
-                for key in ("tax_ortho", "tax_naive"):
+                for key in ("tax_ortho", "tax_naive", "tax_replay"):
                     for i, (got, want) in enumerate(zip(m[key], golden[key])):
                         denom = max(abs(want), 1e-6)
                         if abs(got - want) / denom > golden_tol:
@@ -370,16 +366,11 @@ def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckRe
     base = replace(DEFAULTS["policy"].train, seed=seed, probes=False)  # taxes read endpoints only
     problems = []
 
-    def tax_with(**overrides):
-        if "refresh_all" in overrides:
-            period = overrides.pop("refresh_all")
-            overrides["stages"] = tuple(Stage(s.task, s.loss, s.steps, period)
-                                        for s in base.stages)
-            overrides["refresh_every"] = period if period == NO_REFRESH else int(period)
-        result = train(replace(base, **overrides), fam)
+    def tax_with(config=base, **overrides):
+        result = train(replace(config, **overrides), fam)
         return alignment_tax(result, fam).total_tax
 
-    k_taxes = {k: tax_with(refresh_all=k) for k in (2, 5, 10, NO_REFRESH)}
+    k_taxes = {k: tax_with(base.with_refresh(k)) for k in (2, 5, 10, NO_REFRESH)}
     best_finite = max(v for k, v in k_taxes.items() if k != NO_REFRESH)
     if not k_taxes[NO_REFRESH] > best_finite:
         problems.append(f"K=inf tax {k_taxes[NO_REFRESH]:.4g} not worse than finite {best_finite:.4g}")

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 
-from orthoproj.config import (DEFAULTS, ConfigParseError, parse_config, parse_config_file,
-                              render_config)
-from orthoproj.optimizer import NO_REFRESH, Stage
+from orthoproj.config import (_TRAIN_KEYS, DEFAULTS, ConfigParseError, parse_config,
+                              parse_config_file, render_config)
+from orthoproj.optimizer import NO_REFRESH, Stage, TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -65,7 +66,6 @@ steps = 100
 refresh_every = inf
 ref_count = 2
 delta = 1e-7
-epsilon = 0.0
 safety_batch = 32
 ref_batch = 100
 replay_lambda = 0.5
@@ -99,6 +99,10 @@ class TestRejection:
     def test_unknown_key_with_position(self):
         bad = MINIMAL.replace("d = 12", "d = 12\nwobble = 3")
         self._expect(bad, "wobble", line=8)
+        # every config_resolved.cfg written while gram_schmidt took an
+        # epsilon carries this line
+        bad = MINIMAL.replace("[train]\n", "[train]\nepsilon = 0.0\n")
+        self._expect(bad, "unknown key 'epsilon' in [train]", line=11)
 
     def test_unknown_section(self):
         self._expect(MINIMAL + "\n[extra]\nx = 1\n", "unknown section")
@@ -137,3 +141,27 @@ class TestRejection:
 def test_shipped_config_file_matches_defaults(stem):
     # configs/*.cfg restate the package's shipped experiments; keep them equal
     assert parse_config_file(CONFIGS / f"{stem}.cfg") == DEFAULTS[stem]
+
+
+# TrainConfig fields that only library callers set; every other field is a
+# [train] key
+LIBRARY_ONLY = ("ref_facets", "probes")
+
+
+def test_train_keys_are_the_config_fields():
+    fields = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in LIBRARY_ONLY]
+    assert set(_TRAIN_KEYS) == set(fields)
+    for key in LIBRARY_ONLY:
+        with pytest.raises(ConfigParseError, match=f"unknown key '{key}'"):
+            parse_config(MINIMAL.replace("[train]\n", f"[train]\n{key} = 1\n"))
+    for exp in DEFAULTS.values():
+        section = render_config(exp).split("[train]\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split(" = ", 1)[0] for line in section.splitlines()] == fields
+
+
+@pytest.mark.parametrize("period", [2, NO_REFRESH])
+def test_with_refresh_sets_the_run_and_every_stage(period):
+    policy = DEFAULTS["policy"].train
+    by_hand = dataclasses.replace(policy, refresh_every=period, stages=(
+        Stage("sft", "nll_sft", 60, period), Stage("dpo", "dpo_pairwise", 40, period)))
+    assert policy.with_refresh(period) == by_hand

@@ -58,7 +58,7 @@ class TestProjectedStep:
         fam = quadratic_family(math.pi / 2)
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0.0, 0)
+                                np.random.default_rng(0), 1e-6, 0)
         theta_p, _, _ = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
         theta_n, _ = naive_step(fam.theta0, safety, safety.probe(), 0.05)
         assert theta_p.tobytes() == theta_n.tobytes()
@@ -67,7 +67,7 @@ class TestProjectedStep:
         fam = quadratic_family(0.0)
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0.0, 0)
+                                np.random.default_rng(0), 1e-6, 0)
         theta_p, g, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
         assert np.abs(theta_p - fam.theta0).max() <= 1e-12
         assert norm(g_proj) <= 1e-12 * norm(g)
@@ -76,7 +76,7 @@ class TestProjectedStep:
         fam = quadratic_family(math.pi / 4)
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0.0, 0)
+                                np.random.default_rng(0), 1e-6, 0)
         _, g, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
         assert abs(norm(g_proj) - norm(g) * math.sin(math.pi / 4)) <= 1e-9
 
@@ -128,7 +128,7 @@ class TestStepArithmetic:
         theta = fam.theta0 + 0.01 * rng.standard_normal(fam.theta0.size)
         before = theta.copy()
         g = safety.gradient(theta, batch)
-        sub = estimate_subspace(theta, refs[:2], 2, np.random.default_rng(2), 1e-6, 0.0, 0)
+        sub = estimate_subspace(theta, refs[:2], 2, np.random.default_rng(2), 1e-6, 0)
 
         got, _ = naive_step(theta, safety, batch, eta)
         assert got.tobytes() == (theta - eta * g).tobytes()
@@ -198,7 +198,7 @@ class TestTrain:
         sub = None
         for t in range(20):
             if t % 5 == 0:
-                sub = estimate_subspace(theta, refs, 200, rng_r, 1e-6, 0.0, t)
+                sub = estimate_subspace(theta, refs, 200, rng_r, 1e-6, t)
             batch = safety.sample_batch(rng_s, 64)
             theta, g, g_proj = projected_step(theta, safety, batch, sub, 0.02)
             bound = 1e-8 * norm(g)
@@ -238,7 +238,7 @@ class TestTrain:
         safety = fam.tasks["safety"]
         cap = fam.capability_tasks[0]
         sub = estimate_subspace(fam.theta0, [cap], 1, np.random.default_rng(0),
-                                1e-6, 0.0, 0)
+                                1e-6, 0)
         eta = 1e-2
         theta1, _, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, eta)
         change = cap.loss(theta1) - cap.loss(fam.theta0)

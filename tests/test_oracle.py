@@ -6,8 +6,8 @@ import pytest
 from orthoproj.errors import ConfigurationError, PreconditionError
 from orthoproj.linalg import OrthonormalBasis, gram_schmidt
 from orthoproj.models import Batch, LossKind, ModelSpec
-from orthoproj.oracle import (FDConfig, fd_gradient, gradient_agreement,
-                              steepest_check, taylor_scaling)
+from orthoproj.oracle import (fd_gradient, gradient_agreement, steepest_check,
+                              taylor_scaling)
 
 
 class TestFdGradient:
@@ -36,10 +36,6 @@ class TestFdGradient:
         theta = 0.5 * rng.standard_normal(spec.param_dim)
         batch = Batch(rng.standard_normal((12, 3)), rng.standard_normal(12))
         assert gradient_agreement(spec, LossKind("squared_error"), theta, batch) <= 1e-4
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            FDConfig(h=0.0)
 
 
 class TestSteepestCheck:

@@ -47,7 +47,7 @@ class TestEstimateSubspace:
         c = np.array([2.0, -1.0])
         task = quadratic_task("cap", np.eye(2), c)
         theta = c + np.array([1.0, 0.0])
-        sub = estimate_subspace(theta, [task], 1, np.random.default_rng(0), 1e-6, 0.0, step=0)
+        sub = estimate_subspace(theta, [task], 1, np.random.default_rng(0), 1e-6, step=0)
         assert sub.rank == 1
         np.testing.assert_array_equal(sub.basis.vectors, [[1.0, 0.0]])
         assert sub.built_at_step == 0
@@ -57,35 +57,35 @@ class TestEstimateSubspace:
         fam = regression_family()
         task = fam.tasks["cap_a"]
         sub = estimate_subspace(fam.theta0, [task, task], task.train_size,
-                                np.random.default_rng(0), 1e-6, 0.0, step=0)
+                                np.random.default_rng(0), 1e-6, step=0)
         assert sub.candidate_count == 2
         assert sub.rank == 1
 
     def test_two_facets_give_rank_two(self, policy_family):
         fam = policy_family()
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 200,
-                                np.random.default_rng(0), 1e-6, 0.0, step=0)
+                                np.random.default_rng(0), 1e-6, step=0)
         assert sub.rank == 2
 
     def test_rank_never_grows_under_duplication(self, policy_family):
         fam = policy_family()
         refs = list(fam.capability_tasks)
         base = estimate_subspace(fam.theta0, refs, 200,
-                                 np.random.default_rng(0), 1e-6, 0.0, step=0)
+                                 np.random.default_rng(0), 1e-6, step=0)
         extended = estimate_subspace(fam.theta0, refs + [refs[0], refs[1]], 200,
-                                     np.random.default_rng(0), 1e-6, 0.0, step=0)
+                                     np.random.default_rng(0), 1e-6, step=0)
         assert extended.rank <= base.rank + 0  # duplicates never add rank
 
     def test_deterministic(self, regression_family):
         fam = regression_family()
         subs = [estimate_subspace(fam.theta0, list(fam.capability_tasks), 200,
-                                  np.random.default_rng(123), 1e-6, 0.0, step=0)
+                                  np.random.default_rng(123), 1e-6, step=0)
                 for _ in range(2)]
         assert subs[0].basis.vectors.tobytes() == subs[1].basis.vectors.tobytes()
 
     def test_empty_reference_tasks(self):
         with pytest.raises(ConfigurationError):
-            estimate_subspace(np.zeros(3), [], 1, np.random.default_rng(0), 1e-6, 0.0, 0)
+            estimate_subspace(np.zeros(3), [], 1, np.random.default_rng(0), 1e-6, 0)
 
     def test_non_finite_gradient_reports_task_index(self):
         good = quadratic_task("ok", np.eye(2), np.zeros(2))
@@ -93,7 +93,7 @@ class TestEstimateSubspace:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="task 1"):
             estimate_subspace(np.full(2, 1e200), [good, bad], 1,
-                              np.random.default_rng(0), 1e-6, 0.0, 0)
+                              np.random.default_rng(0), 1e-6, 0)
 
     def test_non_finite_reference_data_reports_task_index(self):
         # the batch rejects the data when it is built, inside the same
@@ -102,7 +102,7 @@ class TestEstimateSubspace:
         bad = quadratic_task("bad", np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(NumericError, match=r"reference task 1 \(bad\): batch inputs"):
             estimate_subspace(np.zeros(2), [good, bad], 2, np.random.default_rng(0),
-                              1e-6, 0.0, 0)
+                              1e-6, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_reports_the_first_task(self, bad, regression_family):
@@ -114,17 +114,17 @@ class TestEstimateSubspace:
         with pytest.raises(NumericError, match=r"reference task 0 \(cap_a\): theta contains "
                                                r"non-finite"):
             estimate_subspace(theta, list(fam.capability_tasks), 50,
-                              np.random.default_rng(0), 1e-6, 0.0, 0)
+                              np.random.default_rng(0), 1e-6, 0)
         first = quadratic_task("first", np.eye(2), np.zeros(2))
         with pytest.raises(NumericError, match=r"reference task 0 \(first\): theta"):
             estimate_subspace(np.array([1.0, bad]), [first, first], 1,
-                              np.random.default_rng(0), 1e-6, 0.0, 0)
+                              np.random.default_rng(0), 1e-6, 0)
 
     def test_two_dimensional_theta_is_rejected(self):
         task = quadratic_task("cap", np.eye(2), np.zeros(2))
         with pytest.raises(DimensionError, match="theta must be 1-D"):
             estimate_subspace(np.zeros((1, 2)), [task], 1, np.random.default_rng(0),
-                              1e-6, 0.0, 0)
+                              1e-6, 0)
 
 
 class TestFreshnessContract:

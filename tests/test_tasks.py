@@ -62,7 +62,7 @@ class TestQuadraticPair:
 
     def test_collinear_construction(self):
         cap, safety, theta0 = make_pair(12, 0.0, seed=0)
-        sub = estimate_subspace(theta0, [cap], 1, np.random.default_rng(0), 1e-6, 0.0, 0)
+        sub = estimate_subspace(theta0, [cap], 1, np.random.default_rng(0), 1e-6, 0)
         projected = project_complement(safety.gradient(theta0), sub.basis)
         assert norm(projected) <= 1e-12
 
