@@ -65,10 +65,18 @@ def _curves_svg(result, family) -> str:
     return line_chart(steps, series, "probe losses over training", "step", "loss")
 
 
+def _build_family(experiment: ExperimentFile):
+    return build_family(experiment.family_kind, experiment.family_seed,
+                        **experiment.family_params_dict())
+
+
 def run_experiment(experiment: ExperimentFile, out_dir: Path):
     """Build the family, train, and write the four run artifacts."""
-    family = build_family(experiment.family_kind, experiment.family_seed,
-                          **experiment.family_params_dict())
+    return _run_on(experiment, _build_family(experiment), out_dir)
+
+
+def _run_on(experiment: ExperimentFile, family, out_dir: Path):
+    """Train on the experiment's built family and write the run artifacts."""
     result = train(experiment.train, family)
     report = alignment_tax(result, family)
     atomic_write_text(out_dir / "records.csv", records_to_csv(result.records))
@@ -136,13 +144,14 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("--values is empty")
 
     out_root = Path(args.out or experiment.out_dir)
+    family = _build_family(experiment)  # the legs differ only in [train]
     legs, failures = [], []
     for value, leg in _sweep_configs(experiment, args.axis, values):
         leg_dir = out_root / f"{args.axis}={value}"
         try:
             if isinstance(leg, ConfigurationError):
                 raise leg
-            result, report, _ = run_experiment(leg, leg_dir)
+            result, report, _ = _run_on(leg, family, leg_dir)
         except (ConfigurationError, NumericError) as exc:
             failures.append({"value": value, "error": str(exc),
                              "kind": type(exc).__name__})
@@ -175,8 +184,7 @@ def _raise_failures(out_root: Path, failures: list[dict], what: str):
 def cmd_compare(args) -> int:
     experiment = _load(args)
     out_root = Path(args.out or experiment.out_dir)
-    family = build_family(experiment.family_kind, experiment.family_seed,
-                          **experiment.family_params_dict())
+    family = _build_family(experiment)
     results, failures = [], []
     for method in ("naive", "ortho", "replay"):
         try:

@@ -261,15 +261,23 @@ def _period_str(period) -> str:
     return "inf" if period == NO_REFRESH else str(int(period))
 
 
-def render_config(experiment: ExperimentFile) -> str:
-    """Canonical echo of a resolved experiment; parses back identically."""
-    t = experiment.train
-    stage_strs = []
-    for s in t.stages:
+def _stages_str(stages) -> str:
+    out = []
+    for s in stages:
         base = f"{s.task}:{s.loss}:{s.steps}"
         if s.refresh_every is not None:
             base += f":{_period_str(s.refresh_every)}"
-        stage_strs.append(base)
+        out.append(base)
+    return ", ".join(out)
+
+
+# how render_config writes each kind of _TRAIN_KEYS value; str otherwise
+_RENDER = {float: repr, "period": _period_str, "stages": _stages_str}
+
+
+def render_config(experiment: ExperimentFile) -> str:
+    """Canonical echo of a resolved experiment; parses back identically."""
+    t = experiment.train
     lines = [
         "[experiment]",
         f"version = {CONFIG_VERSION}",
@@ -280,20 +288,10 @@ def render_config(experiment: ExperimentFile) -> str:
     ]
     for key, value in experiment.family_params:
         lines.append(f"{key} = {value!r}")
+    lines += ["", "[train]"]
+    for key, kind in _TRAIN_KEYS.items():
+        lines.append(f"{key} = {_RENDER.get(kind, str)(getattr(t, key))}")
     lines += [
-        "",
-        "[train]",
-        f"method = {t.method}",
-        f"eta = {t.eta!r}",
-        f"steps = {t.steps}",
-        f"refresh_every = {_period_str(t.refresh_every)}",
-        f"ref_count = {t.ref_count}",
-        f"delta = {t.delta!r}",
-        f"safety_batch = {t.safety_batch}",
-        f"ref_batch = {t.ref_batch}",
-        f"replay_lambda = {t.replay_lambda!r}",
-        f"seed = {t.seed}",
-        "stages = " + ", ".join(stage_strs),
         "",
         "[output]",
         f"dir = {experiment.out_dir}",

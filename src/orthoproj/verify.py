@@ -2,8 +2,11 @@
 
 Every check returns a :class:`CheckResult` with its observed margins, so a
 failure says how far off the implementation is, not just that it is off.
-Tolerances are pinned here as keyword defaults; the acceptance tests invoke
-the same functions with the same values.
+Each check binds its gates and sample sizes once, in its body, and prints
+them from there. It takes no parameter but ``seed`` and, for the two
+projector checks, ``inject``; the tax-mitigation and ablation checks run at
+pinned seeds and take neither. So ``orthoproj verify`` and the acceptance
+tests gate on the same values.
 
 ``inject_skip_projection`` routes the checks that exercise the projector
 through an identity function instead, simulating an implementation that
@@ -52,11 +55,9 @@ def _projector(inject: bool):
 # criterion 1: orthogonality suite
 # ---------------------------------------------------------------------------
 
-def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: int = 8,
-                              seeds_per_cell: int = 100, tol_gram: float = 1e-10,
-                              tol_residual: float = 1e-8, tol_idem: float = 1e-12,
-                              tol_pyth: float = 1e-9, budget_s: float = 10.0,
-                              inject: bool = False) -> CheckResult:
+def check_orthogonality_suite(seed: int = 0, inject: bool = False) -> CheckResult:
+    dims, max_cands, seeds_per_cell = (10, 100, 1000), 8, 100
+    tol_gram, tol_residual, tol_idem, tol_pyth, budget_s = 1e-10, 1e-8, 1e-12, 1e-9, 10.0
     start = time.perf_counter()
     project = _projector(inject)
     worst_gram = worst_resid = worst_idem = worst_pyth = 0.0
@@ -96,8 +97,8 @@ def check_orthogonality_suite(seed: int = 0, dims=(10, 100, 1000), max_cands: in
 # criterion 2: rank filtering
 # ---------------------------------------------------------------------------
 
-def check_rank_filtering(seed: int = 0, d: int = 50, ranks=(1, 2, 3, 4, 5),
-                         n_candidates: int = 8, n_seeds: int = 50) -> CheckResult:
+def check_rank_filtering(seed: int = 0) -> CheckResult:
+    d, ranks, n_candidates, n_seeds = 50, (1, 2, 3, 4, 5), 8, 50
     start = time.perf_counter()
     failures = 0
     trials = 0
@@ -150,8 +151,8 @@ def _fd_cases(rng: np.random.Generator):
     return cases
 
 
-def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
-                               tol: float = 1e-4) -> CheckResult:
+def check_gradient_correctness(seed: int = 0) -> CheckResult:
+    n_configs, tol = 20, 1e-4
     start = time.perf_counter()
     worst = 0.0
     worst_case = ""
@@ -173,10 +174,9 @@ def check_gradient_correctness(seed: int = 0, n_configs: int = 20,
 # criterion 4: steepest feasible descent
 # ---------------------------------------------------------------------------
 
-def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
-                         n_samples: int = 10_000, slack: float = 1e-9,
-                         tol_attain: float = 1e-12, tol_feasible: float = 1e-9,
-                         inject: bool = False) -> CheckResult:
+def check_steepest_bound(seed: int = 0, inject: bool = False) -> CheckResult:
+    dims, ranks, n_samples = (2, 10, 50), (0, 1, 3, 5), 10_000
+    slack, tol_attain, tol_feasible = 1e-9, 1e-12, 1e-9
     start = time.perf_counter()
     project = _projector(inject)
     violations = 0
@@ -217,9 +217,8 @@ def check_steepest_bound(seed: int = 0, dims=(2, 10, 50), ranks=(0, 1, 3, 5),
 # criterion 5: first-order preservation
 # ---------------------------------------------------------------------------
 
-def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
-                      slope_tol: float = 0.2, remainder_tol: float = 1e-6,
-                      quarter_tol: float = 1e-6) -> CheckResult:
+def check_first_order(seed: int = 0) -> CheckResult:
+    etas, slope_tol, remainder_tol, quarter_tol = (1e-2, 1e-3, 1e-4), 0.2, 1e-6, 1e-6
     start = time.perf_counter()
     fam = _default_family("quadratic", seed)
     rep_orth = oracle.taylor_scaling(fam, etas, "ortho")
@@ -243,10 +242,11 @@ def check_first_order(seed: int = 0, etas=(1e-2, 1e-3, 1e-4),
     elapsed = time.perf_counter() - start
     passed = ok_slopes and ok_remainder and ok_quarter
     return CheckResult("first_order_preservation", passed,
-                       f"slope(ortho)={rep_orth.slope:.3f} in 2.0+-0.2, "
-                       f"slope(naive)={rep_naive.slope:.3f} in 1.0+-0.2, "
-                       f"remainder mismatch={rep_orth.max_remainder_mismatch:.2e}<=1e-6, "
-                       f"eta/2 quartering err={quarter_err:.2e}<=1e-6", elapsed)
+                       f"slope(ortho)={rep_orth.slope:.3f} in 2.0+-{slope_tol:g}, "
+                       f"slope(naive)={rep_naive.slope:.3f} in 1.0+-{slope_tol:g}, "
+                       f"remainder mismatch={rep_orth.max_remainder_mismatch:.2e}"
+                       f"<={remainder_tol:g}, "
+                       f"eta/2 quartering err={quarter_err:.2e}<={quarter_tol:g}", elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,8 @@ def _bitwise_equal(a, b) -> bool:
             and records_to_csv(a.records) == records_to_csv(b.records))
 
 
-def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
+def check_reduction_identities(seed: int = 0) -> CheckResult:
+    steps = 100
     start = time.perf_counter()
     fam = _default_family("regression", seed)
     base = replace(DEFAULTS["regression"].train, steps=steps, seed=seed,
@@ -279,6 +280,7 @@ def check_reduction_identities(seed: int = 0, steps: int = 100) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 MITIGATION_STEMS = ("regression", "policy")  # the DEFAULTS the goldens record
+MITIGATION_SEEDS = (0, 1, 2)  # the seeds they record
 
 
 @functools.cache
@@ -317,14 +319,14 @@ def _mitigation_margins(stem: str, seed: int):
     return margins
 
 
-def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
-                         golden_tol: float = 0.05) -> CheckResult:
+def check_tax_mitigation() -> CheckResult:
+    ratio_floor, golden_tol = 0.70, 0.05
     start = time.perf_counter()
     problems = []
     summary = []
     for stem in MITIGATION_STEMS:
         kind = DEFAULTS[stem].family_kind
-        for seed in seeds:
+        for seed in MITIGATION_SEEDS:
             m = _mitigation_margins(stem, seed)
             for i, (to, tn) in enumerate(zip(m["tax_ortho"], m["tax_naive"])):
                 if not to < tn:
@@ -360,7 +362,8 @@ def check_tax_mitigation(seeds=(0, 1, 2), ratio_floor: float = 0.70,
 # criterion 8: ablation trends
 # ---------------------------------------------------------------------------
 
-def check_ablation_trends(seed: int = 0, refsize_spread: float = 2.0) -> CheckResult:
+def check_ablation_trends() -> CheckResult:
+    seed, refsize_spread = 0, 2.0
     start = time.perf_counter()
     fam = _default_family("policy", seed)
     base = replace(DEFAULTS["policy"].train, seed=seed, probes=False)  # taxes read endpoints only

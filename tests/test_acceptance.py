@@ -1,10 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Every tolerance is pinned here and passed explicitly into the shared check
-implementations in orthoproj.verify, so this module is the single place the
-gates are spelled out. The golden margins live in orthoproj.goldens and were
-recorded from the first full run of this implementation; the verify suite
-holds new runs within 5 percent of them on top of the qualitative gates.
+Each test calls the check that ``orthoproj verify`` runs, with seed 0 where
+the check takes a seed, and passes no gate: every tolerance and sample size
+is bound once, inside its check in orthoproj.verify, so the command and
+these tests gate on the same values. The golden margins live in
+orthoproj.goldens and were recorded from the first full run of this
+implementation; the tax-mitigation check holds new runs to them on top of
+the qualitative gates.
 """
 
 import dataclasses
@@ -24,47 +26,38 @@ def _report(number, name, result):
 
 
 def test_criterion_1_orthogonality_suite():
-    result = verify.check_orthogonality_suite(
-        seed=0, dims=(10, 100, 1000), max_cands=8, seeds_per_cell=100,
-        tol_gram=1e-10, tol_residual=1e-8, tol_idem=1e-12, tol_pyth=1e-9,
-        budget_s=10.0)
+    result = verify.check_orthogonality_suite(seed=0)
     _report(1, "orthogonality suite", result)
 
 
 def test_criterion_2_rank_filtering():
-    result = verify.check_rank_filtering(seed=0, ranks=(1, 2, 3, 4, 5),
-                                         n_candidates=8, n_seeds=50)
+    result = verify.check_rank_filtering(seed=0)
     _report(2, "rank filtering", result)
 
 
 def test_criterion_3_gradient_correctness():
-    result = verify.check_gradient_correctness(seed=0, n_configs=20, tol=1e-4)
+    result = verify.check_gradient_correctness(seed=0)
     _report(3, "gradient correctness", result)
 
 
 def test_criterion_4_steepest_feasible_descent():
-    result = verify.check_steepest_bound(seed=0, dims=(2, 10, 50),
-                                         ranks=(0, 1, 3, 5), n_samples=10_000,
-                                         slack=1e-9, tol_attain=1e-12)
+    result = verify.check_steepest_bound(seed=0)
     _report(4, "steepest feasible descent", result)
 
 
 def test_criterion_5_first_order_preservation():
-    result = verify.check_first_order(seed=0, etas=(1e-2, 1e-3, 1e-4),
-                                      slope_tol=0.2, remainder_tol=1e-6,
-                                      quarter_tol=1e-6)
+    result = verify.check_first_order(seed=0)
     _report(5, "first-order preservation", result)
 
 
 def test_criterion_6_reduction_identities():
-    result = verify.check_reduction_identities(seed=0, steps=100)
+    result = verify.check_reduction_identities(seed=0)
     _report(6, "reduction identities", result)
 
 
 def test_criterion_7_tax_mitigation():
-    result = verify.check_tax_mitigation(seeds=(0, 1, 2), ratio_floor=0.70,
-                                         golden_tol=0.05)
-    _report(7, "tax mitigation on seeds {0,1,2}", result)
+    result = verify.check_tax_mitigation()
+    _report(7, f"tax mitigation on seeds {verify.MITIGATION_SEEDS}", result)
 
 
 def test_criterion_7_supplement_every_single_facet_dominated(policy_family):
@@ -82,7 +75,7 @@ def test_criterion_7_supplement_every_single_facet_dominated(policy_family):
 
 
 def test_criterion_8_ablation_trends():
-    result = verify.check_ablation_trends(seed=0, refsize_spread=2.0)
+    result = verify.check_ablation_trends()
     _report(8, "ablation trends", result)
 
 

@@ -13,6 +13,7 @@ import pytest
 from orthoproj import cli
 from orthoproj.cli import main
 from orthoproj.config import DEFAULTS, render_config
+from orthoproj.tasks import build_family
 
 
 def _config_text(stem, **family):
@@ -193,6 +194,19 @@ class TestSweep:
         assert main(["sweep", "--config", str(quad_config()), "--axis", "refsize",
                      "--values", "1,2", "--out", str(out)]) == 0
         assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+    def test_family_is_built_once(self, quad_config, tmp_path, monkeypatch):
+        # the legs differ only in [train], so they share one family
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_family(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_family", counted)
+        assert main(["sweep", "--config", str(quad_config()), "--axis", "K",
+                     "--values", "2,5,10,inf", "--out", str(tmp_path / "k")]) == 0
+        assert len(calls) == 1
 
     def test_unknown_axis_rejected(self, quad_config):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from orthoproj.config import (_TRAIN_KEYS, DEFAULTS, ConfigParseError, parse_con
                               parse_config_file, render_config)
 from orthoproj.optimizer import NO_REFRESH, Stage, TrainConfig
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 MINIMAL = """
 [experiment]
@@ -141,6 +143,15 @@ class TestRejection:
 def test_shipped_config_file_matches_defaults(stem):
     # configs/*.cfg restate the package's shipped experiments; keep them equal
     assert parse_config_file(CONFIGS / f"{stem}.cfg") == DEFAULTS[stem]
+
+
+def test_readme_config_blocks_parse():
+    blocks = re.findall(r"^```.*?\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    configs = [b for b in blocks if b.startswith("[experiment]\n")]
+    assert configs
+    for text in configs:
+        parse_config(text, name="README.md")
 
 
 # TrainConfig fields that only library callers set; every other field is a

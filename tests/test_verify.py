@@ -2,6 +2,7 @@
 probes; their margins and details must be those of fully probed runs."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -53,3 +54,10 @@ def test_legs_call_train_with_config_and_family_only(monkeypatch):
     # reduction_identities and determinism compare records, so keep them
     assert sum(not c.probes for c in configs) == 18 + 11
     assert all(args[0].probes for args, _ in calls["cli"])
+
+
+def test_checks_take_no_gate():
+    # gates and sample sizes are bound inside each check; a parameter other
+    # than the seed or the fault injection would let a caller loosen one
+    for fn in verify.CHECKS:
+        assert set(inspect.signature(fn).parameters) <= {"seed", "inject"}, fn.__name__
