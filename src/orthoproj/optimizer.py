@@ -78,8 +78,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if not isinstance(self.probes, bool):
             raise ConfigurationError(f"probes must be True or False, got {self.probes!r}")
-        if not self.eta > 0:
-            raise ConfigurationError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         for period in [self.refresh_every, *[s.refresh_every for s in self.stages
@@ -88,12 +88,12 @@ class TrainConfig:
                 raise ConfigurationError(f"refresh period must be a positive integer or inf, got {period}")
         if self.ref_count < 0:
             raise ConfigurationError(f"ref_count must be >= 0, got {self.ref_count}")
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
         if self.safety_batch < 1 or self.ref_batch < 1:
             raise ConfigurationError("batch sizes must be positive")
-        if self.replay_lambda < 0:
-            raise ConfigurationError(f"replay_lambda must be >= 0, got {self.replay_lambda}")
+        if not 0 <= self.replay_lambda < math.inf:
+            raise ConfigurationError(f"replay_lambda must be >= 0 and finite, got {self.replay_lambda}")
         if not self.stages:
             raise ConfigurationError("at least one stage is required")
         if any(s.steps < 1 for s in self.stages):

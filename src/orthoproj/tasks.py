@@ -12,8 +12,9 @@ import inspect
 import math
 import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,12 +52,10 @@ _ARRAY_FIELDS = ("train_inputs", "train_targets", "probe_inputs", "probe_targets
                  "train_pairs", "probe_pairs", "ref_params")
 
 
-def _reduce_via_constructor(obj):
-    # Pickle a frozen task or family as its constructor call. Default
-    # unpickling restores __dict__ without running __post_init__, and numpy
-    # does not pickle the writeable flag, so the arrays would come back
-    # writable; cached properties are rebuilt on first use, not carried.
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+def _refuse_pickle(obj):
+    # A family is rebuilt from its config, never shipped: unpickling and
+    # copy.copy/deepcopy would skip __post_init__ and leave arrays writable.
+    raise TypeError(f"a {type(obj).__name__} is rebuilt from its config, not pickled or copied")
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class DifferentiableTask:
             if arr is not None:
                 arr.flags.writeable = False
 
-    __reduce__ = _reduce_via_constructor
+    __reduce__ = _refuse_pickle
 
     @property
     def train_size(self) -> int:
@@ -138,31 +137,6 @@ class DifferentiableTask:
         return models.gradient(self.spec, self.kind, theta, self.probe() if batch is None else batch)
 
 
-@dataclass(frozen=True, eq=False)
-class FrozenMap(Mapping):
-    """A read-only mapping that pickles (``types.MappingProxyType`` does
-    not): the items of a mapping, kept as a tuple of (key, value) pairs in
-    insertion order. A lookup scans the pairs, which suits the few tasks and
-    parameters of a family."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(dict(self.pairs).items()))
-
-    def __getitem__(self, key):
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def __iter__(self):
-        return (k for k, _ in self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 @dataclass(frozen=True)
 class TaskFamily:
     """A named set of tasks sharing one parameter vector.
@@ -175,7 +149,7 @@ class TaskFamily:
     very object ``tasks`` holds under its name, so the fingerprint, which
     hashes ``tasks``, covers every array training and the tax read. Like its
     tasks, a family is immutable: ``theta0`` is read-only and ``tasks`` and
-    ``params`` are stored as :class:`FrozenMap`.
+    ``params`` are read-only views of private copies.
     """
 
     kind: str
@@ -188,8 +162,8 @@ class TaskFamily:
 
     def __post_init__(self):
         self.theta0.flags.writeable = False
-        object.__setattr__(self, "tasks", FrozenMap(self.tasks))
-        object.__setattr__(self, "params", FrozenMap(self.params))
+        object.__setattr__(self, "tasks", MappingProxyType(dict(self.tasks)))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         strays = [t.name for t in self.capability_tasks if self.tasks.get(t.name) is not t]
         if strays:
             raise ConfigurationError(f"capability tasks {strays} are not members of tasks")
@@ -197,7 +171,7 @@ class TaskFamily:
             raise ConfigurationError(f"safety_metric_task {self.safety_metric_task!r} "
                                      "is not a task of the family")
 
-    __reduce__ = _reduce_via_constructor
+    __reduce__ = _refuse_pickle
 
     @cached_property
     def fingerprint(self) -> str:
@@ -313,12 +287,15 @@ def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
     """
     if d < 8:
         raise ConfigurationError(f"regression family needs d >= 8, got {d}")
-    if noise_sigma < 0:
-        raise ConfigurationError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigurationError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if not 0.0 <= alpha <= math.pi / 2 + 1e-12:
         raise ConfigurationError(f"alpha must lie in [0, pi/2], got {alpha}")
     if hidden < 1:
         raise ConfigurationError(f"mlp2 needs a positive hidden width, got {hidden}")
+    for key, n in (("n_capability", n_capability), ("n_safety", n_safety)):
+        if n < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {n}")
 
     rng = np.random.default_rng(seed)
     q = d // 4
@@ -418,6 +395,9 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
         raise ConfigurationError(f"policy family needs vocab >= 4, got {vocab}")
     if context_dim < 4:
         raise ConfigurationError(f"policy family needs context_dim >= 4, got {context_dim}")
+    for key, n in (("n_capability", n_capability), ("n_safety", n_safety)):
+        if n < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {n}")
 
     rng = np.random.default_rng(seed)
     n_safe_tokens = vocab // 2

@@ -17,6 +17,7 @@ fail.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -447,15 +448,10 @@ def run_all(seed: int = 0, inject_skip_projection: bool = False) -> list[CheckRe
     ``seed`` reseeds the sampled test matrices of the property checks
     without changing any gate. The benchmark-trend checks (tax mitigation,
     ablation orderings) always run at their pinned seeds: their goldens and
-    orderings are recorded properties of those specific runs.
+    orderings are recorded properties of those specific runs. Each check
+    gets the arguments, of ``seed`` and ``inject``, that its signature names.
     """
     _default_family.cache_clear()
-    results = []
-    for fn in CHECKS:
-        if fn in (check_orthogonality_suite, check_steepest_bound):
-            results.append(fn(seed=seed, inject=inject_skip_projection))
-        elif fn in (check_tax_mitigation, check_ablation_trends):
-            results.append(fn())
-        else:
-            results.append(fn(seed=seed))
-    return results
+    args = {"seed": seed, "inject": inject_skip_projection}
+    return [fn(**{k: v for k, v in args.items() if k in inspect.signature(fn).parameters})
+            for fn in CHECKS]

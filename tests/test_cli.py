@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -160,6 +162,42 @@ def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
     code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem, key, value", [
+    ("regression", "n_capability", "0"), ("policy", "n_capability", "0"),
+    ("regression", "n_safety", "0"), ("policy", "n_safety", "0"),
+    ("regression", "n_capability", "-5"), ("policy", "n_safety", "-1"),
+    ("regression", "noise_sigma", "inf"), ("regression", "eta", "inf"),
+    ("regression", "delta", "inf"), ("regression", "replay_lambda", "inf")])
+def test_bad_family_size_or_train_float_exits_2(stem, key, value, tmp_path, capsys):
+    # rejected by name before any step runs, not by numpy or a diverged step
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _config_text(stem), flags=re.MULTILINE)
+    if key == "replay_lambda":
+        text = text.replace("method = ortho", "method = replay")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert f"\n{key} = {value}\n" in text
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # each line of the README's command block, its [...] optionals dropped,
+    # run from the repo root
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    lines = re.search(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[1].splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["orthoproj", "run"], ["orthoproj", "verify"], ["orthoproj", "sweep"],
+        ["orthoproj", "compare"]]
+    monkeypatch.chdir(root)
+    for i, line in enumerate(lines):
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+        if "[--out DIR]" in line:
+            argv += ["--out", str(tmp_path / str(i))]
+        assert main(argv) == 0, line
 
 
 class TestSweep:

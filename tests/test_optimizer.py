@@ -444,3 +444,6 @@ class TestValidation:
         for probes in ("no", 0, None):
             with pytest.raises(ConfigurationError, match="probes"):
                 TrainConfig(**dict(QUAD_BASE, probes=probes)).validate()
+        for key in ("eta", "delta", "replay_lambda"):
+            with pytest.raises(ConfigurationError, match=key):
+                TrainConfig(**dict(QUAD_BASE, method="replay", **{key: math.inf})).validate()

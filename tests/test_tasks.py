@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -172,6 +173,11 @@ class TestRegressionFamily:
             regression_family(4, 8, 0.5, 0.1, 10, 10, seed=0)
         with pytest.raises(ConfigurationError):
             regression_family(16, 8, 0.5, -0.1, 10, 10, seed=0)
+        params = dict(d=16, hidden=8, alpha=0.5, noise_sigma=0.1, n_capability=10, n_safety=10)
+        for key, value in [("n_capability", 0), ("n_safety", 0), ("n_capability", -5),
+                           ("n_safety", -1), ("noise_sigma", math.inf), ("noise_sigma", math.nan)]:
+            with pytest.raises(ConfigurationError, match=key):
+                regression_family(**dict(params, **{key: value}), seed=0)
 
 
 class TestPolicyFamily:
@@ -239,6 +245,11 @@ class TestPolicyFamily:
             policy_family(8, 3, 10, 10, seed=0)
         with pytest.raises(ConfigurationError):
             policy_family(2, 10, 10, 10, seed=0)
+        params = dict(context_dim=8, vocab=10, n_capability=10, n_safety=10)
+        for key, value in [("n_capability", 0), ("n_safety", 0), ("n_capability", -5),
+                           ("n_safety", -1)]:
+            with pytest.raises(ConfigurationError, match=key):
+                policy_family(**dict(params, **{key: value}), seed=0)
 
 
 def _array_bytes(fam):
@@ -285,29 +296,24 @@ class TestImmutability:
                                         alpha=math.pi / 3, pretrain_steps=300,
                                         pretrain_eta=0.05)
 
-    def test_pickle_round_trip_keeps_fingerprint(self):
-        fam = tasks.policy_family(8, 8, 20, 30, seed=1)
-        copy = pickle.loads(pickle.dumps(fam))  # before the digest is cached
-        assert copy.fingerprint == fam.fingerprint
-        assert list(copy.tasks) == list(fam.tasks)
-        assert copy.params == fam.params
-        assert copy.capability_tasks[0] is copy.tasks["cap_a"]
-        with pytest.raises(TypeError):
-            copy.tasks["cap_a"] = copy.tasks["cap_b"]
+    def test_pickle_and_copy_refuse(self, quadratic_family):
+        # a family is rebuilt from its config; a copy made without
+        # __post_init__ would hold writable arrays
+        fam = quadratic_family(math.pi / 4)
+        for obj in (fam, fam.tasks["safety"]):
+            for copier in (pickle.dumps, copy.copy, copy.deepcopy):
+                with pytest.raises(TypeError, match="rebuilt from its config"):
+                    copier(obj)
 
-    def test_unpickled_arrays_are_read_only(self, policy_family, quadratic_family):
-        for fam in (policy_family(), quadratic_family(math.pi / 4)):
-            copy = pickle.loads(pickle.dumps(fam))
-            task = pickle.loads(pickle.dumps(fam.tasks[fam.safety_metric_task]))
-            arrays = [copy.theta0, task.train_inputs, task.probe_inputs]
-            arrays += [getattr(t, fld) for t in copy.tasks.values() for fld in tasks._ARRAY_FIELDS
-                       if getattr(t, fld) is not None]
-            for arr in arrays:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr.flat[0] = 0
-            assert copy.fingerprint == fam.fingerprint
-            assert task.train_inputs.tobytes() == fam.tasks[task.name].train_inputs.tobytes()
+    def test_family_maps_are_copies(self, quadratic_family):
+        fam = quadratic_family(math.pi / 4)
+        tasks_in, params_in = dict(fam.tasks), dict(fam.params)
+        rebuilt = dataclasses.replace(fam, tasks=tasks_in, params=params_in)
+        tasks_in.clear()
+        params_in["d"] = 3
+        assert list(rebuilt.tasks) == ["capability", "safety"]
+        assert rebuilt.params == fam.params
+        assert rebuilt.fingerprint == fam.fingerprint
 
     def test_replaced_reference_has_its_own_probe_margins(self, policy_family):
         fam = policy_family()

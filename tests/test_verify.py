@@ -61,3 +61,9 @@ def test_checks_take_no_gate():
     # than the seed or the fault injection would let a caller loosen one
     for fn in verify.CHECKS:
         assert set(inspect.signature(fn).parameters) <= {"seed", "inject"}, fn.__name__
+
+
+def test_run_all_passes_each_check_the_arguments_it_names(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", (lambda: "none", lambda inject: inject,
+                                           lambda seed: seed, lambda seed, inject: (seed, inject)))
+    assert verify.run_all(7, inject_skip_projection=True) == ["none", True, 7, (7, True)]
