@@ -70,11 +70,6 @@ def _build_family(experiment: ExperimentFile):
                         **experiment.family_params_dict())
 
 
-def run_experiment(experiment: ExperimentFile, out_dir: Path):
-    """Build the family, train, and write the four run artifacts."""
-    return _run_on(experiment, _build_family(experiment), out_dir)
-
-
 def _run_on(experiment: ExperimentFile, family, out_dir: Path):
     """Train on the experiment's built family and write the run artifacts."""
     result = train(experiment.train, family)
@@ -83,12 +78,13 @@ def _run_on(experiment: ExperimentFile, family, out_dir: Path):
     atomic_write_text(out_dir / "tax.csv", tax_report_to_csv(report))
     atomic_write_text(out_dir / "config_resolved.cfg", render_config(experiment))
     atomic_write_text(out_dir / "curves.svg", _curves_svg(result, family))
-    return result, report, family
+    return result, report
 
 
 def cmd_run(args) -> int:
     experiment = _load(args)
-    _, report, _ = run_experiment(experiment, Path(args.out or experiment.out_dir))
+    _, report = _run_on(experiment, _build_family(experiment),
+                        Path(args.out or experiment.out_dir))
     print(f"safety_gain={report.safety_gain!r} total_tax={report.total_tax!r}")
     return EXIT_OK
 
@@ -118,23 +114,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def _sweep_configs(experiment: ExperimentFile, axis: str, values):
-    """One resolved experiment per axis value; bad values become failed legs."""
-    legs = []
-    for value in values:
-        t = experiment.train
+def _run_legs(labels, leg, key: str):
+    """Call ``leg(label)`` for each label in order. Returns the
+    ``(label, *result)`` of each leg that ran, and a failures.json record,
+    under ``key``, for each leg that raised a config or numeric error."""
+    done, failures = [], []
+    for label in labels:
         try:
-            if axis == "K":
-                t = t.with_refresh(NO_REFRESH if value == "inf" else int(value))
-            elif axis == "M":
-                t = dataclasses.replace(t, ref_count=int(value))
-            else:  # refsize
-                t = dataclasses.replace(t, ref_batch=int(value))
-        except ValueError as exc:
-            legs.append((str(value), ConfigurationError(f"axis value {value!r}: {exc}")))
-            continue
-        legs.append((str(value), dataclasses.replace(experiment, train=t)))
-    return legs
+            done.append((label, *leg(label)))
+        except (ConfigurationError, NumericError) as exc:
+            failures.append({key: label, "error": str(exc), "kind": type(exc).__name__})
+    return done, failures
 
 
 def cmd_sweep(args) -> int:
@@ -145,19 +135,22 @@ def cmd_sweep(args) -> int:
 
     out_root = Path(args.out or experiment.out_dir)
     family = _build_family(experiment)  # the legs differ only in [train]
-    legs, failures = [], []
-    for value, leg in _sweep_configs(experiment, args.axis, values):
-        leg_dir = out_root / f"{args.axis}={value}"
-        try:
-            if isinstance(leg, ConfigurationError):
-                raise leg
-            result, report, _ = _run_on(leg, family, leg_dir)
-        except (ConfigurationError, NumericError) as exc:
-            failures.append({"value": value, "error": str(exc),
-                             "kind": type(exc).__name__})
-            continue
-        legs.append((value, result, report))
 
+    def leg(value):
+        t = experiment.train
+        try:
+            if args.axis == "K":
+                t = t.with_refresh(NO_REFRESH if value == "inf" else int(value))
+            elif args.axis == "M":
+                t = dataclasses.replace(t, ref_count=int(value))
+            else:  # refsize
+                t = dataclasses.replace(t, ref_batch=int(value))
+        except ValueError as exc:
+            raise ConfigurationError(f"axis value {value!r}: {exc}") from exc
+        return _run_on(dataclasses.replace(experiment, train=t), family,
+                       out_root / f"{args.axis}={value}")
+
+    legs, failures = _run_legs(values, leg, "value")
     if legs:
         table = summary_table(args.axis, legs)
         atomic_write_text(out_root / "summary.csv", table.to_csv())
@@ -185,16 +178,14 @@ def cmd_compare(args) -> int:
     experiment = _load(args)
     out_root = Path(args.out or experiment.out_dir)
     family = _build_family(experiment)
-    results, failures = [], []
-    for method in ("naive", "ortho", "replay"):
-        try:
-            result = train(dataclasses.replace(experiment.train, method=method), family)
-        except (ConfigurationError, NumericError) as exc:
-            failures.append({"method": method, "error": str(exc), "kind": type(exc).__name__})
-            continue
-        results.append(result)
-        atomic_write_text(out_root / method / "records.csv", records_to_csv(result.records))
 
+    def leg(method):
+        result = train(dataclasses.replace(experiment.train, method=method), family)
+        atomic_write_text(out_root / method / "records.csv", records_to_csv(result.records))
+        return (result,)
+
+    legs, failures = _run_legs(("naive", "ortho", "replay"), leg, "method")
+    results = [result for _, result in legs]
     if results:
         table = summarize(results, family)
         atomic_write_text(out_root / "summary.csv", table.to_csv())

@@ -228,7 +228,11 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
     try:
         train.validate()
     except ConfigurationError as exc:
-        raise ConfigParseError(f"[train] invalid: {exc}", *pos("train", "stages")) from exc
+        # the message starts with the field it rejects; point at that key
+        # when the file sets it, else at stages
+        key = str(exc).split(" ", 1)[0]
+        where = positions.get(("train", key), pos("train", "stages"))
+        raise ConfigParseError(f"[train] invalid: {exc}", *where) from exc
 
     # [output]
     out_dir = None

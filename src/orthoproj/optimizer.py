@@ -74,24 +74,31 @@ class TrainConfig:
                        stages=tuple(replace(s, refresh_every=period) for s in self.stages))
 
     def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on the first invalid field. A
+        message about one field starts with its name, so a config error can
+        point at the line of that ``[train]`` key."""
         if self.method not in METHODS:
-            raise ConfigurationError(f"unknown method {self.method!r}")
+            raise ConfigurationError(f"method must be one of {', '.join(METHODS)}, "
+                                     f"got {self.method!r}")
         if not isinstance(self.probes, bool):
             raise ConfigurationError(f"probes must be True or False, got {self.probes!r}")
         if not 0 < self.eta < math.inf:
             raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        for period in [self.refresh_every, *[s.refresh_every for s in self.stages
-                                             if s.refresh_every is not None]]:
+        for what, period in [("refresh_every", self.refresh_every),
+                             *[("stages refresh period", s.refresh_every) for s in self.stages
+                               if s.refresh_every is not None]]:
             if period != NO_REFRESH and (not float(period).is_integer() or period < 1):
-                raise ConfigurationError(f"refresh period must be a positive integer or inf, got {period}")
+                raise ConfigurationError(f"{what} must be a positive integer or inf, got {period}")
         if self.ref_count < 0:
             raise ConfigurationError(f"ref_count must be >= 0, got {self.ref_count}")
         if not 0 < self.delta < math.inf:
             raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
-        if self.safety_batch < 1 or self.ref_batch < 1:
-            raise ConfigurationError("batch sizes must be positive")
+        if self.safety_batch < 1:
+            raise ConfigurationError(f"safety_batch must be positive, got {self.safety_batch}")
+        if self.ref_batch < 1:
+            raise ConfigurationError(f"ref_batch must be positive, got {self.ref_batch}")
         if not 0 <= self.replay_lambda < math.inf:
             raise ConfigurationError(f"replay_lambda must be >= 0 and finite, got {self.replay_lambda}")
         if not self.stages:
@@ -100,7 +107,7 @@ class TrainConfig:
             raise ConfigurationError("every stage needs at least one step")
         if sum(s.steps for s in self.stages) != self.steps:
             raise ConfigurationError(
-                f"stage steps sum to {sum(s.steps for s in self.stages)}, config says {self.steps}")
+                f"steps is {self.steps}, but the stages sum to {sum(s.steps for s in self.stages)}")
         if self.ref_facets is not None and len(self.ref_facets) != self.ref_count:
             raise ConfigurationError(
                 f"ref_facets names {len(self.ref_facets)} facets, ref_count is {self.ref_count}")

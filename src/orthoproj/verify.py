@@ -28,7 +28,7 @@ from . import oracle, tasks
 from .config import DEFAULTS
 from .goldens import GOLDEN_MARGINS
 from .linalg import OrthonormalBasis, dot, dots, gram_schmidt, norm, project_complement
-from .metrics import alignment_tax, records_to_csv
+from .metrics import alignment_tax, records_to_csv, tax_report_to_csv
 from .models import Batch, LossKind, ModelSpec
 from .optimizer import NO_REFRESH, Stage, train
 from .subspace import estimate_subspace
@@ -409,20 +409,14 @@ def check_ablation_trends() -> CheckResult:
 
 def check_determinism(seed: int = 0) -> CheckResult:
     start = time.perf_counter()
-    import tempfile
-    from pathlib import Path
-
-    from .cli import run_experiment
-
     exp = DEFAULTS["quadratic"]
-    exp = replace(exp, family_seed=seed, train=replace(exp.train, seed=seed))
+    config = replace(exp.train, seed=seed)
     payloads = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for sub in ("first", "second"):
-            out = Path(tmp) / sub
-            run_experiment(exp, out)
-            payloads.append(tuple(sorted(
-                (p.name, p.read_bytes()) for p in out.iterdir() if p.suffix == ".csv")))
+    for _ in range(2):  # a fresh build each time, so the family is rebuilt too
+        fam = tasks.build_family(exp.family_kind, seed, **exp.family_params_dict())
+        result = train(config, fam)
+        payloads.append((records_to_csv(result.records),
+                         tax_report_to_csv(alignment_tax(result, fam))))
     same = payloads[0] == payloads[1]
     elapsed = time.perf_counter() - start
     return CheckResult("determinism", same,

@@ -223,9 +223,29 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg), "--axis", "M",
                      "--values", "0,1,bogus", "--out", str(out)])
         assert code == 2
-        assert (out / "failures.json").exists()
+        [record] = json.loads((out / "failures.json").read_text())
+        assert record["value"] == "bogus"
+        assert record["kind"] == "ConfigurationError"
+        assert record["error"].startswith("axis value 'bogus':")
         assert (out / "summary.csv").exists()  # the good legs survive
         assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+    def test_numeric_leg_failure_is_recorded(self, tmp_path, capsys):
+        exp = DEFAULTS["regression"]
+        exp = dataclasses.replace(exp, train=dataclasses.replace(
+            exp.train, method="replay", replay_lambda=1e300))
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(render_config(exp))
+        out = tmp_path / "sweep"
+        with np.errstate(over="ignore"):
+            code = main(["sweep", "--config", str(cfg), "--axis", "M",
+                         "--values", "0,2", "--out", str(out)])
+        assert code == 3
+        assert "numeric failure: 1 sweep leg(s) failed" in capsys.readouterr().err
+        assert json.loads((out / "failures.json").read_text()) == [
+            {"value": "2", "error": "step 0: non-finite mlp loss", "kind": "NumericError"}]
+        assert len((out / "summary.csv").read_text().splitlines()) == 2
+        assert not (out / "M=2").exists()
 
     def test_refsize_axis(self, quad_config, tmp_path):
         out = tmp_path / "rs"

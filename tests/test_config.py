@@ -139,6 +139,22 @@ class TestRejection:
         self._expect(MINIMAL.replace("stages = safety:squared_error:100", ""), "stages")
 
 
+@pytest.mark.parametrize("key, old, new, fragment", [
+    ("delta", "eta = ", "delta = inf\neta = ", "delta must be positive and finite, got inf"),
+    ("safety_batch", "safety_batch = 64", "safety_batch = 0", "safety_batch must be positive, got 0"),
+    ("steps", "steps = 300", "steps = 200", "steps is 200, but the stages sum to 300"),
+], ids=["delta", "safety_batch", "steps"])
+def test_train_error_points_at_the_failing_key(key, old, new, fragment):
+    # a [train] value that validation rejects is reported on its own line,
+    # not on the stages line
+    text = (CONFIGS / "regression.cfg").read_text().replace(old, new)
+    [line] = [i for i, row in enumerate(text.splitlines(), start=1)
+              if row.startswith(f"{key} = ")]
+    with pytest.raises(ConfigParseError, match=re.escape(fragment)) as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("stem", sorted(DEFAULTS))
 def test_shipped_config_file_matches_defaults(stem):
     # configs/*.cfg restate the package's shipped experiments; keep them equal

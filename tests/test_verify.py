@@ -3,6 +3,10 @@ probes; their margins and details must be those of fully probed runs."""
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +36,8 @@ def test_ablation_details_equal_probed_runs(monkeypatch):
 
 
 def test_legs_call_train_with_config_and_family_only(monkeypatch):
-    # benchmark hooks stand in for verify.train and cli.train with a
-    # two-argument function, so a leg must pass nothing else
+    # benchmark hooks stand in for verify.train with a two-argument
+    # function, so a leg must pass nothing else; no leg goes through the CLI
     calls = {"verify": [], "cli": []}
 
     def recorder(where):
@@ -45,15 +49,26 @@ def test_legs_call_train_with_config_and_family_only(monkeypatch):
     monkeypatch.setattr(verify, "train", recorder("verify"))
     monkeypatch.setattr(cli, "train", recorder("cli"))
     assert all(r.passed for r in verify.run_all(0))
-    assert calls["verify"] and calls["cli"]
-    for args, kwargs in calls["verify"] + calls["cli"]:
+    assert calls["cli"] == []
+    for args, kwargs in calls["verify"]:
         assert kwargs == {} and len(args) == 2
         assert isinstance(args[0], TrainConfig) and isinstance(args[1], TaskFamily)
     configs = [args[0] for args, _ in calls["verify"]]
     # 18 tax_mitigation legs and 11 ablation_trends legs go without probes;
-    # reduction_identities and determinism compare records, so keep them
+    # reduction_identities (3) and determinism (2) compare records, so keep them
+    assert len(configs) == 34
     assert sum(not c.probes for c in configs) == 18 + 11
-    assert all(args[0].probes for args, _ in calls["cli"])
+
+
+def test_determinism_check_loads_no_cli():
+    code = ("import sys; from orthoproj import verify; "
+            "assert verify.check_determinism(0).passed; print('orthoproj.cli' in sys.modules)")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_checks_take_no_gate():
