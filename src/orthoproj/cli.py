@@ -200,6 +200,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    """The argparse type of ``--seed``: numpy seeds an rng only from a
+    non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="orthoproj",
@@ -209,12 +218,12 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one configured experiment")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=nonnegative_int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the full property-check suite")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=nonnegative_int, default=None)
     p_verify.add_argument("--inject-skip-projection", action="store_true",
                           help="test-only fault injection: checks must fail")
     p_verify.set_defaults(fn=cmd_verify)
@@ -224,13 +233,13 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. '2,5,10,inf'")
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=nonnegative_int, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="run naive, ortho, replay on one family")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--seed", type=int, default=None)
+    p_cmp.add_argument("--seed", type=nonnegative_int, default=None)
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(fn=cmd_compare)
 

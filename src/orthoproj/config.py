@@ -239,13 +239,19 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
     for key, raw in seen["output"].items():
         if key != "dir":
             raise ConfigParseError(f"unknown key {key!r} in [output]", *pos("output", key))
+        if not raw:
+            raise ConfigParseError("[output] dir must not be empty", *pos("output", key))
         out_dir = raw
     if out_dir is None:
         stem = name.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         out_dir = f"runs/{stem}"
 
-    family_seed = (_convert(int, family_seed_raw, *pos("family", "seed"))
-                   if family_seed_raw is not None else int(train.seed))
+    family_seed = int(train.seed)
+    if family_seed_raw is not None:
+        family_seed = _convert(int, family_seed_raw, *pos("family", "seed"))
+        if family_seed < 0:
+            raise ConfigParseError(f"[family] invalid: seed must be >= 0, got {family_seed}",
+                                   *pos("family", "seed"))
     return ExperimentFile(
         family_kind=kind,
         family_seed=family_seed,

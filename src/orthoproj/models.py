@@ -94,7 +94,8 @@ class Batch:
 
     A batch is read, never written, and treated as immutable: a
     dpo_pairwise batch computes the reference policy's per-pair margin on
-    first use and keeps it (:attr:`ref_margin`).
+    first use and keeps it (:attr:`ref_margin`). A task's training set and
+    probe are batches; a dpo_pairwise training set holds no ref_params.
     """
 
     inputs: np.ndarray
@@ -108,7 +109,9 @@ class Batch:
             raise DimensionError(f"batch inputs must be 2-D, got shape {x.shape}")
         if x.shape[0] < 1:
             raise DimensionError("batch must contain at least one row")
-        if not all_finite(x):
+        # a mask, not all_finite's BLAS sum, which over 10^4 entries wakes
+        # OpenBLAS threads that then spin for tens of ms
+        if not np.isfinite(x).all():
             raise NumericError("batch inputs contain non-finite entries")
         object.__setattr__(self, "inputs", x)
         if self.pairs is not None:

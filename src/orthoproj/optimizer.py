@@ -101,6 +101,8 @@ class TrainConfig:
             raise ConfigurationError(f"ref_batch must be positive, got {self.ref_batch}")
         if not 0 <= self.replay_lambda < math.inf:
             raise ConfigurationError(f"replay_lambda must be >= 0 and finite, got {self.replay_lambda}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.stages:
             raise ConfigurationError("at least one stage is required")
         if any(s.steps < 1 for s in self.stages):
@@ -236,7 +238,7 @@ def train(config: TrainConfig, family) -> TrainResult:
     for stage in config.stages:
         task = family.tasks[stage.task]
         if stage.loss == "dpo_pairwise":
-            task = replace(task, ref_params=theta.copy())
+            task = replace(task, probe=replace(task.probe, ref_params=theta.copy()))
         period = stage.refresh_every if stage.refresh_every is not None else config.refresh_every
         for i in range(stage.steps):
             use_subspace = config.method == "ortho" and config.ref_count > 0

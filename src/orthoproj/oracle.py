@@ -140,13 +140,14 @@ def taylor_scaling(family, etas, method: str) -> TaylorReport:
     """Measure how the one-step reference-loss change scales with eta.
 
     Built for the quadratic pair, where the loss change under a step dtheta
-    is exactly <g_ref, dtheta> + 0.5 * ||A_ref dtheta||^2. With a fresh
-    subspace the projected step kills the linear term, leaving pure
-    second-order scaling (log-log slope 2); a naive step with correlated
-    gradients is first-order (slope 1). The subspace is spanned by the first
-    capability task's gradient (relative threshold 1e-6). Zero rows are
-    excluded from the fit; if every row is zero the change is curvature-only
-    below float resolution and the slope is reported as exactly 2.
+    is exactly <g_ref, dtheta> + 0.5 * ||A_ref dtheta||^2, for the reference
+    task's system A_ref = ``ref.train.inputs``. With a fresh subspace the
+    projected step kills the linear term, leaving pure second-order scaling
+    (log-log slope 2); a naive step with correlated gradients is first-order
+    (slope 1). The subspace is spanned by the first capability task's
+    gradient (relative threshold 1e-6). Zero rows are excluded from the fit;
+    if every row is zero the change is curvature-only below float resolution
+    and the slope is reported as exactly 2.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
@@ -159,7 +160,7 @@ def taylor_scaling(family, etas, method: str) -> TaylorReport:
     theta0 = family.theta0
     safety = family.tasks["safety"]
     ref = family.capability_tasks[0]
-    g_safe = safety.gradient(theta0, safety.probe())
+    g_safe = safety.gradient(theta0, safety.probe)
     if method == "ortho":
         sub = estimate_subspace(theta0, [ref], batch_size=1, rng=np.random.default_rng(0),
                                 delta=1e-6, step=0)
@@ -167,9 +168,9 @@ def taylor_scaling(family, etas, method: str) -> TaylorReport:
     else:
         direction = g_safe
 
-    a_ref = ref.train_inputs
+    a_ref = ref.train.inputs
     ref_loss0 = ref.loss(theta0)
-    g_ref = ref.gradient(theta0, ref.probe())
+    g_ref = ref.gradient(theta0, ref.probe)
     changes, predicted = [], []
     for eta in etas:
         dtheta = -eta * direction

@@ -47,9 +47,11 @@ POLICY_PRETRAIN = (1000, 1.0)
 _SAFETY_OWN_SCALE = 2.0
 
 
-# every task array field, in the order fingerprint hashes them
-_ARRAY_FIELDS = ("train_inputs", "train_targets", "probe_inputs", "probe_targets",
-                 "train_pairs", "probe_pairs", "ref_params")
+# (label, batch, field) of every task array, in the order fingerprint hashes them
+_ARRAYS = (("train_inputs", "train", "inputs"), ("train_targets", "train", "targets"),
+           ("probe_inputs", "probe", "inputs"), ("probe_targets", "probe", "targets"),
+           ("train_pairs", "train", "pairs"), ("probe_pairs", "probe", "pairs"),
+           ("ref_params", "probe", "ref_params"))
 
 
 def _refuse_pickle(obj):
@@ -60,81 +62,54 @@ def _refuse_pickle(obj):
 
 @dataclass(frozen=True)
 class DifferentiableTask:
-    """A dataset plus a loss kind, with a fixed held-out probe batch.
+    """A loss kind plus two batches: ``train``, the whole training set, and
+    ``probe``, the held-out probe, which never feeds a gradient.
 
-    Training batches are drawn from the train arrays only; the probe arrays
-    never feed a gradient. ``ref_params`` is a dpo_pairwise reference policy.
-
-    Tasks are immutable, their arrays read-only: the probe batch and the
-    quadratic kind's whole-system batch are built (and validated) once, on
-    first use, and ``dataclasses.replace`` makes a task with new data.
+    A quadratic task is one analytic system, so ``train`` is ``probe``. A
+    dpo_pairwise task states its reference policy once, as
+    ``probe.ref_params``, and each sampled batch carries it. Tasks are
+    immutable and their arrays read-only; both batches are validated when
+    they are built, and ``dataclasses.replace`` makes a task with new data.
     """
 
     name: str
     spec: ModelSpec
     kind: LossKind
-    train_inputs: np.ndarray
-    train_targets: np.ndarray | None
-    probe_inputs: np.ndarray
-    probe_targets: np.ndarray | None
-    train_pairs: np.ndarray | None = None
-    probe_pairs: np.ndarray | None = None
-    ref_params: np.ndarray | None = None
+    train: Batch
+    probe: Batch
 
     def __post_init__(self):
-        for name in _ARRAY_FIELDS:
-            arr = getattr(self, name)
+        for _, batch, fld in _ARRAYS:
+            arr = getattr(getattr(self, batch), fld)
             if arr is not None:
                 arr.flags.writeable = False
 
     __reduce__ = _refuse_pickle
 
-    @property
-    def train_size(self) -> int:
-        if self.kind.tag == "dpo_pairwise":
-            return self.train_pairs.shape[0]
-        return self.train_inputs.shape[0]
-
-    @cached_property
-    def _system_batch(self) -> Batch:
-        return Batch(self.train_inputs, self.train_targets)
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> Batch:
         """Draw a training batch; with replacement only when size exceeds
-        the dataset. The quadratic kind is a single analytic system and
-        always returns it whole (no rng consumed)."""
+        the dataset. The quadratic kind returns its whole system (no rng
+        consumed). A dpo_pairwise batch draws pairs and holds one input row
+        per pair: pair p's context row moves to row p."""
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
+        data, dpo = self.train, self.kind.tag == "dpo_pairwise"
         if self.spec.kind == "quadratic":
-            return self._system_batch
-        n = self.train_size
+            return data
+        n = len(data.pairs if dpo else data.inputs)
         idx = rng.choice(n, size=size, replace=size > n)
-        if self.kind.tag == "dpo_pairwise":
-            return self._pair_batch(self.train_inputs, self.train_pairs[idx])
-        return Batch(self.train_inputs[idx], self.train_targets[idx])
-
-    def _pair_batch(self, contexts: np.ndarray, pairs: np.ndarray) -> Batch:
-        """A dpo_pairwise batch with one input row per pair: pair p's
-        context row moves to row p, in the batch's own numbering."""
+        if not dpo:
+            return Batch(data.inputs[idx], data.targets[idx])
+        pairs = data.pairs[idx]
         rows = pairs.copy()
-        rows[:, 0] = np.arange(pairs.shape[0])
-        return Batch(contexts[pairs[:, 0]], pairs=rows, ref_params=self.ref_params)
-
-    @cached_property
-    def _probe_batch(self) -> Batch:
-        if self.kind.tag == "dpo_pairwise":
-            return self._pair_batch(self.probe_inputs, self.probe_pairs)
-        return Batch(self.probe_inputs, self.probe_targets)
-
-    def probe(self) -> Batch:
-        """The fixed held-out evaluation batch."""
-        return self._probe_batch
+        rows[:, 0] = np.arange(size)
+        return Batch(data.inputs[pairs[:, 0]], pairs=rows, ref_params=self.probe.ref_params)
 
     def loss(self, theta, batch: Batch | None = None) -> float:
-        return models.loss(self.spec, self.kind, theta, self.probe() if batch is None else batch)
+        return models.loss(self.spec, self.kind, theta, self.probe if batch is None else batch)
 
     def gradient(self, theta, batch: Batch | None = None) -> np.ndarray:
-        return models.gradient(self.spec, self.kind, theta, self.probe() if batch is None else batch)
+        return models.gradient(self.spec, self.kind, theta, self.probe if batch is None else batch)
 
 
 @dataclass(frozen=True)
@@ -178,9 +153,9 @@ class TaskFamily:
         """sha256 hex digest of the family: ``kind``, ``seed``, ``params``,
         ``safety_metric_task``, the capability task names in order, each
         task's name, spec and loss, and the dtype, shape and bytes of
-        ``theta0`` and of every task's ``_ARRAY_FIELDS`` array. Capability
-        tasks are members of ``tasks``, so their arrays are hashed there.
-        Computed on first use."""
+        ``theta0`` and of each array of every task's two batches, labelled
+        as in ``_ARRAYS``. Capability tasks are members of ``tasks``, so
+        their arrays are hashed there. Computed on first use."""
         import hashlib  # loading it costs ~4 ms, so only families that are hashed pay
         h = hashlib.sha256(repr((
             self.kind, self.seed, sorted(self.params.items()), self.safety_metric_task,
@@ -188,8 +163,8 @@ class TaskFamily:
             [(name, t.spec, t.kind) for name, t in sorted(self.tasks.items())],
         )).encode())
         labelled = [("theta0", self.theta0)] + [
-            (f"{name}.{fld}", getattr(t, fld))
-            for name, t in sorted(self.tasks.items()) for fld in _ARRAY_FIELDS]
+            (f"{name}.{label}", getattr(getattr(t, batch), fld))
+            for name, t in sorted(self.tasks.items()) for label, batch, fld in _ARRAYS]
         for label, arr in labelled:
             if arr is not None:
                 h.update(f"{label} {arr.dtype.str} {arr.shape}".encode())
@@ -254,8 +229,9 @@ def quadratic_family(d: int, alpha: float, seed: int,
 
     spec = ModelSpec("quadratic", (d,))
     kind = LossKind("squared_error")
-    capability = DifferentiableTask("capability", spec, kind, a_cap, b_cap, a_cap, b_cap)
-    safety = DifferentiableTask("safety", spec, kind, a_safe, b_safe, a_safe, b_safe)
+    cap_system, safe_system = Batch(a_cap, b_cap), Batch(a_safe, b_safe)
+    capability = DifferentiableTask("capability", spec, kind, cap_system, cap_system)
+    safety = DifferentiableTask("safety", spec, kind, safe_system, safe_system)
     return TaskFamily(
         kind="quadratic_pair",
         seed=seed,
@@ -329,9 +305,8 @@ def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
     kind = LossKind("squared_error")
 
     def task(name, active, pieces, n_train):
-        xt, yt = draw(n_train, active, pieces)
-        xp, yp = draw(PROBE_ROWS, active, pieces)
-        return DifferentiableTask(name, spec, kind, xt, yt, xp, yp)
+        train = Batch(*draw(n_train, active, pieces))
+        return DifferentiableTask(name, spec, kind, train, Batch(*draw(PROBE_ROWS, active, pieces)))
 
     cap_a = task("cap_a", (sl_a, sl_sh), ((sl_a, w_a), (sl_sh, s_shared)), n_capability)
     cap_b = task("cap_b", (sl_b, sl_sh), ((sl_b, w_b), (sl_sh, s_shared)), n_capability)
@@ -362,11 +337,9 @@ def _init_mlp(rng, d, hidden):
 def _pretrain(theta, cap_a, cap_b, budget, label):
     """Full-batch descent on the mean of the two capability losses."""
     steps, eta = budget
-    batch_a = Batch(cap_a.train_inputs, cap_a.train_targets)
-    batch_b = Batch(cap_b.train_inputs, cap_b.train_targets)
     for _ in range(steps):
-        g_a = cap_a.gradient(theta, batch_a)
-        g_b = cap_b.gradient(theta, batch_b)
+        g_a = cap_a.gradient(theta, cap_a.train)
+        g_b = cap_b.gradient(theta, cap_b.train)
         theta = theta - eta * 0.5 * (g_a + g_b)
     if not all_finite(theta):
         raise NumericError(f"{label} pre-training diverged")
@@ -432,37 +405,31 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
         yt = sample_labels(xt, teacher)
         xp = contexts(PROBE_ROWS, (block, sl_sh))
         yp = sample_labels(xp, teacher)
-        return DifferentiableTask(name, spec, nll, xt, yt, xp, yp)
+        return DifferentiableTask(name, spec, nll, Batch(xt, yt), Batch(xp, yp))
 
     cap_a = capability_task("cap_a", teacher_a, sl_a)
     cap_b = capability_task("cap_b", teacher_b, sl_b)
 
-    def safe_and_content_labels(x):
+    def safety_data(n):
+        # safety contexts with each row's strongest safe and content tokens
+        x = contexts(n, (sl_own, sl_sh))
         logits = x @ teacher_s.T
-        y_safe = np.argmax(logits[:, :n_safe_tokens], axis=1)
-        y_content = n_safe_tokens + np.argmax(logits[:, n_safe_tokens:], axis=1)
-        return y_safe, y_content
+        return (x, np.argmax(logits[:, :n_safe_tokens], axis=1),
+                n_safe_tokens + np.argmax(logits[:, n_safe_tokens:], axis=1))
 
-    x_sft = contexts(n_safety, (sl_own, sl_sh))
-    y_sft, _ = safe_and_content_labels(x_sft)
-    x_sft_probe = contexts(PROBE_ROWS, (sl_own, sl_sh))
-    y_sft_probe, _ = safe_and_content_labels(x_sft_probe)
-    sft = DifferentiableTask("sft", spec, nll, x_sft, y_sft, x_sft_probe, y_sft_probe)
-
-    x_dpo = contexts(n_safety, (sl_own, sl_sh))
-    w_dpo, l_dpo = safe_and_content_labels(x_dpo)
-    x_dpo_probe = contexts(PROBE_ROWS, (sl_own, sl_sh))
-    w_probe, l_probe = safe_and_content_labels(x_dpo_probe)
+    x, y, _ = safety_data(n_safety)
+    xp, yp, _ = safety_data(PROBE_ROWS)
+    sft = DifferentiableTask("sft", spec, nll, Batch(x, y), Batch(xp, yp))
+    x, safe, content = safety_data(n_safety)
+    dpo_train = Batch(x, pairs=np.column_stack([np.arange(n_safety), safe, content]))
+    xp, safe, content = safety_data(PROBE_ROWS)
 
     theta0 = _pretrain(0.01 * rng.standard_normal(spec.param_dim), cap_a, cap_b,
                        POLICY_PRETRAIN, "policy")
     dpo = DifferentiableTask(
-        "dpo", spec, LossKind("dpo_pairwise", beta=0.2),
-        x_dpo, None, x_dpo_probe, None,
-        train_pairs=np.column_stack([np.arange(n_safety), w_dpo, l_dpo]),
-        probe_pairs=np.column_stack([np.arange(PROBE_ROWS), w_probe, l_probe]),
-        ref_params=theta0.copy(),
-    )
+        "dpo", spec, LossKind("dpo_pairwise", beta=0.2), dpo_train,
+        Batch(xp, pairs=np.column_stack([np.arange(PROBE_ROWS), safe, content]),
+              ref_params=theta0.copy()))
     return TaskFamily(
         kind="policy_sft_dpo",
         seed=seed,

@@ -183,6 +183,19 @@ def test_bad_family_size_or_train_float_exits_2(stem, key, value, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify"], ["compare"],
+                                     ["sweep", "--axis", "M", "--values", "1"]])
+def test_negative_seed_option_exits_2(command, quad_config, capsys):
+    # numpy takes only non-negative seeds; argparse refuses the value first
+    argv = [*command, "--seed", "-1"]
+    if command != ["verify"]:
+        argv += ["--config", str(quad_config())]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_readme_command_lines_run(tmp_path, monkeypatch):
     # each line of the README's command block, its [...] optionals dropped,
     # run from the repo root

@@ -138,12 +138,22 @@ class TestRejection:
     def test_missing_stages(self):
         self._expect(MINIMAL.replace("stages = safety:squared_error:100", ""), "stages")
 
+    def test_negative_family_seed_at_its_line(self):
+        bad = MINIMAL.replace("d = 12", "d = 12\nseed = -3")
+        self._expect(bad, "[family] invalid: seed must be >= 0, got -3", line=8)
+
+    def test_empty_output_dir_at_its_line(self):
+        for empty in ("dir =", "dir =   "):
+            self._expect(MINIMAL.replace("dir = out/here", empty), "[output] dir must not be empty",
+                         line=14)
+
 
 @pytest.mark.parametrize("key, old, new, fragment", [
     ("delta", "eta = ", "delta = inf\neta = ", "delta must be positive and finite, got inf"),
     ("safety_batch", "safety_batch = 64", "safety_batch = 0", "safety_batch must be positive, got 0"),
     ("steps", "steps = 300", "steps = 200", "steps is 200, but the stages sum to 300"),
-], ids=["delta", "safety_batch", "steps"])
+    ("seed", "seed = 0", "seed = -2", "seed must be >= 0, got -2"),
+], ids=["delta", "safety_batch", "steps", "seed"])
 def test_train_error_points_at_the_failing_key(key, old, new, fragment):
     # a [train] value that validation rejects is reported on its own line,
     # not on the stages line

@@ -46,7 +46,7 @@ class TestAlignmentTax:
         base = dict(QUAD_BASE, steps=1, stages=(Stage("safety", "squared_error", 1),))
         result = train(TrainConfig(method="ortho", **base), fam)
         cap = fam.capability_tasks[0]
-        image = cap.train_inputs @ (result.theta_final - fam.theta0)
+        image = cap.train.inputs @ (result.theta_final - fam.theta0)
         remainder = 0.5 * float(image @ image)
         assert alignment_tax(result, fam).tax[0] == pytest.approx(remainder, abs=1e-15)
 

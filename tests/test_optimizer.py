@@ -23,8 +23,8 @@ from orthoproj.tasks import DifferentiableTask, TaskFamily
 
 def origin_quadratic(d=2):
     spec = ModelSpec("quadratic", (d,))
-    a, b = np.eye(d), np.zeros(d)
-    return DifferentiableTask("safety", spec, LossKind("squared_error"), a, b, a, b)
+    system = Batch(np.eye(d), np.zeros(d))
+    return DifferentiableTask("safety", spec, LossKind("squared_error"), system, system)
 
 
 QUAD_BASE = dict(eta=0.05, steps=100, refresh_every=5, ref_count=1,
@@ -35,14 +35,14 @@ QUAD_BASE = dict(eta=0.05, steps=100, refresh_every=5, ref_count=1,
 class TestNaiveStep:
     def test_closed_form(self):
         task = origin_quadratic()
-        theta, g = naive_step(np.array([1.0, 0.0]), task, task.probe(), eta=0.5)
+        theta, g = naive_step(np.array([1.0, 0.0]), task, task.probe, eta=0.5)
         np.testing.assert_array_equal(theta, [0.5, 0.0])
         np.testing.assert_array_equal(g, [1.0, 0.0])
 
     def test_zero_eta_is_identity(self):
         task = origin_quadratic()
         start = np.array([1.0, -2.0])
-        theta, _ = naive_step(start, task, task.probe(), eta=0.0)
+        theta, _ = naive_step(start, task, task.probe, eta=0.0)
         np.testing.assert_array_equal(theta, start)
 
     def test_single_step_descends(self, regression_family):
@@ -59,8 +59,8 @@ class TestProjectedStep:
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
                                 np.random.default_rng(0), 1e-6, 0)
-        theta_p, _, _ = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
-        theta_n, _ = naive_step(fam.theta0, safety, safety.probe(), 0.05)
+        theta_p, _, _ = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
+        theta_n, _ = naive_step(fam.theta0, safety, safety.probe, 0.05)
         assert theta_p.tobytes() == theta_n.tobytes()
 
     def test_collinear_case_stalls(self, quadratic_family):
@@ -68,7 +68,7 @@ class TestProjectedStep:
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
                                 np.random.default_rng(0), 1e-6, 0)
-        theta_p, g, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
+        theta_p, g, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
         assert np.abs(theta_p - fam.theta0).max() <= 1e-12
         assert norm(g_proj) <= 1e-12 * norm(g)
 
@@ -77,7 +77,7 @@ class TestProjectedStep:
         safety = fam.tasks["safety"]
         sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
                                 np.random.default_rng(0), 1e-6, 0)
-        _, g, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, 0.05)
+        _, g, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
         assert abs(norm(g_proj) - norm(g) * math.sin(math.pi / 4)) <= 1e-9
 
 
@@ -86,8 +86,8 @@ class TestReplayStep:
         fam = quadratic_family(math.pi / 3)
         safety = fam.tasks["safety"]
         cap = fam.capability_tasks[0]
-        batch = safety.probe()
-        theta_r, _ = replay_step(fam.theta0, safety, batch, [cap], [cap.probe()],
+        batch = safety.probe
+        theta_r, _ = replay_step(fam.theta0, safety, batch, [cap], [cap.probe],
                                  eta=0.05, lam=0.0)
         theta_n, _ = naive_step(fam.theta0, safety, batch, eta=0.05)
         assert theta_r.tobytes() == theta_n.tobytes()
@@ -96,8 +96,8 @@ class TestReplayStep:
         fam = quadratic_family(math.pi / 3)
         safety = fam.tasks["safety"]
         cap = fam.capability_tasks[0]
-        theta_r, _ = replay_step(fam.theta0, safety, safety.probe(), [cap],
-                                 [cap.probe()], eta=1.0, lam=1e6)
+        theta_r, _ = replay_step(fam.theta0, safety, safety.probe, [cap],
+                                 [cap.probe], eta=1.0, lam=1e6)
         direction = fam.theta0 - theta_r  # eta * (g + lam * mean_ref)
         ref_grad = cap.gradient(fam.theta0)
         assert angle_between(direction, ref_grad) <= 1e-3
@@ -240,9 +240,9 @@ class TestTrain:
         sub = estimate_subspace(fam.theta0, [cap], 1, np.random.default_rng(0),
                                 1e-6, 0)
         eta = 1e-2
-        theta1, _, g_proj = projected_step(fam.theta0, safety, safety.probe(), sub, eta)
+        theta1, _, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, eta)
         change = cap.loss(theta1) - cap.loss(fam.theta0)
-        image = cap.train_inputs @ (theta1 - fam.theta0)
+        image = cap.train.inputs @ (theta1 - fam.theta0)
         remainder = 0.5 * float(image @ image)
         assert abs(change - remainder) <= 1e-6 * max(abs(change), abs(remainder))
         # halving eta shrinks the change fourfold
@@ -292,8 +292,8 @@ def _random_quadratic_family(d, m, seed):
 
     def task(name):
         a = rng.standard_normal((int(rng.integers(1, 4)), d))
-        b = rng.standard_normal(a.shape[0])
-        return DifferentiableTask(name, spec, kind, a, b, a, b)
+        system = Batch(a, rng.standard_normal(a.shape[0]))
+        return DifferentiableTask(name, spec, kind, system, system)
 
     caps = tuple(task(f"cap{i}") for i in range(m))
     safety = task("safety")
@@ -415,9 +415,33 @@ class TestReferenceMargins:
         train(cfg, fam)
         # one per sampled batch (a new batch each step) and one per stage's probe
         assert len({id(b) for b in computed}) == len(computed) == 4 + 5 + 2
-        probes = [b for b in computed if b.inputs.shape[0] == fam.tasks["dpo"].probe_pairs.shape[0]]
+        probes = [b for b in computed if b.inputs.shape[0] == fam.tasks["dpo"].probe.pairs.shape[0]]
         assert len(probes) == 2
         assert probes[0].ref_params.tobytes() != probes[1].ref_params.tobytes()
+
+    def test_sampled_dpo_batches_carry_the_stage_entry_parameters(self, policy_family,
+                                                                   monkeypatch):
+        fam = policy_family()
+        sft = Stage("sft", "nll_sft", 3)
+        cfg = dataclasses.replace(DEFAULTS["policy"].train, steps=7,
+                                  stages=(sft, Stage("dpo", "dpo_pairwise", 4)))
+        # a run's first stage does not depend on the stages after it
+        entry = train(dataclasses.replace(cfg, steps=3, stages=(sft,)), fam).theta_final
+        sampled = []
+        original = DifferentiableTask.sample_batch
+
+        def recording(task, rng, size):
+            batch = original(task, rng, size)
+            sampled.append((task.name, batch))
+            return batch
+
+        monkeypatch.setattr(DifferentiableTask, "sample_batch", recording)
+        train(cfg, fam)
+        dpo_batches = [b for name, b in sampled if name == "dpo"]
+        assert len(dpo_batches) == 4
+        for batch in dpo_batches:
+            assert batch.ref_params.tobytes() == entry.tobytes()
+            assert batch.ref_params.tobytes() != fam.theta0.tobytes()
 
 
 class TestValidation:

@@ -7,7 +7,10 @@ variables when it is imported.
 
 import dataclasses
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,15 @@ def test_span_counts_follow_the_config(spans, quadratic_family, regression_famil
     got = tracer.counts(0, len(tracer))
     want = expected(config, family, result)
     assert {k: got.get(k, 0) for k in want} == want
+
+
+def test_verify_suite_benchmark_runs_clean():
+    # a short verify_suite run: every pass it times must pass all its checks
+    # and repeat its first run bit for bit; it writes only under .perfbench_out/
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "verify_suite",
+                           "--seed", "1", "--seconds", "0.2", "--trace", "0"],
+                          cwd=SPANS_PATH.parents[1], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.models import LossKind, ModelSpec
+from orthoproj.models import Batch, LossKind, ModelSpec
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import NO_REFRESH, estimate_subspace, needs_refresh
 from orthoproj.tasks import DifferentiableTask
@@ -10,7 +10,8 @@ from orthoproj.tasks import DifferentiableTask
 
 def quadratic_task(name, a, b):
     spec = ModelSpec("quadratic", (a.shape[1],))
-    return DifferentiableTask(name, spec, LossKind("squared_error"), a, b, a, b)
+    system = Batch(a, b)
+    return DifferentiableTask(name, spec, LossKind("squared_error"), system, system)
 
 
 class TestNeedsRefresh:
@@ -56,7 +57,7 @@ class TestEstimateSubspace:
     def test_duplicate_tasks_give_rank_one(self, regression_family):
         fam = regression_family()
         task = fam.tasks["cap_a"]
-        sub = estimate_subspace(fam.theta0, [task, task], task.train_size,
+        sub = estimate_subspace(fam.theta0, [task, task], task.train.inputs.shape[0],
                                 np.random.default_rng(0), 1e-6, step=0)
         assert sub.candidate_count == 2
         assert sub.rank == 1
@@ -96,13 +97,10 @@ class TestEstimateSubspace:
                               np.random.default_rng(0), 1e-6, 0)
 
     def test_non_finite_reference_data_reports_task_index(self):
-        # the batch rejects the data when it is built, inside the same
-        # per-task error context as the gradient
-        good = quadratic_task("ok", np.eye(2), np.zeros(2))
-        bad = quadratic_task("bad", np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
-        with pytest.raises(NumericError, match=r"reference task 1 \(bad\): batch inputs"):
-            estimate_subspace(np.zeros(2), [good, bad], 2, np.random.default_rng(0),
-                              1e-6, 0)
+        # a task's batches are validated when it is built, so non-finite
+        # reference data never reaches an estimate
+        with pytest.raises(NumericError, match="batch inputs contain non-finite entries"):
+            quadratic_task("bad", np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_reports_the_first_task(self, bad, regression_family):

@@ -16,7 +16,7 @@ from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, NumericError
 from orthoproj.linalg import angle_between, norm, project_complement
 from orthoproj.metrics import alignment_tax
-from orthoproj.models import LossKind
+from orthoproj.models import Batch, LossKind
 from orthoproj.optimizer import Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import policy_family, quadratic_family, regression_family
@@ -84,7 +84,7 @@ class TestQuadraticPair:
         rng = np.random.default_rng(3)
         dt = 0.1 * rng.standard_normal(8)
         g = cap.gradient(theta0)
-        image = cap.train_inputs @ dt
+        image = cap.train.inputs @ dt
         predicted = float(g @ dt) + 0.5 * float(image @ image)
         actual = cap.loss(theta0 + dt) - cap.loss(theta0)
         assert abs(actual - predicted) <= 1e-12 * max(1.0, abs(actual))
@@ -94,8 +94,8 @@ class TestQuadraticPair:
     def test_arrays_match_the_out_of_place_construction(self, d, alpha):
         fam = quadratic_family(d, alpha, seed=d)
         cap, safety = fam.tasks["capability"], fam.tasks["safety"]
-        got = (fam.theta0, cap.train_inputs, cap.train_targets,
-               safety.train_inputs, safety.train_targets)
+        got = (fam.theta0, cap.train.inputs, cap.train.targets,
+               safety.train.inputs, safety.train.targets)
         want = _out_of_place_quadratic(d, alpha, seed=d)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [a.shape for a in got] == [a.shape for a in want]
@@ -113,7 +113,7 @@ class TestQuadraticPair:
             tracemalloc.stop()
         # theta0, the two capability rows and the safety row
         assert kept - start >= 4 * vec
-        assert fam.tasks["safety"].train_inputs.base.nbytes == vec
+        assert fam.tasks["safety"].train.inputs.base.nbytes == vec
         assert peak - kept <= vec + 256 * 1024
 
     def test_validation(self):
@@ -131,8 +131,8 @@ class TestRegressionFamily:
         b = regression_family(16, 12, math.pi / 3, 1.0, 200, 2000, seed=5)
         assert a.theta0.tobytes() == b.theta0.tobytes()
         for name in a.tasks:
-            assert a.tasks[name].train_inputs.tobytes() == b.tasks[name].train_inputs.tobytes()
-            assert a.tasks[name].train_targets.tobytes() == b.tasks[name].train_targets.tobytes()
+            assert a.tasks[name].train.inputs.tobytes() == b.tasks[name].train.inputs.tobytes()
+            assert a.tasks[name].train.targets.tobytes() == b.tasks[name].train.targets.tobytes()
 
     def test_alpha_zero_naive_tuning_is_nearly_neutral(self, regression_family):
         # consistent shared teachers: 100 naive steps leave each capability
@@ -160,8 +160,8 @@ class TestRegressionFamily:
 
     def test_block_structure(self, regression_family):
         fam = regression_family()
-        cap_a = fam.tasks["cap_a"].train_inputs
-        safety = fam.tasks["safety"].train_inputs
+        cap_a = fam.tasks["cap_a"].train.inputs
+        safety = fam.tasks["safety"].train.inputs
         q = 16 // 4
         assert np.all(cap_a[:, q:2 * q] == 0.0)       # facet b block silent
         assert np.all(cap_a[:, 3 * q:] == 0.0)        # safety-own block silent
@@ -184,7 +184,7 @@ class TestPolicyFamily:
     def test_dpo_loss_is_log2_at_reference(self, policy_family):
         fam = policy_family()
         dpo = fam.tasks["dpo"]
-        assert dpo.ref_params.tobytes() == fam.theta0.tobytes()
+        assert dpo.probe.ref_params.tobytes() == fam.theta0.tobytes()
         assert dpo.loss(fam.theta0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_stage_transition_freezes_reference(self, policy_family):
@@ -202,19 +202,28 @@ class TestPolicyFamily:
     def test_cached_probe_follows_replaced_reference(self, policy_family):
         fam = policy_family()
         dpo = fam.tasks["dpo"]
-        first = dpo.probe()
-        assert dpo.probe() is first  # built and validated once
+        first = dpo.probe
+        assert dpo.probe is first  # built and validated with the task
         rng = np.random.default_rng(3)
         theta1 = fam.theta0 + 0.1 * rng.standard_normal(fam.theta0.size)
-        moved = dataclasses.replace(dpo, ref_params=theta1.copy())
-        assert moved.probe().ref_params.tobytes() == theta1.tobytes()
-        assert moved.probe() is moved.probe()
+        moved = _with_array(dpo, "probe", "ref_params", theta1.copy())
+        assert moved.probe.ref_params.tobytes() == theta1.tobytes()
+        assert moved.probe is moved.probe
         assert moved.loss(theta1) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert moved.probe().pairs.tobytes() == first.pairs.tobytes()
+        assert moved.probe.pairs.tobytes() == first.pairs.tobytes()
         # the original task, and the probe it already built, are untouched
-        assert dpo.probe() is first
+        assert dpo.probe is first
         assert first.ref_params.tobytes() == fam.theta0.tobytes()
         assert dpo.loss(fam.theta0) == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_sampled_batches_carry_the_probe_reference(self, policy_family):
+        fam = policy_family()
+        dpo = fam.tasks["dpo"]
+        batch = dpo.sample_batch(np.random.default_rng(0), 16)
+        assert batch.ref_params is dpo.probe.ref_params
+        assert batch.pairs.shape == (16, 3)
+        moved = _with_array(dpo, "probe", "ref_params", fam.theta0 + 0.1)
+        assert moved.sample_batch(np.random.default_rng(0), 16).ref_params is moved.probe.ref_params
 
     def test_naive_dpo_descends(self, policy_family):
         fam = policy_family()
@@ -228,17 +237,17 @@ class TestPolicyFamily:
         fam = policy_family()
         q = 8 // 4
         for cap_name in ("cap_a", "cap_b"):
-            cap = fam.tasks[cap_name].train_inputs
+            cap = fam.tasks[cap_name].train.inputs
             assert np.all(cap[:, 3 * q:] == 0.0)  # safety-own block silent
         for safety_name in ("sft", "dpo"):
-            safe = fam.tasks[safety_name].train_inputs
+            safe = fam.tasks[safety_name].train.inputs
             assert np.all(safe[:, :2 * q] == 0.0)  # facet blocks silent
 
     def test_seed_determinism(self):
         a = policy_family(8, 10, 200, 2000, seed=9)
         b = policy_family(8, 10, 200, 2000, seed=9)
         assert a.theta0.tobytes() == b.theta0.tobytes()
-        assert a.tasks["dpo"].train_pairs.tobytes() == b.tasks["dpo"].train_pairs.tobytes()
+        assert a.tasks["dpo"].train.pairs.tobytes() == b.tasks["dpo"].train.pairs.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -255,9 +264,9 @@ class TestPolicyFamily:
 def _array_bytes(fam):
     out = {"theta0": fam.theta0.tobytes()}
     for name, t in fam.tasks.items():
-        for fld in tasks._ARRAY_FIELDS:
-            arr = getattr(t, fld)
-            out[f"{name}.{fld}"] = None if arr is None else arr.tobytes()
+        for label, batch, fld in tasks._ARRAYS:
+            arr = getattr(getattr(t, batch), fld)
+            out[f"{name}.{label}"] = None if arr is None else arr.tobytes()
     return out
 
 
@@ -268,20 +277,20 @@ class TestImmutability:
         result = train(DEFAULTS["policy"].train, fam)
         assert result.theta_final.tobytes() != fam.theta0.tobytes()
         assert _array_bytes(fam) == before
-        assert fam.tasks["dpo"].ref_params.tobytes() == fam.theta0.tobytes()
+        assert fam.tasks["dpo"].probe.ref_params.tobytes() == fam.theta0.tobytes()
 
     def test_arrays_are_read_only(self, policy_family, quadratic_family):
         for fam in (policy_family(), quadratic_family(math.pi / 4)):
             with pytest.raises(ValueError):
                 fam.theta0[0] = 1.0
             for task in fam.tasks.values():
-                for fld in tasks._ARRAY_FIELDS:
-                    arr = getattr(task, fld)
+                for _, batch, fld in tasks._ARRAYS:
+                    arr = getattr(getattr(task, batch), fld)
                     if arr is not None:
                         with pytest.raises(ValueError):
                             arr[0] = arr[0]
                 with pytest.raises(dataclasses.FrozenInstanceError):
-                    task.ref_params = fam.theta0.copy()
+                    task.probe = task.train
             with pytest.raises(dataclasses.FrozenInstanceError):
                 fam.theta0 = fam.theta0.copy()
 
@@ -318,13 +327,13 @@ class TestImmutability:
     def test_replaced_reference_has_its_own_probe_margins(self, policy_family):
         fam = policy_family()
         dpo = fam.tasks["dpo"]
-        before = dpo.probe().ref_margin.tobytes()
+        before = dpo.probe.ref_margin.tobytes()
         assert dpo.loss(fam.theta0) == math.log(2.0)  # policy == reference
-        moved = dataclasses.replace(dpo, ref_params=dpo.ref_params + 0.1)
-        assert moved.probe() is not dpo.probe()
-        assert moved.probe().ref_margin.tobytes() != before
+        moved = _with_array(dpo, "probe", "ref_params", dpo.probe.ref_params + 0.1)
+        assert moved.probe is not dpo.probe
+        assert moved.probe.ref_margin.tobytes() != before
         assert moved.loss(fam.theta0) != math.log(2.0)
-        assert dpo.probe().ref_margin.tobytes() == before
+        assert dpo.probe.ref_margin.tobytes() == before
         assert dpo.loss(fam.theta0) == math.log(2.0)
 
 
@@ -347,25 +356,27 @@ class TestSampling:
         fam = quadratic_family(math.pi / 4)
         task = fam.tasks["safety"]
         b1 = task.sample_batch(np.random.default_rng(0), 17)
-        assert b1.inputs is task.train_inputs
+        assert b1 is task.train
+        assert task.train is task.probe
 
     def test_quadratic_system_batch_follows_replaced_arrays(self):
         cap, safety, theta0 = make_pair(6, math.pi / 4, seed=2)
         first = safety.sample_batch(np.random.default_rng(0), 1)
         assert safety.sample_batch(np.random.default_rng(1), 1) is first
-        shifted = dataclasses.replace(safety, train_targets=safety.train_targets + 1.0)
+        shifted = dataclasses.replace(safety, train=Batch(safety.train.inputs,
+                                                          safety.train.targets + 1.0))
         second = shifted.sample_batch(np.random.default_rng(0), 1)
-        assert second.targets is shifted.train_targets
+        assert second is shifted.train
         assert safety.sample_batch(np.random.default_rng(0), 1) is first
-        broken = dataclasses.replace(safety, train_inputs=np.full_like(safety.train_inputs, np.nan))
-        with pytest.raises(NumericError):
-            broken.sample_batch(np.random.default_rng(0), 1)
+        with pytest.raises(NumericError):  # rejected before a task can hold it
+            dataclasses.replace(safety, train=Batch(np.full_like(safety.train.inputs, np.nan),
+                                                    safety.train.targets))
 
     def test_probe_never_in_training_draws(self, regression_family):
         fam = regression_family()
         task = fam.tasks["cap_a"]
-        probe_rows = {tuple(r) for r in task.probe().inputs}
-        train_rows = {tuple(r) for r in task.train_inputs}
+        probe_rows = {tuple(r) for r in task.probe.inputs}
+        train_rows = {tuple(r) for r in task.train.inputs}
         assert not (probe_rows & train_rows)
 
 
@@ -374,6 +385,12 @@ def _with_task(fam, task):
     members = dict(fam.tasks, **{task.name: task})
     return dataclasses.replace(fam, tasks=members,
                                capability_tasks=tuple(members[t.name] for t in fam.capability_tasks))
+
+
+def _with_array(task, batch, fld, arr):
+    """task with field fld of its batch (train or probe) set to arr."""
+    return dataclasses.replace(task, **{batch: dataclasses.replace(getattr(task, batch),
+                                                                   **{fld: arr})})
 
 
 def _nudged(arr):
@@ -388,14 +405,16 @@ def _nudged(arr):
 
 
 class TestFingerprint:
-    @pytest.mark.parametrize("fld", ("theta0",) + tasks._ARRAY_FIELDS)
-    def test_one_element_edit_is_a_different_family(self, policy_family, fld):
+    @pytest.mark.parametrize("label", ("theta0",) + tuple(label for label, _, _ in tasks._ARRAYS))
+    def test_one_element_edit_is_a_different_family(self, policy_family, label):
         fam = policy_family()
-        if fld == "theta0":
+        if label == "theta0":
             edited = [dataclasses.replace(fam, theta0=_nudged(fam.theta0))]
         else:
-            edited = [_with_task(fam, dataclasses.replace(t, **{fld: _nudged(getattr(t, fld))}))
-                      for t in fam.tasks.values() if getattr(t, fld) is not None]
+            _, batch, fld = next(a for a in tasks._ARRAYS if a[0] == label)
+            arrays = [(t, getattr(getattr(t, batch), fld)) for t in fam.tasks.values()]
+            edited = [_with_task(fam, _with_array(t, batch, fld, _nudged(arr)))
+                      for t, arr in arrays if arr is not None]
         assert edited
         for other in edited:
             assert other.fingerprint != fam.fingerprint
@@ -403,11 +422,11 @@ class TestFingerprint:
     def test_negative_zero_is_a_different_family(self, policy_family):
         fam = policy_family()
         cap_a = fam.tasks["cap_a"]
-        flipped = cap_a.train_inputs.copy()
+        flipped = cap_a.train.inputs.copy()
         i = np.flatnonzero(flipped == 0.0)[0]
         flipped.flat[i] = -0.0
-        assert np.array_equal(flipped, cap_a.train_inputs)
-        edited = _with_task(fam, dataclasses.replace(cap_a, train_inputs=flipped))
+        assert np.array_equal(flipped, cap_a.train.inputs)
+        edited = _with_task(fam, _with_array(cap_a, "train", "inputs", flipped))
         assert edited.fingerprint != fam.fingerprint
 
     def test_params_and_beta_are_hashed(self, policy_family):
@@ -425,7 +444,7 @@ class TestFingerprint:
                                    stages=(Stage("safety", "squared_error", 5),)), fam)
         assert alignment_tax(result, fam).ref_names == ("cap_a", "cap_b")
         cap_a = fam.tasks["cap_a"]
-        edited = _with_task(fam, dataclasses.replace(cap_a, probe_inputs=_nudged(cap_a.probe_inputs)))
+        edited = _with_task(fam, _with_array(cap_a, "probe", "inputs", _nudged(cap_a.probe.inputs)))
         assert edited.fingerprint != fam.fingerprint
         with pytest.raises(ConfigurationError, match="does not belong"):
             alignment_tax(result, edited)
@@ -434,7 +453,7 @@ class TestFingerprint:
         # an edited capability task left out of tasks would escape the hash
         fam = tasks.regression_family(16, 12, 1.0, 1.0, 50, 80, seed=6)
         cap_a, cap_b = fam.capability_tasks
-        edited = dataclasses.replace(cap_a, probe_targets=cap_a.probe_targets + 1)
+        edited = _with_array(cap_a, "probe", "targets", cap_a.probe.targets + 1)
         with pytest.raises(ConfigurationError, match=r"\['cap_a'\] are not members of tasks"):
             dataclasses.replace(fam, capability_tasks=(edited, cap_b))
 
