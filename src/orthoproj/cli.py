@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .config import ExperimentFile, parse_config_file, render_config
+from .config import ConfigParseError, ExperimentFile, parse_config_file, render_config
 from .errors import ConfigurationError, NumericError
 from .metrics import (alignment_tax, records_to_csv, summarize, summary_table,
                       tax_report_to_csv)
@@ -66,8 +66,15 @@ def _curves_svg(result, family) -> str:
 
 
 def _build_family(experiment: ExperimentFile):
-    return build_family(experiment.family_kind, experiment.family_seed,
-                        **experiment.family_params_dict())
+    try:
+        return build_family(experiment.family_kind, experiment.family_seed,
+                            **experiment.family_params_dict())
+    except ConfigurationError as exc:
+        # the message starts with the key it rejects; point at that key when
+        # the file sets it, else at kind, which every config file sets
+        positions = {key: (line, col) for key, line, col in experiment.family_positions}
+        where = positions.get(str(exc).split(" ", 1)[0], positions["kind"])
+        raise ConfigParseError(f"[family] invalid: {exc}", *where) from exc
 
 
 def _run_on(experiment: ExperimentFile, family, out_dir: Path):

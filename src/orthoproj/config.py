@@ -56,6 +56,9 @@ class ExperimentFile:
     (else the family seed is the train seed, and ``--seed`` moves both). It
     decides only how a seed override applies, so equality ignores it: a
     rendered config, which always writes the seed, parses back equal.
+    ``family_positions`` holds the ``(key, line, column)`` of each
+    ``[family]`` key in the file, so that a rejection by the family
+    constructor can point at its key; equality ignores it too.
     """
 
     family_kind: str
@@ -64,6 +67,7 @@ class ExperimentFile:
     train: TrainConfig
     out_dir: str
     family_seed_given: bool = field(default=False, compare=False)
+    family_positions: tuple[tuple[str, int, int], ...] = field(default=(), compare=False)
 
     def family_params_dict(self) -> dict:
         return dict(self.family_params)
@@ -259,6 +263,8 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
         train=train,
         out_dir=out_dir,
         family_seed_given=family_seed_raw is not None,
+        family_positions=tuple((key, *where) for (section, key), where in positions.items()
+                               if section == "family"),
     )
 
 

@@ -5,21 +5,38 @@ independent of BLAS build and thread count. The model passes use BLAS gemm,
 whose rounding can depend on both, so a whole training run is bitwise
 reproducible from a seed only for a fixed BLAS build and thread count.
 
-The products are formed in blocks of ``BLOCK`` elements in one small
-buffer, negated in place and subtracted from the running sum with
-``np.subtract.reduce``. IEEE 754 defines x - y as x + (-y), so s - (-p)
-rounds exactly as s + p, signed zeros included, and numpy folds a subtract
+:func:`dot` and :func:`norm` form the products in blocks of ``BLOCK``
+elements in one small buffer and fold each block into the running sum with
+``np.subtract.reduce``, starting from +0.0: numpy folds a subtract
 reduction left to right with the sum in a register (only ``add`` reduces
-pairwise). The sum starts at -0.0, the exact additive identity. That is
-the same sequence of roundings as ``np.add.accumulate`` over all the
-products, with no partial sums stored and no full-length temporaries.
+pairwise), so no partial sum is stored and no full-length temporary is
+made. The fold gives t = 0 - p0 - p1 - ..., and the result is -t.
+Round-to-nearest treats both signs alike, so each partial of t is the
+negated partial of the sum p0 + p1 + ... taken from -0.0, the exact
+additive identity; that is the same sequence of roundings as
+``np.add.accumulate`` over all the products. Two cases break the symmetry,
+and each has its own rule:
+
+- A zero t does not carry the sign of the sum. A sum from -0.0 is -0.0
+  exactly when every product is -0.0 (any other term makes it +0.0 or
+  nonzero), so a zero t is settled by one more pass over the products,
+  through the same buffer, asking whether all of them have the sign bit.
+- A nan that the fold itself makes (inf - inf, after finite products
+  overflowed) is the same default nan in both folds, so it is returned
+  un-negated. A nan that comes from a non-finite input may differ in sign
+  from the one ``np.add.accumulate`` gives, but every public function
+  raises on such input instead of returning it.
 
 :func:`dots` sums each row of a basis against one vector. Rows of at most
 ``BLOCK`` elements go through one multiply, one in-place negate and one
-``np.subtract.reduce`` along the rows, which folds every row left to right
-with the same roundings; longer rows are summed one at a time as above.
-``project_complement`` and ``gram_schmidt`` take their coefficients this
-way.
+``np.subtract.reduce`` along the rows from -0.0, which folds every row
+left to right with the same roundings; longer rows are summed one at a
+time as above. ``project_complement`` and ``gram_schmidt`` take their
+coefficients this way, then subtract the components one basis row after
+another, ``((g - c0 u0) - c1 u1) - ...``: for two or more rows of at most
+``BLOCK`` elements as one product block folded down its columns by one
+subtract reduction, otherwise row by row, so that a wide basis allocates
+no (rank, d) block.
 
 Finiteness is read off sums. A non-finite entry always makes the
 fixed-order sum non-finite (inf * 0 and inf - inf are nan), so ``dot``,
@@ -91,24 +108,36 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 def _seqdot(a: np.ndarray, b: np.ndarray) -> float:
     # Left-to-right sum of a * b over equal-length 1-D arrays, BLOCK products
-    # at a time: carry - (-p0) - (-p1) - ... rounds as carry + p0 + p1 + ...
-    # The carry starts at -0.0, so every block runs the same body and a lone
-    # -0.0 product stays -0.0.
+    # at a time: 0.0 - p0 - p1 - ... is -(p0 + p1 + ...) rounding for
+    # rounding, except for the sign of a zero sum and of a nan that the fold
+    # itself makes (see the module docstring).
     n = a.size
     if n == 0:
         return 0.0
     # one block needs no slices; they are a tenth of a short sum's time
-    part = np.multiply(a, b) if n <= BLOCK else np.multiply(a[:BLOCK], b[:BLOCK])
-    carry = -0.0
-    lo = BLOCK
+    buf = np.multiply(a, b) if n <= BLOCK else np.multiply(a[:BLOCK], b[:BLOCK])
+    part, carry, lo = buf, 0.0, BLOCK
     while True:
-        np.negative(part, out=part)
         carry = np.subtract.reduce(part, initial=carry)
         if lo >= n:
-            return float(carry)
-        part = part[:n - lo]
+            break
+        part = buf[:n - lo]
         np.multiply(a[lo:lo + BLOCK], b[lo:lo + BLOCK], out=part)
         lo += BLOCK
+    s = float(carry)
+    if s == 0.0:
+        return -0.0 if _all_negative_zero(a, b, buf) else 0.0
+    return s if s != s else -s
+
+
+def _all_negative_zero(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> bool:
+    # For products whose fold is zero: all of them are -0.0 iff all have
+    # the sign bit set, since negative terms never sum to zero.
+    for lo in range(0, a.size, BLOCK):
+        part = np.multiply(a[lo:lo + BLOCK], b[lo:lo + BLOCK], out=buf[:min(BLOCK, a.size - lo)])
+        if not np.bitwise_and.reduce(part.view(np.uint64)) >> 63:
+            return False
+    return True
 
 
 def _seqdots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -184,24 +213,33 @@ def norm(a) -> float:
     return math.sqrt(s)
 
 
-def _subtract_components(g: np.ndarray, coeffs, rows) -> np.ndarray:
-    # g - sum_j coeffs[j] * rows[j], subtracted in basis order; the first
-    # product is formed in the output array itself, so a rank-1 basis
-    # allocates one full-length array.
-    out = np.multiply(rows[0], coeffs[0])
-    np.subtract(g, out, out=out)
-    for c, u in zip(coeffs[1:], rows[1:]):
+def _subtract_components(g: np.ndarray, coeffs, rows, out=None) -> np.ndarray:
+    # ((g - c0 u0) - c1 u1) - ..., each entry folded in basis order, into
+    # ``out`` if given: g itself, or an array overlapping neither g nor rows.
+    # Two or more rows of at most BLOCK elements take one product block,
+    # whose first row becomes g - c0 u0, folded down its columns by one
+    # subtract reduction. A single row, or longer rows, go one at a time.
+    if len(rows) > 1 and g.size <= BLOCK:
+        part = np.multiply(rows, coeffs[:, None])
+        np.subtract(g, part[0], out=part[0])
+        return np.subtract.reduce(part, axis=0, out=out)
+    first = 0
+    if out is not g:  # the first product is formed in the output array itself
+        out = np.multiply(rows[0], coeffs[0], out=out)
+        np.subtract(g, out, out=out)
+        first = 1
+    for c, u in zip(coeffs[first:], rows[first:]):
         out -= c * u
     return out
 
 
-def _remove_components(g: np.ndarray, rows) -> np.ndarray:
+def _remove_components(g: np.ndarray, rows, out=None) -> np.ndarray:
     # One classical pass: all coefficients taken from the incoming vector,
     # then subtracted in basis order. No rows returns g itself.
     if len(rows) == 0:
         return g
     rows = np.asarray(rows)
-    return _subtract_components(g, _seqdots(rows, g), rows)
+    return _subtract_components(g, _seqdots(rows, g), rows, out)
 
 
 @dataclass(frozen=True)
@@ -265,8 +303,9 @@ def gram_schmidt(candidates, delta: float) -> OrthonormalBasis:
     non-finite candidate raises ``NumericError`` naming it when its turn
     comes, after the shape checks of every candidate.
 
-    Each accepted residual is normalized straight into the next row of one
-    (candidates, dim) block, and that block is the basis's storage. Only
+    Each residual is formed in the next free row of one (candidates, dim)
+    block, and an accepted one is normalized back into it after its second
+    pass; that block is the basis's storage. Only
     when a candidate was discarded are the used rows copied out, so that a
     basis never holds rows it does not use.
     """
@@ -284,14 +323,14 @@ def gram_schmidt(candidates, delta: float) -> OrthonormalBasis:
     k = 0  # rows accepted so far, block[:k]
     for i, g in enumerate(vs):
         try:
-            residual = _remove_components(g, block[:k])
+            residual = _remove_components(g, block[:k], out=block[k])
             threshold_norm = norm(residual)
         except (NumericError, *_ERROR_STATE):  # a non-finite candidate has a non-finite residual
             as_vector(g, f"candidate {i}")
             raise
         if threshold_norm < delta:
             continue
-        residual = _remove_components(residual, block[:k])
+        residual = _remove_components(residual, block[:k], out=residual)
         n = norm(residual)
         if n <= 0.0:
             raise NumericError("residual collapsed to zero during re-orthogonalization")

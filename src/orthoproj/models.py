@@ -80,8 +80,9 @@ class Batch:
 
     inputs:     (n, feature_dim) rows, or the full system matrix A for the
                 quadratic kind.
-    targets:    per-row targets (regression values or integer labels); the
-                right-hand side b for quadratic.
+    targets:    per-row targets (regression values, or integer labels in
+                [0, vocab) for nll_sft); the right-hand side b for
+                quadratic.
     pairs:      dpo_pairwise only, (n_pairs, 3) int rows
                 (context row in inputs, preferred token, rejected token).
     ref_params: dpo_pairwise only, frozen reference-policy parameters.
@@ -174,9 +175,10 @@ def _unpack_mlp(theta: np.ndarray, dims: tuple[int, int, int]):
     return w1, b1, w2, b2
 
 
-def _mlp_forward(theta, dims, x):
-    """Hidden activations and outputs, each formed in its own fresh array."""
-    w1, b1, w2, b2 = _unpack_mlp(theta, dims)
+def _mlp_forward(weights, x):
+    """Hidden activations and outputs, each formed in its own fresh array,
+    for the ``_unpack_mlp`` views of theta."""
+    w1, b1, w2, b2 = weights
     h = x @ w1.T
     h += b1
     np.tanh(h, out=h)
@@ -224,6 +226,13 @@ def _log_prob_margin(z, rows, preferred, rejected) -> np.ndarray:
     return (shifted[rows, preferred] - lse) - (shifted[rows, rejected] - lse)
 
 
+def _label_cells(z: np.ndarray, labels) -> np.ndarray:
+    """Flat indices of each row's label in the C-ordered (n, v) array z, one
+    index array where ``z[rows, labels]`` builds two; a label outside
+    [0, v) raises ``ValueError``."""
+    return np.ravel_multi_index((np.arange(z.shape[0]), labels), z.shape)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -266,7 +275,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
         return _finite(0.5 * float(np.add.reduce(r, axis=None)), "quadratic loss")
 
     if spec.kind == "mlp2":
-        _, diff = _mlp_forward(th, spec.dims, x)
+        _, diff = _mlp_forward(_unpack_mlp(th, spec.dims), x)
         diff -= np.asarray(batch.targets, dtype=np.float64).reshape(diff.shape)
         diff *= diff
         return _finite(float(np.add.reduce(diff, axis=None)) / (2.0 * x.shape[0]), "mlp loss")
@@ -275,8 +284,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     c, v = spec.dims
     if kind.tag == "nll_sft":
         shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
-        labels = np.asarray(batch.targets)
-        lp = shifted[np.arange(x.shape[0]), labels] - lse[:, 0]
+        lp = shifted.reshape(-1)[_label_cells(shifted, batch.targets)] - lse[:, 0]
         return _finite(-(float(np.add.reduce(lp, axis=None)) / lp.size), "nll loss")
 
     margins, _, _, _, _ = _dpo_margins(spec, kind, th, batch)
@@ -299,19 +307,26 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
         return _finite_vec(g, "quadratic gradient")
 
     if spec.kind == "mlp2":
-        h, d_y = _mlp_forward(th, spec.dims, x)
-        _, _, w2, _ = _unpack_mlp(th, spec.dims)
+        weights = _unpack_mlp(th, spec.dims)
+        h, d_y = _mlp_forward(weights, x)
         d_y -= np.asarray(batch.targets, dtype=np.float64).reshape(d_y.shape)
         d_y /= x.shape[0]
-        d_w2 = d_y.T @ h
-        d_b2 = np.add.reduce(d_y, axis=0)
+        # each block of the gradient is written straight into its slot of g
+        g = np.empty(th.size)
+        d_w1, d_b1, d_w2, d_b2 = _unpack_mlp(g, spec.dims)
+        np.matmul(d_y.T, h, out=d_w2)
+        np.add.reduce(d_y, axis=0, out=d_b2)
         h *= h
         np.subtract(1.0, h, out=h)  # tanh' = 1 - h*h
-        d_z1 = d_y @ w2
+        # for one output d_y @ w2 is an outer product, whose entries a
+        # multiply forms as a K = 1 gemm does, except that gemm adds each to
+        # +0.0; d_z1 reaches g only through a matmul and an add reduction,
+        # which start from +0.0 too, so the sign of a zero never shows
+        w2 = weights[2]
+        d_z1 = np.multiply(d_y, w2) if w2.shape[0] == 1 else d_y @ w2
         d_z1 *= h
-        d_w1 = d_z1.T @ x
-        d_b1 = np.add.reduce(d_z1, axis=0)
-        g = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+        np.matmul(d_z1.T, x, out=d_w1)
+        np.add.reduce(d_z1, axis=0, out=d_b1)
         return _finite_vec(g, "mlp gradient")
 
     c, v = spec.dims
@@ -319,8 +334,7 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
         p, lse = _softmax_parts(x @ th.reshape(v, c).T)
         p -= lse
         np.exp(p, out=p)
-        labels = np.asarray(batch.targets)
-        p[np.arange(x.shape[0]), labels] -= 1.0
+        p.reshape(-1)[_label_cells(p, batch.targets)] -= 1.0
         g = (p.T @ x).ravel()
         g /= x.shape[0]
         return _finite_vec(g, "nll gradient")

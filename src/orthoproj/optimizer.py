@@ -199,8 +199,10 @@ def train(config: TrainConfig, family) -> TrainResult:
     preference stage's reference policy); no gradient outlives its step.
     Within a step it holds at most three parameter-sized arrays for naive
     (theta, the gradient, the new theta), four for replay, and the basis
-    plus four for ortho. A refresh frees the old basis before estimating
-    the new one.
+    plus four for ortho with one or two reference facets. A refresh frees
+    the old basis before estimating the new one, then holds theta, the M
+    candidate gradients, the basis block and one more array: more than the
+    basis plus four from M = 3 up.
     """
     config.validate()
     for stage in config.stages:

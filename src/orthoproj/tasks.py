@@ -87,17 +87,24 @@ class DifferentiableTask:
     __reduce__ = _refuse_pickle
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> Batch:
-        """Draw a training batch; with replacement only when size exceeds
-        the dataset. The quadratic kind returns its whole system (no rng
-        consumed). A dpo_pairwise batch draws pairs and holds one input row
-        per pair: pair p's context row moves to row p."""
+        """Draw a training batch of rows, or of pairs for dpo_pairwise,
+        without replacement. A batch larger than the set of n takes
+        ``size // n`` whole permutations of it plus ``size % n`` more drawn
+        without replacement, so every item appears ``size // n`` or one more
+        times. The quadratic kind returns its whole system (no rng
+        consumed). A dpo_pairwise batch holds one input row per pair: pair
+        p's context row moves to row p."""
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
         data, dpo = self.train, self.kind.tag == "dpo_pairwise"
         if self.spec.kind == "quadratic":
             return data
         n = len(data.pairs if dpo else data.inputs)
-        idx = rng.choice(n, size=size, replace=size > n)
+        if size <= n:
+            idx = rng.choice(n, size=size, replace=False)
+        else:
+            idx = np.concatenate([rng.permutation(n) for _ in range(size // n)]
+                                 + [rng.choice(n, size=size % n, replace=False)])
         if not dpo:
             return Batch(data.inputs[idx], data.targets[idx])
         pairs = data.pairs[idx]
@@ -178,7 +185,9 @@ def _snap(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# family constructors; each one's signature is that family's config schema
+# family constructors; each one's signature is that family's config schema,
+# and each rejection names its parameter first, so that a config error can
+# point at that key's line
 # ---------------------------------------------------------------------------
 
 def quadratic_family(d: int, alpha: float, seed: int,
@@ -199,11 +208,12 @@ def quadratic_family(d: int, alpha: float, seed: int,
     u1) the safety objective is interference-free at every order.
     """
     if d < 2:
-        raise ConfigurationError(f"quadratic pair needs d >= 2, got {d}")
+        raise ConfigurationError(f"d must be >= 2 for a quadratic pair, got {d}")
     if not 0.0 <= alpha <= math.pi / 2 + 1e-12:
         raise ConfigurationError(f"alpha must lie in [0, pi/2], got {alpha}")
-    if cap_residual == 0.0 or safety_residual == 0.0:
-        raise ConfigurationError("residuals must be nonzero so both gradients are nonzero")
+    for key, residual in (("cap_residual", cap_residual), ("safety_residual", safety_residual)):
+        if residual == 0.0:
+            raise ConfigurationError(f"{key} must be nonzero so both gradients are nonzero")
 
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal(d)
@@ -262,13 +272,13 @@ def regression_family(d: int, hidden: int, alpha: float, noise_sigma: float,
     the two capability sets (determinism over optimality).
     """
     if d < 8:
-        raise ConfigurationError(f"regression family needs d >= 8, got {d}")
+        raise ConfigurationError(f"d must be >= 8 for the regression family, got {d}")
     if not 0 <= noise_sigma < math.inf:
         raise ConfigurationError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     if not 0.0 <= alpha <= math.pi / 2 + 1e-12:
         raise ConfigurationError(f"alpha must lie in [0, pi/2], got {alpha}")
     if hidden < 1:
-        raise ConfigurationError(f"mlp2 needs a positive hidden width, got {hidden}")
+        raise ConfigurationError(f"hidden must be >= 1, got {hidden}")
     for key, n in (("n_capability", n_capability), ("n_safety", n_safety)):
         if n < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {n}")
@@ -335,12 +345,14 @@ def _init_mlp(rng, d, hidden):
 
 
 def _pretrain(theta, cap_a, cap_b, budget, label):
-    """Full-batch descent on the mean of the two capability losses."""
+    """Full-batch descent on the mean of the two capability losses, in
+    place on ``theta``."""
     steps, eta = budget
     for _ in range(steps):
-        g_a = cap_a.gradient(theta, cap_a.train)
-        g_b = cap_b.gradient(theta, cap_b.train)
-        theta = theta - eta * 0.5 * (g_a + g_b)
+        g = cap_a.gradient(theta, cap_a.train)
+        g += cap_b.gradient(theta, cap_b.train)
+        g *= eta * 0.5
+        theta -= g
     if not all_finite(theta):
         raise NumericError(f"{label} pre-training diverged")
     return theta
@@ -365,9 +377,10 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
     of the task whose reference is the stage-entry parameters.
     """
     if vocab < 4:
-        raise ConfigurationError(f"policy family needs vocab >= 4, got {vocab}")
+        raise ConfigurationError(f"vocab must be >= 4 for the policy family, got {vocab}")
     if context_dim < 4:
-        raise ConfigurationError(f"policy family needs context_dim >= 4, got {context_dim}")
+        raise ConfigurationError(f"context_dim must be >= 4 for the policy family, "
+                                 f"got {context_dim}")
     for key, n in (("n_capability", n_capability), ("n_safety", n_safety)):
         if n < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {n}")

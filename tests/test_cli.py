@@ -164,6 +164,26 @@ def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem, key, value, message", [
+    ("policy", "n_capability", "0", "n_capability must be >= 1, got 0"),
+    ("policy", "vocab", "3", "vocab must be >= 4 for the policy family, got 3"),
+    ("regression", "hidden", "0", "hidden must be >= 1, got 0"),
+    ("quadratic", "d", "1", "d must be >= 2 for a quadratic pair, got 1")])
+def test_family_rejection_points_at_its_key(stem, key, value, message, tmp_path, capsys):
+    # a shipped config file with one [family] value the constructor rejects
+    text = (Path(__file__).resolve().parents[1] / "configs" / f"{stem}.cfg").read_text()
+    lines = text.splitlines()
+    (line_no,) = [i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = ")]
+    lines[line_no - 1] = f"{key} = {value}"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    column = len(f"{key} =") + 1  # where the parser places a value
+    assert capsys.readouterr().err == (
+        f"config error: line {line_no}, column {column}: [family] invalid: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("stem, key, value", [
     ("regression", "n_capability", "0"), ("policy", "n_capability", "0"),
     ("regression", "n_safety", "0"), ("policy", "n_safety", "0"),

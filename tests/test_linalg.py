@@ -10,8 +10,34 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
-from orthoproj.linalg import (BLOCK, OrthonormalBasis, _remove_components, _seqdot, all_finite,
+from orthoproj.linalg import (BLOCK, OrthonormalBasis, _seqdot, all_finite,
                               angle_between, dot, dots, gram_schmidt, norm, project_complement)
+
+
+def _row_fold(g, rows) -> np.ndarray:
+    """((g - c0 u0) - c1 u1) - ..., one row at a time, with each c_j one
+    left-to-right accumulation of u_j * g: the order every projection keeps."""
+    out = np.array(g, dtype=np.float64)
+    coeffs = [np.add.accumulate(u * out)[-1] if out.size else 0.0 for u in rows]
+    for c, u in zip(coeffs, rows):
+        out = out - c * u
+    return out
+
+
+def _row_by_row_gram_schmidt(cands, delta) -> np.ndarray:
+    """The rows gram_schmidt accepts, formed by two row folds per candidate
+    and a division by the fixed-order norm."""
+    def fixed_norm(r):
+        return math.sqrt(np.add.accumulate(r * r)[-1]) if r.size else 0.0
+
+    want = []
+    for g in cands:
+        residual = _row_fold(g, want)
+        if fixed_norm(residual) < delta:
+            continue
+        residual = _row_fold(residual, want)
+        want.append(residual / fixed_norm(residual))
+    return np.array(want)
 
 
 def kahan_dot(a, b):
@@ -154,7 +180,8 @@ class TestGramSchmidt:
             gram_schmidt([[1.0, 0.0], [1.0, 0.0, 0.0]], delta=1e-6)
         raises_in_every_error_state(NumericError, lambda: gram_schmidt([[np.inf, 0.0]], delta=1e-6))
 
-    @pytest.mark.parametrize("d", [3, 40, 16387, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("d", [3, 40, 16387, 2 * BLOCK + 3,
+                                   0, 1, 10, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("true_rank", [1, 2, 3])
     def test_rows_match_the_out_of_place_normalization(self, true_rank, d):
         # candidates 2 and 4 repeat earlier ones, so every set has a
@@ -163,15 +190,9 @@ class TestGramSchmidt:
         span = rng.standard_normal((true_rank, d))
         cands = rng.standard_normal((5, true_rank)) @ span
         cands[2], cands[4] = 3.0 * cands[0], -cands[1]
-        want = []
-        for g in cands:  # the loop before rows were normalized into one block
-            residual = _remove_components(g, want)
-            if norm(residual) < 1e-6:
-                continue
-            residual = _remove_components(residual, want)
-            want.append(residual / norm(residual))
+        want = _row_by_row_gram_schmidt(cands, 1e-6)
         basis = gram_schmidt(cands, delta=1e-6)
-        assert basis.vectors.tobytes() == np.array(want).tobytes()
+        assert basis.vectors.tobytes() == want.tobytes()
         assert basis.rank == len(want)
         assert basis.rank == min(true_rank, d)
         assert basis.vectors.base is None  # a basis holds no unused rows
@@ -432,6 +453,28 @@ def test_dots_is_a_dot_per_row(k, n, view, seed, spread):
     assert got.dtype == np.float64 and got.shape == (k,)
     assert got.tobytes() == np.array([dot(u, v) for u in rows], dtype=np.float64).tobytes()
     assert got.tobytes() == _row_accumulates(rows, v)
+
+
+@pytest.mark.parametrize("view", ["as is", "strided"])
+@pytest.mark.parametrize("n", DOTS_SIZES)
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_projections_fold_row_by_row(k, n, view):
+    # rows of at most BLOCK elements and the longer ones take different
+    # paths; both must subtract the components one row at a time
+    rng = np.random.default_rng(10 * n + k)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+
+    rows = draw((k, n)) if view == "as is" else draw((2 * k, 2 * n))[::2, ::-2]
+    g = draw(n)
+    g[rng.random(n) < 0.05] = -0.0
+    got = project_complement(g, OrthonormalBasis(rows))
+    assert got.tobytes() == _row_fold(g, rows).tobytes()
+    basis = gram_schmidt(rows, delta=1e-8)
+    want = _row_by_row_gram_schmidt(rows, 1e-8)
+    assert basis.vectors.tobytes() == want.tobytes()
+    assert basis.rank == len(want)
 
 
 @pytest.mark.parametrize("pad", [0, 8190, BLOCK - 2])

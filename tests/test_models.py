@@ -177,8 +177,10 @@ class TestSoftmaxOracle:
         return ModelSpec("softmax_policy", (c, v)), rng, theta, x
 
     @pytest.mark.parametrize("seed,n,scale", [(0, 1, 1.0), (1, 32, 1.0), (2, 512, 1.0),
-                                              (3, 200, 0.0), (4, 64, 40.0)])
+                                              (3, 200, 0.0), (4, 64, 40.0), (5, 1, 1e-160),
+                                              (6, 64, 1e150), (7, 200, 1e-160), (8, 200, 1e150)])
     def test_nll_sft(self, seed, n, scale):
+        # the reference subtracts each row's label through a (row, label) index
         spec, rng, theta, x = self._inputs(seed, n, scale)
         labels = rng.integers(0, 10, n)
         batch = Batch(x, labels)
@@ -237,10 +239,14 @@ def _mlp_oracle(theta, dims, x, t):
 
 
 class TestMlpOracle:
-    """The in-place mlp2 passes are byte-identical to the out-of-place formulas."""
+    """The in-place mlp2 passes are byte-identical to the out-of-place
+    formulas, which concatenate the four gradient blocks and form d_y @ w2
+    as a matmul: a K = 1 gemm for one output, whose zero entries are +0.0."""
 
     @pytest.mark.parametrize("n", [1, 64, 200, 512])
-    @pytest.mark.parametrize("scale", [0.0, 0.5, 30.0])  # zero, normal, tanh-saturating
+    # zero, normal, tanh-saturating, weights whose products (near 1e-320)
+    # underflow, and units so saturated that their derivative is exactly zero
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 30.0, 1e-160, 1e150])
     @pytest.mark.parametrize("dims", [(16, 12, 1), (5, 7, 3)])
     def test_loss_and_gradient(self, n, scale, dims):
         rng = np.random.default_rng(n + int(scale) + dims[2])
@@ -417,6 +423,15 @@ class TestValidation:
         for fn in (loss, gradient):
             with pytest.raises(NumericError, match="theta"):
                 fn(spec, SE, theta, batch)
+
+    @pytest.mark.parametrize("label", [10, -1])
+    def test_label_outside_the_vocabulary_raises(self, label):
+        # a negative label does not wrap around to the last token
+        spec, kind = ModelSpec("softmax_policy", (3, 10)), LossKind("nll_sft")
+        batch = Batch(np.ones((2, 3)), np.array([0, label]))
+        for fn in (loss, gradient):
+            with pytest.raises(ValueError):
+                fn(spec, kind, np.zeros(spec.param_dim), batch)
 
     def test_non_finite_result(self):
         spec = ModelSpec("quadratic", (2,))

@@ -255,16 +255,20 @@ class TestMemory:
     """train() holds theta and the active basis between steps, and at most
     k parameter-sized arrays in all within a step: 3 for naive, 3 for
     replay with one reference facet (it accumulates into the first
-    reference gradient) and 4 with two, and the basis plus 4 for ortho. The
-    slack covers small objects, and a boolean finiteness mask (d bytes),
-    which is built only when a finite array's sum of squares overflows."""
+    reference gradient) and 4 with two, and the basis plus 4 for ortho with
+    one or two facets. Rows of 100,000 elements are longer than
+    linalg.BLOCK, so the projection removes them one at a time; one (2, d)
+    product block would be a fifth array. The slack covers small objects,
+    and a boolean finiteness mask (d bytes), which is built only when a
+    finite array's sum of squares overflows."""
 
     D = 100_000
 
     # the case ids stay method-k; m is the number of reference facets
     @pytest.mark.parametrize("method, m, k", [("naive", 1, 3), ("replay", 1, 3),
-                                              ("replay", 2, 4), ("ortho", 1, 1 + 4)],
-                             ids=["naive-3", "replay-3", "replay-4", "ortho-5"])
+                                              ("replay", 2, 4), ("ortho", 1, 1 + 4),
+                                              ("ortho", 2, 2 + 4)],
+                             ids=["naive-3", "replay-3", "replay-4", "ortho-5", "ortho-6"])
     def test_peak_above_entry(self, method, m, k):
         if m == 1:
             fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
@@ -280,7 +284,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         if method == "ortho":
-            assert [rank for _, rank in result.subspace_history] == [1, 1, 1]
+            assert [rank for _, rank in result.subspace_history] == [m, m, m]
         assert peak - start <= k * 8 * self.D + 256 * 1024
 
 

@@ -38,14 +38,26 @@ def leg_config(stem, method, steps, period):
                                stages=(dataclasses.replace(stage, steps=steps),))
 
 
+def builds(config):
+    """B: a stage of global steps [start, end) with refresh period K
+    rebuilds at each multiple of K in that range, ceil(end/K) - ceil(start/K)."""
+    b = start = 0
+    for stage in config.stages:
+        k = config.refresh_every if stage.refresh_every is None else stage.refresh_every
+        end = start + stage.steps
+        b += math.ceil(end / k) - math.ceil(start / k)
+        start = end
+    return b
+
+
 def expected(config, family, result):
-    """Per-leg counts with steps S, refresh period K, M reference facets,
-    P probe facets and B = ceil(S/K) builds."""
+    """Per-leg counts with steps S, M reference facets, P probe facets and
+    B builds."""
     s, m = config.steps, config.ref_count
     p = len(family.capability_tasks)
     want = {"optimizer.train": 1, "models.loss": s * (1 + p), "tasks.probe_eval": s * (1 + p)}
     if config.method == "ortho":
-        b = math.ceil(s / config.refresh_every)
+        b = builds(config)
         accepted = sum(rank for _, rank in result.subspace_history)
         want.update({"models.gradient": s + b * m, "tasks.sample_batch": s + b * m,
                      "linalg.project_complement": s, "subspace.estimate_subspace": b,
@@ -60,11 +72,17 @@ def expected(config, family, result):
 
 
 @pytest.mark.parametrize("method", ["naive", "ortho", "replay"])
-@pytest.mark.parametrize("stem, steps, period", [("regression", 7, 3), ("quadratic", 5, 2)])
+@pytest.mark.parametrize("stem, steps, period", [("regression", 7, 3), ("quadratic", 5, 2),
+                                                 ("policy", None, None)])
 def test_span_counts_follow_the_config(spans, quadratic_family, regression_family,
-                                       stem, steps, period, method):
-    family = regression_family() if stem == "regression" else quadratic_family(math.pi / 4)
-    config = leg_config(stem, method, steps, period)
+                                       policy_family, stem, steps, period, method):
+    family = {"regression": regression_family, "policy": policy_family,
+              "quadratic": lambda: quadratic_family(math.pi / 4)}[stem]()
+    if steps is None:  # the shipped SFT -> DPO stages, refreshed every 30 and 5 steps
+        config = dataclasses.replace(DEFAULTS[stem].train, method=method)
+        assert builds(config) == 60 // 30 + 40 // 5
+    else:
+        config = leg_config(stem, method, steps, period)
     tracer = spans.Tracer()
     with spans.patched(tracer.bindings(orthoproj)):
         result = optimizer.train(config, family)

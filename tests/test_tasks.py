@@ -352,6 +352,30 @@ class TestSampling:
         batch = task.sample_batch(np.random.default_rng(0), 4000)
         assert batch.inputs.shape[0] == 4000
 
+    def test_batch_larger_than_the_set_repeats_each_row_evenly(self, regression_family):
+        task = regression_family().tasks["cap_a"]
+        n = len(task.train.inputs)
+        batch = task.sample_batch(np.random.default_rng(3), 2 * n + 7)
+        _, counts = np.unique(batch.inputs, axis=0, return_counts=True)
+        assert len(counts) == n
+        assert sorted(counts.tolist()) == [2] * (n - 7) + [3] * 7
+
+    @pytest.mark.parametrize("stem, name", [("regression", "cap_a"), ("policy", "cap_b"),
+                                            ("policy", "dpo")])
+    def test_whole_multiples_of_the_set_give_the_full_set_gradient(
+            self, regression_family, policy_family, stem, name):
+        fam = regression_family() if stem == "regression" else policy_family()
+        task = fam.tasks[name]
+        full = task.train
+        if task.kind.tag == "dpo_pairwise":
+            full = Batch(full.inputs, pairs=full.pairs, ref_params=task.probe.ref_params)
+        theta = fam.theta0 + 0.1 * np.random.default_rng(1).standard_normal(fam.theta0.size)
+        want = task.gradient(theta, full)
+        n = len(full.pairs if full.pairs is not None else full.inputs)
+        for k in (1, 2, 3):
+            got = task.gradient(theta, task.sample_batch(np.random.default_rng(k), k * n))
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
+
     def test_quadratic_batches_are_the_whole_system(self, quadratic_family):
         fam = quadratic_family(math.pi / 4)
         task = fam.tasks["safety"]
