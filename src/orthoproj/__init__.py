@@ -13,8 +13,7 @@ from .linalg import (OrthonormalBasis, angle_between, dot, gram_schmidt, norm,
 from .metrics import (ComparisonTable, RunRecord, TaxReport, alignment_tax,
                       records_to_csv, summarize)
 from .models import Batch, LossKind, ModelSpec, gradient, loss
-from .optimizer import (NO_REFRESH, Stage, TrainConfig, TrainResult, naive_step,
-                        projected_step, replay_step, train)
+from .optimizer import NO_REFRESH, Stage, TrainConfig, TrainResult, train
 from .oracle import fd_gradient, steepest_check, taylor_scaling
 from .subspace import CapabilitySubspace, estimate_subspace, needs_refresh
 from .tasks import (DifferentiableTask, TaskFamily, build_family, policy_family,

@@ -127,7 +127,7 @@ def _scan(text: str):
         if "=" not in stripped:
             raise ConfigParseError("expected 'key = value'", line_no, col)
         key, _, value = stripped.partition("=")
-        value_col = raw.index("=") + 2
+        value_col = raw.index("=") + 2 + len(value) - len(value.lstrip())  # its first character
         yield line_no, col, section, key.strip(), (value.strip(), value_col)
 
 

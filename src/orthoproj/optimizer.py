@@ -18,8 +18,7 @@ from .linalg import norm, project_complement
 from .metrics import RunRecord
 from .subspace import NO_REFRESH, CapabilitySubspace, estimate_subspace, needs_refresh
 
-__all__ = ["Stage", "TrainConfig", "TrainResult", "train",
-           "naive_step", "projected_step", "replay_step", "NO_REFRESH"]
+__all__ = ["Stage", "TrainConfig", "TrainResult", "train", "NO_REFRESH"]
 
 METHODS = ("ortho", "naive", "replay")
 
@@ -124,51 +123,17 @@ class TrainResult:
     family_fingerprint: str
 
 
-def _descend(theta, eta, direction, out=None):
-    """theta - eta * direction, formed in one full-length array: ``out`` if
-    given (it may be ``direction`` itself), else a new one. theta is only read."""
-    step = np.multiply(eta, direction, out=out)
-    return np.subtract(theta, step, out=step)
-
-
-def naive_step(theta, task, batch, eta):
-    """theta' = theta - eta * grad; returns (theta', gradient) for logging."""
-    g = task.gradient(theta, batch)
-    return _descend(theta, eta, g), g
-
-
-def projected_step(theta, task, batch, subspace: CapabilitySubspace, eta):
-    """Step along the component of the safety gradient orthogonal to the
-    capability subspace; returns (theta', gradient, projected gradient).
-
-    A gradient that lies entirely inside the subspace projects to (numerical)
-    zero and the step stalls; that is logged, not raised.
-    """
-    g = task.gradient(theta, batch)
-    g_proj = project_complement(g, subspace.basis)
-    return _descend(theta, eta, g_proj), g, g_proj
-
-
-def replay_step(theta, task, batch, ref_tasks, ref_batches, eta, lam):
-    """theta' = theta - eta * (grad + lam * mean reference gradient).
-
-    With no reference tasks or lam = 0 the mixing term vanishes and the step
-    equals a naive one.
-    """
-    g = task.gradient(theta, batch)
-    if not ref_tasks:
-        return _descend(theta, eta, g), g
-    # accumulate into the first reference gradient; adding 0.0 first rounds
-    # as the sum from zeros did, turning -0.0 entries into +0.0
+def _mixed_direction(theta, g, ref_tasks, ref_batches, lam):
+    """g + lam * mean reference gradient, formed in the first reference
+    gradient's array. Adding 0.0 first rounds as the sum from zeros did,
+    turning -0.0 entries into +0.0."""
     acc = ref_tasks[0].gradient(theta, ref_batches[0])
     np.add(acc, 0.0, out=acc)
     for ref_task, ref_batch in zip(ref_tasks[1:], ref_batches[1:]):
         acc += ref_task.gradient(theta, ref_batch)
-    # g + lam * (acc / M), then the step, every operation in place in acc
     np.divide(acc, len(ref_tasks), out=acc)
     np.multiply(lam, acc, out=acc)
-    np.add(g, acc, out=acc)
-    return _descend(theta, eta, acc, out=acc), g
+    return np.add(g, acc, out=acc)
 
 
 def _removed_fraction(g_norm: float, g_proj_norm: float) -> float:
@@ -182,9 +147,12 @@ def train(config: TrainConfig, family) -> TrainResult:
     """Run the configured method over the family's stages.
 
     Per step: (ortho only) rebuild the subspace when the active refresh
-    period divides the global step index, apply the method's update, then
-    record probe losses at the new parameters together with the gradient
-    norms, removed fraction, and subspace rank/age used for the step.
+    period divides the global step index. Then take the safety gradient,
+    turn it into the method's direction (ortho projects it onto the
+    subspace's complement, replay mixes in the mean reference gradient,
+    naive keeps it) and step theta - eta * direction. Record probe losses
+    at the new parameters together with the gradient norms, removed
+    fraction, and subspace rank/age used for the step.
     A preference stage trains against a copy of its task whose reference
     policy is frozen at the stage-entry parameters; the family is only read.
 
@@ -197,12 +165,13 @@ def train(config: TrainConfig, family) -> TrainResult:
 
     Memory: between steps the loop holds theta and the active basis (and a
     preference stage's reference policy); no gradient outlives its step.
-    Within a step it holds at most three parameter-sized arrays for naive
-    (theta, the gradient, the new theta), four for replay, and the basis
-    plus four for ortho with one or two reference facets. A refresh frees
-    the old basis before estimating the new one, then holds theta, the M
-    candidate gradients, the basis block and one more array: more than the
-    basis plus four from M = 3 up.
+    Within a step it holds at most two parameter-sized arrays for naive
+    (theta and the gradient, which becomes the new theta) plus the norm's
+    block buffer, three for replay with one reference facet and four with
+    more, and the basis plus three for ortho (theta, the gradient, its
+    projection). A refresh frees the old basis before estimating the new
+    one, then holds theta, the M candidate gradients, the basis block and
+    one more array: the basis plus M + 2.
     """
     config.validate()
     for stage in config.stages:
@@ -236,6 +205,7 @@ def train(config: TrainConfig, family) -> TrainResult:
     history: list[tuple[int, int]] = []
     records: list[RunRecord] = []
 
+    use_subspace = config.method == "ortho" and config.ref_count > 0
     t = 0
     for stage in config.stages:
         task = family.tasks[stage.task]
@@ -243,7 +213,6 @@ def train(config: TrainConfig, family) -> TrainResult:
             task = replace(task, probe=replace(task.probe, ref_params=theta.copy()))
         period = stage.refresh_every if stage.refresh_every is not None else config.refresh_every
         for i in range(stage.steps):
-            use_subspace = config.method == "ortho" and config.ref_count > 0
             try:
                 if use_subspace and (subspace is None or needs_refresh(t, period)):
                     subspace = None  # the old basis is freed before the new one is built
@@ -251,25 +220,23 @@ def train(config: TrainConfig, family) -> TrainResult:
                                                  rng_ref, config.delta, t)
                     history.append((t, subspace.rank))
 
-                # only the norms of a step's gradients outlive it
+                # one gradient, one direction, one update; only the norms of
+                # a step's gradients outlive it
                 batch = task.sample_batch(rng_safety, config.safety_batch)
+                d = task.gradient(theta, batch)
+                g_norm = g_proj_norm = norm(d)
+                rank = age = 0
                 if use_subspace:
-                    theta, g, g_proj = projected_step(theta, task, batch, subspace, config.eta)
-                    g_norm, g_proj_norm = norm(g), norm(g_proj)
-                    del g, g_proj
+                    # a gradient inside the subspace projects to (numerical)
+                    # zero and the step stalls; that is logged, not raised
+                    d = project_complement(d, subspace.basis)
+                    g_proj_norm = norm(d)
                     rank, age = subspace.rank, t - subspace.built_at_step
-                elif config.method == "replay":
+                elif config.method == "replay" and ref_tasks:
                     ref_batches = [rt.sample_batch(rng_ref, config.ref_batch) for rt in ref_tasks]
-                    theta, g = replay_step(theta, task, batch, ref_tasks, ref_batches,
-                                           config.eta, config.replay_lambda)
-                    g_norm = g_proj_norm = norm(g)
-                    del g
-                    rank, age = 0, 0
-                else:  # naive, or ortho degenerated by ref_count = 0
-                    theta, g = naive_step(theta, task, batch, config.eta)
-                    g_norm = g_proj_norm = norm(g)
-                    del g
-                    rank, age = 0, 0
+                    d = _mixed_direction(theta, d, ref_tasks, ref_batches, config.replay_lambda)
+                # theta - eta * d, formed in the direction's own array
+                theta = np.subtract(theta, np.multiply(config.eta, d, out=d), out=d)
 
                 if config.probes or i == stage.steps - 1:
                     safety_loss = task.loss(theta)

@@ -170,18 +170,20 @@ def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
     ("regression", "hidden", "0", "hidden must be >= 1, got 0"),
     ("quadratic", "d", "1", "d must be >= 2 for a quadratic pair, got 1")])
 def test_family_rejection_points_at_its_key(stem, key, value, message, tmp_path, capsys):
-    # a shipped config file with one [family] value the constructor rejects
+    # a shipped config file with one [family] value the constructor rejects,
+    # written in the shipped style and without spaces
     text = (Path(__file__).resolve().parents[1] / "configs" / f"{stem}.cfg").read_text()
     lines = text.splitlines()
     (line_no,) = [i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = ")]
-    lines[line_no - 1] = f"{key} = {value}"
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    column = len(f"{key} =") + 1  # where the parser places a value
-    assert capsys.readouterr().err == (
-        f"config error: line {line_no}, column {column}: [family] invalid: {message}\n")
-    assert not (tmp_path / "o").exists()
+    for assignment in (f"{key} = {value}", f"{key}={value}"):
+        lines[line_no - 1] = assignment
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        column = len(assignment) - len(value) + 1  # the value's first character
+        assert capsys.readouterr().err == (
+            f"config error: line {line_no}, column {column}: [family] invalid: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("stem, key, value", [

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from orthoproj import optimizer, tasks
 from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError
-from orthoproj.linalg import angle_between, dot, norm
+from orthoproj.linalg import BLOCK, angle_between, dot, norm, project_complement
 from orthoproj.metrics import alignment_tax, records_to_csv
 from orthoproj.models import Batch, LossKind, ModelSpec
-from orthoproj.optimizer import (NO_REFRESH, Stage, TrainConfig, naive_step,
-                                 projected_step, replay_step, train)
+from orthoproj.optimizer import NO_REFRESH, Stage, TrainConfig, train
 from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import DifferentiableTask, TaskFamily
 
@@ -32,74 +31,86 @@ QUAD_BASE = dict(eta=0.05, steps=100, refresh_every=5, ref_count=1,
                  stages=(Stage("safety", "squared_error", 100),))
 
 
+def run_recorded(config, family):
+    """train(config, family), plus a copy of each (task name, gradient) it
+    takes through a task and each (basis rows, g, g_proj) it projects."""
+    gradients, projections = [], []
+    gradient = DifferentiableTask.gradient
+
+    def recording_gradient(task, theta, batch=None):
+        g = gradient(task, theta, batch)
+        gradients.append((task.name, g.copy()))  # the step later reuses g's array
+        return g
+
+    def recording_projection(g, basis):
+        g_proj = project_complement(g, basis)
+        projections.append((basis.vectors, g.copy(), g_proj.copy()))
+        return g_proj
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DifferentiableTask, "gradient", recording_gradient)
+        mp.setattr(optimizer, "project_complement", recording_projection)
+        result = train(config, family)
+    return result, gradients, projections
+
+
+def one_step(family, method, eta, **fields):
+    """A one-step run of the family's safety task. On a quadratic family
+    every batch is the task's whole system, so the step draws no rng."""
+    config = TrainConfig(method=method, eta=eta, steps=1,
+                         stages=(Stage("safety", "squared_error", 1),), **fields)
+    return run_recorded(config, family)
+
+
 class TestNaiveStep:
     def test_closed_form(self):
         task = origin_quadratic()
-        theta, g = naive_step(np.array([1.0, 0.0]), task, task.probe, eta=0.5)
-        np.testing.assert_array_equal(theta, [0.5, 0.0])
-        np.testing.assert_array_equal(g, [1.0, 0.0])
-
-    def test_zero_eta_is_identity(self):
-        task = origin_quadratic()
-        start = np.array([1.0, -2.0])
-        theta, _ = naive_step(start, task, task.probe, eta=0.0)
-        np.testing.assert_array_equal(theta, start)
+        fam = TaskFamily("quadratic_pair", 0, np.array([1.0, 0.0]), (), {"safety": task},
+                         "safety")
+        result, gradients, _ = one_step(fam, "naive", 0.5, ref_count=0)
+        np.testing.assert_array_equal(result.theta_final, [0.5, 0.0])
+        assert [name for name, _ in gradients] == ["safety"]
+        np.testing.assert_array_equal(gradients[0][1], [1.0, 0.0])
 
     def test_single_step_descends(self, regression_family):
         fam = regression_family()
+        config = TrainConfig(method="naive", eta=1e-3, steps=1, safety_batch=64,
+                             stages=(Stage("safety", "squared_error", 1),))
         task = fam.tasks["safety"]
-        batch = task.sample_batch(np.random.default_rng(0), 64)
-        theta, _ = naive_step(fam.theta0, task, batch, eta=1e-3)
-        assert task.loss(theta) < task.loss(fam.theta0)
+        assert task.loss(train(config, fam).theta_final) < task.loss(fam.theta0)
 
 
 class TestProjectedStep:
     def test_orthogonal_case_equals_naive(self, quadratic_family):
         fam = quadratic_family(math.pi / 2)
-        safety = fam.tasks["safety"]
-        sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0)
-        theta_p, _, _ = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
-        theta_n, _ = naive_step(fam.theta0, safety, safety.probe, 0.05)
+        theta_p = one_step(fam, "ortho", 0.05, ref_count=1)[0].theta_final
+        theta_n = one_step(fam, "naive", 0.05, ref_count=1)[0].theta_final
         assert theta_p.tobytes() == theta_n.tobytes()
 
     def test_collinear_case_stalls(self, quadratic_family):
         fam = quadratic_family(0.0)
-        safety = fam.tasks["safety"]
-        sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0)
-        theta_p, g, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
-        assert np.abs(theta_p - fam.theta0).max() <= 1e-12
+        result, _, [(_, g, g_proj)] = one_step(fam, "ortho", 0.05, ref_count=1)
+        assert np.abs(result.theta_final - fam.theta0).max() <= 1e-12
         assert norm(g_proj) <= 1e-12 * norm(g)
 
     def test_projected_norm_is_sine_fraction(self, quadratic_family):
         fam = quadratic_family(math.pi / 4)
-        safety = fam.tasks["safety"]
-        sub = estimate_subspace(fam.theta0, list(fam.capability_tasks), 1,
-                                np.random.default_rng(0), 1e-6, 0)
-        _, g, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, 0.05)
+        _, _, [(_, g, g_proj)] = one_step(fam, "ortho", 0.05, ref_count=1)
         assert abs(norm(g_proj) - norm(g) * math.sin(math.pi / 4)) <= 1e-9
 
 
 class TestReplayStep:
     def test_lambda_zero_equals_naive(self, quadratic_family):
         fam = quadratic_family(math.pi / 3)
-        safety = fam.tasks["safety"]
-        cap = fam.capability_tasks[0]
-        batch = safety.probe
-        theta_r, _ = replay_step(fam.theta0, safety, batch, [cap], [cap.probe],
-                                 eta=0.05, lam=0.0)
-        theta_n, _ = naive_step(fam.theta0, safety, batch, eta=0.05)
+        theta_r = one_step(fam, "replay", 0.05, ref_count=1, replay_lambda=0.0)[0].theta_final
+        theta_n = one_step(fam, "naive", 0.05, ref_count=1)[0].theta_final
         assert theta_r.tobytes() == theta_n.tobytes()
 
     def test_large_lambda_aligns_with_reference_gradient(self, quadratic_family):
         fam = quadratic_family(math.pi / 3)
-        safety = fam.tasks["safety"]
-        cap = fam.capability_tasks[0]
-        theta_r, _ = replay_step(fam.theta0, safety, safety.probe, [cap],
-                                 [cap.probe], eta=1.0, lam=1e6)
-        direction = fam.theta0 - theta_r  # eta * (g + lam * mean_ref)
-        ref_grad = cap.gradient(fam.theta0)
+        result, _, _ = one_step(fam, "replay", 1.0, ref_count=1, replay_lambda=1e6)
+        direction = fam.theta0 - result.theta_final  # eta * (g + lam * mean_ref)
+        ref_grad = fam.capability_tasks[0].gradient(fam.theta0)
         assert angle_between(direction, ref_grad) <= 1e-3
 
     def test_default_lambda_sits_between(self, quadratic_family):
@@ -113,38 +124,35 @@ class TestReplayStep:
 
 
 class TestStepArithmetic:
-    """Each step function forms the same bytes as the plain expression and
-    returns a new array, leaving theta as it was."""
+    """A step forms the same bytes as the plain expression, in a new array,
+    leaving the family's theta0 as it was."""
 
-    @pytest.mark.parametrize("eta", [1e-3, 0.05, 0.0])
-    def test_steps_match_the_plain_expressions(self, regression_family, eta):
-        fam = regression_family()
-        safety = fam.tasks["safety"]
-        refs = list(fam.capability_tasks)
-        rng = np.random.default_rng(1)
-        batch = safety.sample_batch(rng, 64)
-        refs = refs + refs[:1]  # three, so dividing by the count rounds
-        ref_batches = [t.sample_batch(rng, 200) for t in refs]
-        theta = fam.theta0 + 0.01 * rng.standard_normal(fam.theta0.size)
+    @pytest.mark.parametrize("eta", [1e-3, 0.05])
+    def test_steps_match_the_plain_expressions(self, eta):
+        fam = _random_quadratic_family(7, 3, seed=1)  # three facets, so dividing by M rounds
+        theta, safety, refs = fam.theta0, fam.tasks["safety"], list(fam.capability_tasks)
         before = theta.copy()
-        g = safety.gradient(theta, batch)
-        sub = estimate_subspace(theta, refs[:2], 2, np.random.default_rng(2), 1e-6, 0)
+        g = safety.gradient(theta)
 
-        got, _ = naive_step(theta, safety, batch, eta)
-        assert got.tobytes() == (theta - eta * g).tobytes()
-        got, _, g_proj = projected_step(theta, safety, batch, sub, eta)
-        assert got.tobytes() == (theta - eta * g_proj).tobytes()
-        for lam, tasks in ((0.7, refs), (0.7, refs[:2]), (0.0, refs), (1.0, [])):
-            got, _ = replay_step(theta, safety, batch, tasks, ref_batches, eta, lam)
-            if tasks:
+        def stepped(method, **fields):
+            result = one_step(fam, method, eta, **fields)[0]
+            assert result.theta_final is not theta
+            return result.theta_final.tobytes()
+
+        assert stepped("naive") == (theta - eta * g).tobytes()
+        basis = estimate_subspace(theta, refs[:2], 1, np.random.default_rng(2), 1e-6, 0).basis
+        g_proj = project_complement(g, basis)
+        assert stepped("ortho", ref_count=2) == (theta - eta * g_proj).tobytes()
+        for lam, m in ((0.7, 3), (0.7, 2), (0.0, 3), (1.0, 0)):
+            if m:
                 acc = np.zeros_like(g)
-                for t, b in zip(tasks, ref_batches):
-                    acc += t.gradient(theta, b)
-                mixed = g + lam * (acc / len(tasks))
+                for t in refs[:m]:
+                    acc += t.gradient(theta)
+                mixed = g + lam * (acc / m)
             else:
                 mixed = g
-            assert got.tobytes() == (theta - eta * mixed).tobytes()
-            assert got is not theta
+            got = stepped("replay", ref_count=m, replay_lambda=lam)
+            assert got == (theta - eta * mixed).tobytes()
         assert theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -162,11 +170,15 @@ class TestStepArithmetic:
         theta = np.array([-0.0, -0.0, 1.0, -0.0])
         safety = Fixed([-0.0, -0.0, 2.0, 0.5])
         refs = [Fixed([-0.0, 0.0, -0.0, 3.0]), Fixed([-0.0, -0.0, 0.0, -1.0])][:m]
-        got, _ = replay_step(theta, safety, None, refs, [None] * m, 0.5, 0.7)
+        direction = optimizer._mixed_direction(theta, safety.gradient(theta, None), refs,
+                                               [None] * m, 0.7)
         acc = np.zeros_like(theta)
         for t in refs:
             acc += t.gradient(theta, None)
-        want = theta - 0.5 * (safety.gradient(theta, None) + 0.7 * (acc / m))
+        mixed = safety.gradient(theta, None) + 0.7 * (acc / m)
+        assert direction.tobytes() == mixed.tobytes()
+        got = theta - 0.5 * direction
+        want = theta - 0.5 * mixed
         assert got.tobytes() == want.tobytes()
         assert [math.copysign(1.0, x) for x in got[:2]] == [-1.0, -1.0]
 
@@ -187,22 +199,16 @@ class TestTrain:
         assert result.subspace_history[0][0] == 0
 
     def test_per_step_projection_orthogonality(self, regression_family):
-        # re-run the loop's building blocks and assert the logged projection
-        # really is orthogonal to the basis at every step
+        # the logged projection really is orthogonal to the basis at every step
         fam = regression_family()
-        refs = list(fam.capability_tasks)
-        safety = fam.tasks["safety"]
-        rng_s = np.random.default_rng(0)
-        rng_r = np.random.default_rng(1)
-        theta = fam.theta0.copy()
-        sub = None
-        for t in range(20):
-            if t % 5 == 0:
-                sub = estimate_subspace(theta, refs, 200, rng_r, 1e-6, t)
-            batch = safety.sample_batch(rng_s, 64)
-            theta, g, g_proj = projected_step(theta, safety, batch, sub, 0.02)
+        config = TrainConfig(method="ortho", eta=0.02, steps=20, refresh_every=5,
+                             ref_count=len(fam.capability_tasks), safety_batch=64, ref_batch=200,
+                             stages=(Stage("safety", "squared_error", 20),))
+        result, _, projections = run_recorded(config, fam)
+        assert len(projections) == len(result.records) == 20
+        for basis, g, g_proj in projections:
             bound = 1e-8 * norm(g)
-            assert all(abs(dot(g_proj, u)) <= bound for u in sub.basis.vectors)
+            assert all(abs(dot(g_proj, u)) <= bound for u in basis)
             assert norm(g_proj) <= norm(g)
 
     def test_records_are_complete_and_ordered(self, quadratic_family):
@@ -235,12 +241,10 @@ class TestTrain:
 
     def test_first_order_preservation_closed_form(self, quadratic_family):
         fam = quadratic_family(math.pi / 4)
-        safety = fam.tasks["safety"]
         cap = fam.capability_tasks[0]
-        sub = estimate_subspace(fam.theta0, [cap], 1, np.random.default_rng(0),
-                                1e-6, 0)
         eta = 1e-2
-        theta1, _, g_proj = projected_step(fam.theta0, safety, safety.probe, sub, eta)
+        result, _, [(_, _, g_proj)] = one_step(fam, "ortho", eta, ref_count=1)
+        theta1 = result.theta_final
         change = cap.loss(theta1) - cap.loss(fam.theta0)
         image = cap.train.inputs @ (theta1 - fam.theta0)
         remainder = 0.5 * float(image @ image)
@@ -252,24 +256,29 @@ class TestTrain:
 
 
 class TestMemory:
-    """train() holds theta and the active basis between steps, and at most
-    k parameter-sized arrays in all within a step: 3 for naive, 3 for
-    replay with one reference facet (it accumulates into the first
-    reference gradient) and 4 with two, and the basis plus 4 for ortho with
-    one or two facets. Rows of 100,000 elements are longer than
-    linalg.BLOCK, so the projection removes them one at a time; one (2, d)
-    product block would be a fifth array. The slack covers small objects,
-    and a boolean finiteness mask (d bytes), which is built only when a
-    finite array's sum of squares overflows."""
+    """train() holds theta and the active basis between steps, and within a
+    step at most k parameter-sized arrays in all plus b block buffers of
+    linalg.BLOCK float64 products: 2 arrays for naive (the update is formed
+    in the gradient's array) and the buffer of the gradient's norm, which
+    is taken while theta and the gradient are held; 3 arrays for replay
+    with one reference facet (it accumulates into the first reference
+    gradient) and 4 with two; the basis plus 3 for ortho at rank 1 (theta,
+    the gradient, its projection) and plus 4 at rank 2, where a refresh
+    holds theta, two candidate gradients, the basis block and one more
+    array. Rows of 100,000 elements are longer than linalg.BLOCK, so the
+    projection removes them one at a time; one (2, d) product block would
+    put the rank-2 step at the basis plus 5. The slack covers small
+    objects, and a boolean finiteness mask (d bytes), which is built only
+    when a finite array's sum of squares overflows."""
 
     D = 100_000
 
     # the case ids stay method-k; m is the number of reference facets
-    @pytest.mark.parametrize("method, m, k", [("naive", 1, 3), ("replay", 1, 3),
-                                              ("replay", 2, 4), ("ortho", 1, 1 + 4),
-                                              ("ortho", 2, 2 + 4)],
-                             ids=["naive-3", "replay-3", "replay-4", "ortho-5", "ortho-6"])
-    def test_peak_above_entry(self, method, m, k):
+    @pytest.mark.parametrize("method, m, k, b", [("naive", 1, 2, 1), ("replay", 1, 3, 0),
+                                                 ("replay", 2, 4, 0), ("ortho", 1, 1 + 3, 0),
+                                                 ("ortho", 2, 2 + 4, 0)],
+                             ids=["naive-2", "replay-3", "replay-4", "ortho-4", "ortho-6"])
+    def test_peak_above_entry(self, method, m, k, b):
         if m == 1:
             fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
         else:
@@ -285,7 +294,7 @@ class TestMemory:
             tracemalloc.stop()
         if method == "ortho":
             assert [rank for _, rank in result.subspace_history] == [m, m, m]
-        assert peak - start <= k * 8 * self.D + 256 * 1024
+        assert peak - start <= k * 8 * self.D + b * 8 * BLOCK + 256 * 1024
 
 
 def _random_quadratic_family(d, m, seed):
@@ -310,18 +319,9 @@ def _random_quadratic_family(d, m, seed):
 def test_train_properties_hypothesis(d_extra, m, period, seed):
     d = 1 + d_extra
     fam = _random_quadratic_family(d, m, seed)
-    steps = []
-
-    def checked_step(theta, task, batch, subspace, eta):
-        out = projected_step(theta, task, batch, subspace, eta)
-        steps.append((subspace.basis.vectors, out[1], out[2]))
-        return out
-
     cfg = TrainConfig(method="ortho", eta=0.01, steps=6, refresh_every=period, ref_count=m,
                       seed=seed, stages=(Stage("safety", "squared_error", 6),))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "projected_step", checked_step)
-        result = train(cfg, fam)
+    result, _, steps = run_recorded(cfg, fam)
     assert len(steps) == len(result.records) == 6
     for record in result.records:
         assert 0.0 <= record.removed_fraction <= 1.0
