@@ -37,7 +37,7 @@ recon = g_perp + sum(dot(g, u) * u for u in basis.vectors)
 print(f"reconstruction error |g - (g_perp + projection)|: {np.abs(recon - g).max():.2e}")
 
 print("\n== no feasible direction descends faster than the projected gradient")
-report = steepest_check(g, basis, n_samples=10_000, rng=np.random.default_rng(1))
+report = steepest_check(g, g_perp, basis, n_samples=10_000, rng=np.random.default_rng(1))
 print(f"analytic bound on <g, v> over feasible unit v: {report.bound:.4f}")
 print(f"best of {report.n_samples} random feasible directions: {report.min_directional:.4f}")
 print(f"the direction -projected/|projected| attains the bound within "

@@ -12,7 +12,10 @@ Run:  python demos/02_quadratic_interference.py
 import dataclasses
 import math
 
-from orthoproj import angle_between, build_family, taylor_scaling, train
+import numpy as np
+
+from orthoproj import (angle_between, build_family, estimate_subspace, project_complement,
+                       taylor_scaling, train)
 from orthoproj.config import DEFAULTS
 from orthoproj.metrics import alignment_tax
 
@@ -33,8 +36,11 @@ for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
 
 print("\n== one-step reference-loss change scales differently per method")
 fam = family_at(math.pi / 4)
-for method in ("ortho", "naive"):
-    report = taylor_scaling(fam, (1e-2, 1e-3, 1e-4), method)
+g_safe = fam.tasks["safety"].gradient(fam.theta0)
+sub = estimate_subspace(fam.theta0, fam.capability_tasks, batch_size=1,
+                        rng=np.random.default_rng(0), delta=1e-6, step=0)
+for method, direction in (("ortho", project_complement(g_safe, sub.basis)), ("naive", g_safe)):
+    report = taylor_scaling(fam, (1e-2, 1e-3, 1e-4), direction)
     print(f"{method:6s}: log-log slope {report.slope:.3f} "
           f"(changes: {[f'{c:.2e}' for c in report.loss_changes]})")
 print("the projected step kills the first-order term, leaving the quadratic")

@@ -15,7 +15,7 @@ from .metrics import (ComparisonTable, RunRecord, TaxReport, alignment_tax,
 from .models import Batch, LossKind, ModelSpec, gradient, loss
 from .optimizer import NO_REFRESH, Stage, TrainConfig, TrainResult, train
 from .oracle import fd_gradient, steepest_check, taylor_scaling
-from .subspace import CapabilitySubspace, estimate_subspace, needs_refresh
+from .subspace import CapabilitySubspace, estimate_subspace
 from .tasks import (DifferentiableTask, TaskFamily, build_family, policy_family,
                     quadratic_family, regression_family)
 

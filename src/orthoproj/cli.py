@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .config import ConfigParseError, ExperimentFile, parse_config_file, render_config
@@ -31,25 +30,15 @@ EXIT_NUMERIC_ERROR = 3
 SWEEP_AXES = ("K", "M", "refsize")
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# the mode open() gives a new file; read once, while importing, because
-# reading the umask means setting it
-_FILE_MODE = 0o666 & ~_umask()
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     """Write through a uniquely named temp file in the target directory and
-    a rename, so writers to one path never share a temp file."""
+    a rename, so writers to one path never share a temp file. ``open``
+    creates the temp file, so it gets the mode the umask in force gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), _FILE_MODE)  # mkstemp creates the file 0600
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -16,11 +16,12 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .linalg import norm, project_complement
 from .metrics import RunRecord
-from .subspace import NO_REFRESH, CapabilitySubspace, estimate_subspace, needs_refresh
+from .subspace import CapabilitySubspace, estimate_subspace
 
 __all__ = ["Stage", "TrainConfig", "TrainResult", "train", "NO_REFRESH"]
 
 METHODS = ("ortho", "naive", "replay")
+NO_REFRESH = math.inf  # refresh period of the static basis: built at step 0, never rebuilt
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,8 @@ def train(config: TrainConfig, family) -> TrainResult:
         period = stage.refresh_every if stage.refresh_every is not None else config.refresh_every
         for i in range(stage.steps):
             try:
-                if use_subspace and (subspace is None or needs_refresh(t, period)):
+                # t % NO_REFRESH is t, so a static basis is built at step 0 only
+                if use_subspace and t % period == 0:
                     subspace = None  # the old basis is freed before the new one is built
                     subspace = estimate_subspace(theta, ref_tasks, config.ref_batch,
                                                  rng_ref, config.delta, t)

@@ -1,11 +1,11 @@
 """Independent verification machinery.
 
-Everything here checks the library through a different computational route
-than the code it verifies: gradients against coordinate-wise central
-differences of the loss, the steepest-feasible-descent bound against Monte
-Carlo sampling plus the analytic attainment direction, and first-order
-capability preservation against one-step loss changes measured at several
-learning rates.
+Each oracle takes the claim it checks as an argument and never computes it:
+an analytic gradient is held against coordinate-wise central differences of
+the loss, a projected gradient against Monte Carlo sampling of feasible
+directions, and a step direction against one-step loss changes measured at
+several learning rates. None of them calls the gradient, projection,
+subspace or training code whose output it judges.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import ConfigurationError, NumericError, PreconditionError
-from .linalg import OrthonormalBasis, as_vector, dot, norm, project_complement
-from .subspace import estimate_subspace
+from .errors import ConfigurationError, DimensionError, NumericError, PreconditionError
+from .linalg import OrthonormalBasis, as_vector, dot, norm
 
 __all__ = ["FD_STEP", "fd_gradient", "gradient_agreement",
            "SteepestReport", "steepest_check",
@@ -49,9 +48,9 @@ def fd_gradient(spec, kind, theta, batch) -> np.ndarray:
     return out
 
 
-def gradient_agreement(spec, kind, theta, batch, rel_tol: float = 1e-4) -> float:
-    """Worst per-coordinate relative disagreement between the analytic
-    gradient and central differences.
+def gradient_agreement(analytic, spec, kind, theta, batch, rel_tol: float = 1e-4) -> float:
+    """Worst per-coordinate relative disagreement between ``analytic``, a
+    gradient of the loss at theta, and central differences.
 
     Central differences resolve a derivative no finer than
     roundoff(loss) / (2 * FD_STEP); the denominator floors at that
@@ -60,7 +59,9 @@ def gradient_agreement(spec, kind, theta, batch, rel_tol: float = 1e-4) -> float
     as disagreements while every measurable coordinate is still held to
     ``rel_tol``.
     """
-    analytic = models.gradient(spec, kind, theta, batch)
+    analytic = as_vector(analytic, "analytic")
+    if analytic.size != np.size(theta):
+        raise DimensionError(f"analytic has {analytic.size} entries, theta {np.size(theta)}")
     approx = fd_gradient(spec, kind, theta, batch)
     loss_scale = max(1.0, abs(models.loss(spec, kind, theta, batch)))
     fd_noise = 8.0 * np.finfo(np.float64).eps * loss_scale / (2.0 * FD_STEP)
@@ -82,20 +83,24 @@ class SteepestReport:
         return abs(self.attained - self.bound)
 
 
-def steepest_check(g, basis: OrthonormalBasis, n_samples: int,
+def steepest_check(g, g_perp, basis: OrthonormalBasis, n_samples: int,
                    rng: np.random.Generator, slack: float = 1e-9) -> SteepestReport:
     """Monte-Carlo check that no feasible unit direction descends faster
-    than the negated projected gradient.
+    than -g_perp, the negated projection of g onto the complement of the
+    basis span.
 
-    Draws standard-normal vectors, projects them into the orthogonal
-    complement ourselves (matrix form, independent of the library's
-    per-vector loop), normalizes, and evaluates the directional derivative
-    <g, v>. Requires g to have a nonzero component outside the span.
+    The bound -||g_perp|| and its attainment <g, -g_perp / ||g_perp||> are
+    read off the given g_perp. The samples are standard-normal vectors
+    projected into the complement here (matrix form, independent of the
+    library's per-vector loop), normalized, and scored by the directional
+    derivative <g, v>. Requires a nonzero g_perp.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     gv = as_vector(g, "g")
-    g_perp = project_complement(gv, basis)
+    g_perp = as_vector(g_perp, "g_perp")
+    if g_perp.size != gv.size:
+        raise DimensionError(f"g_perp has {g_perp.size} entries, g {gv.size}")
     bound = -norm(g_perp)
     if bound == 0.0:
         raise PreconditionError("g lies inside the subspace span; the bound assumes "
@@ -136,41 +141,34 @@ class TaylorReport:
         return worst
 
 
-def taylor_scaling(family, etas, method: str) -> TaylorReport:
-    """Measure how the one-step reference-loss change scales with eta.
+def taylor_scaling(family, etas, direction) -> TaylorReport:
+    """Measure how the one-step reference-loss change under the step
+    theta0 - eta * direction scales with eta.
 
     Built for the quadratic pair, where the loss change under a step dtheta
-    is exactly <g_ref, dtheta> + 0.5 * ||A_ref dtheta||^2, for the reference
-    task's system A_ref = ``ref.train.inputs``. With a fresh subspace the
-    projected step kills the linear term, leaving pure second-order scaling
-    (log-log slope 2); a naive step with correlated gradients is first-order
-    (slope 1). The subspace is spanned by the first capability task's
-    gradient (relative threshold 1e-6). Zero rows are excluded from the fit;
-    if every row is zero the change is curvature-only below float resolution
-    and the slope is reported as exactly 2.
+    is exactly <g_ref, dtheta> + 0.5 * ||A dtheta||^2 for the reference
+    task's system (A, b) = (``ref.train.inputs``, ``ref.train.targets``)
+    and g_ref = A^T (A theta0 - b). A direction orthogonal to g_ref kills
+    the linear term, leaving pure second-order scaling (log-log slope 2); a
+    direction correlated with it is first-order (slope 1). Zero rows are
+    excluded from the fit; if every row is zero the change is
+    curvature-only below float resolution and the slope is reported as
+    exactly 2.
     """
     etas = tuple(float(e) for e in etas)
     if len(etas) < 3 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ConfigurationError("etas must be at least 3 strictly decreasing values")
     if family.kind != "quadratic_pair":
         raise ConfigurationError("taylor_scaling needs the quadratic family (closed-form remainder)")
-    if method not in ("ortho", "naive"):
-        raise ConfigurationError(f"method must be 'ortho' or 'naive', got {method!r}")
-
+    direction = as_vector(direction, "direction")
     theta0 = family.theta0
-    safety = family.tasks["safety"]
-    ref = family.capability_tasks[0]
-    g_safe = safety.gradient(theta0, safety.probe)
-    if method == "ortho":
-        sub = estimate_subspace(theta0, [ref], batch_size=1, rng=np.random.default_rng(0),
-                                delta=1e-6, step=0)
-        direction = project_complement(g_safe, sub.basis)
-    else:
-        direction = g_safe
+    if direction.size != theta0.size:
+        raise DimensionError(f"direction has {direction.size} entries, theta0 {theta0.size}")
 
+    ref = family.capability_tasks[0]
     a_ref = ref.train.inputs
+    g_ref = a_ref.T @ (a_ref @ theta0 - ref.train.targets)
     ref_loss0 = ref.loss(theta0)
-    g_ref = ref.gradient(theta0, ref.probe)
     changes, predicted = [], []
     for eta in etas:
         dtheta = -eta * direction

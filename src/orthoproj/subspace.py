@@ -1,14 +1,12 @@
-"""Capability-subspace lifecycle: periodic estimation and staleness tracking.
+"""Capability-subspace estimation, with the metadata to audit staleness.
 
 The subspace is the span of one gradient per reference task, orthonormalized
-with a residual threshold. It is rebuilt every ``refresh_every`` steps and
-used unchanged in between; ``NO_REFRESH`` builds it once at step 0 and never
-again (the "static basis" ablation).
+with a residual threshold. :func:`orthoproj.optimizer.train` rebuilds it
+every ``refresh_every`` steps and uses it unchanged in between.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +15,7 @@ from . import models
 from .errors import ConfigurationError, NumericError
 from .linalg import OrthonormalBasis, gram_schmidt, norm
 
-__all__ = ["CapabilitySubspace", "NO_REFRESH", "needs_refresh", "estimate_subspace"]
-
-NO_REFRESH = math.inf  # sentinel refresh period: build once, never rebuild
+__all__ = ["CapabilitySubspace", "estimate_subspace"]
 
 
 @dataclass(frozen=True)
@@ -34,21 +30,6 @@ class CapabilitySubspace:
     @property
     def rank(self) -> int:
         return self.basis.rank
-
-
-def needs_refresh(step: int, period) -> bool:
-    """True iff the subspace should be (re)built at this step.
-
-    ``period`` is a positive integer, or ``NO_REFRESH`` in which case only
-    step 0 triggers a build.
-    """
-    if step < 0:
-        raise ConfigurationError(f"step must be non-negative, got {step}")
-    if period == NO_REFRESH:
-        return step == 0
-    if not float(period).is_integer() or period <= 0:
-        raise ConfigurationError(f"refresh period must be a positive integer or inf, got {period}")
-    return step % int(period) == 0
 
 
 def estimate_subspace(model_state, ref_tasks, batch_size: int,

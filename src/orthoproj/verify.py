@@ -27,9 +27,9 @@ import numpy as np
 from . import oracle, tasks
 from .config import DEFAULTS
 from .goldens import GOLDEN_MARGINS
-from .linalg import OrthonormalBasis, dot, dots, gram_schmidt, norm, project_complement
+from .linalg import OrthonormalBasis, dots, gram_schmidt, norm, project_complement
 from .metrics import alignment_tax, records_to_csv, tax_report_to_csv
-from .models import Batch, LossKind, ModelSpec
+from .models import Batch, LossKind, ModelSpec, gradient
 from .optimizer import NO_REFRESH, Stage, train
 from .subspace import estimate_subspace
 
@@ -162,7 +162,8 @@ def check_gradient_correctness(seed: int = 0) -> CheckResult:
     for child in root.spawn(n_configs):
         cases = _fd_cases(np.random.default_rng(child))
         for spec, kind, theta, batch in cases:
-            err = oracle.gradient_agreement(spec, kind, theta, batch, rel_tol=tol)
+            err = oracle.gradient_agreement(gradient(spec, kind, theta, batch),
+                                            spec, kind, theta, batch, rel_tol=tol)
             if err > worst:
                 worst, worst_case = err, f"{spec.kind}/{kind.tag}"
     elapsed = time.perf_counter() - start
@@ -196,14 +197,12 @@ def check_steepest_bound(seed: int = 0, inject: bool = False) -> CheckResult:
                 basis = gram_schmidt(rng.standard_normal((m, d)), delta=1e-8)
             else:
                 basis = OrthonormalBasis.empty(d)
-            g_perp = project(g, basis)
-            bound = -norm(g_perp)
-            report = oracle.steepest_check(g, basis, n_samples, rng, slack=slack)
+            g_perp = project(g, basis)  # the (possibly injected) projector's claim
+            report = oracle.steepest_check(g, g_perp, basis, n_samples, rng, slack=slack)
             cells += 1
             violations += report.violations
-            # analytic attainment, via the (possibly injected) projector
+            worst_attain = max(worst_attain, report.attainment_error)
             v_star = -g_perp / norm(g_perp)
-            worst_attain = max(worst_attain, abs(dot(g, v_star) - bound))
             feas = max((abs(c) for c in dots(basis.vectors, v_star).tolist()), default=0.0)
             worst_feasible = max(worst_feasible, feas)
     elapsed = time.perf_counter() - start
@@ -222,21 +221,22 @@ def check_first_order(seed: int = 0) -> CheckResult:
     etas, slope_tol, remainder_tol, quarter_tol = (1e-2, 1e-3, 1e-4), 0.2, 1e-6, 1e-6
     start = time.perf_counter()
     fam = _default_family("quadratic", seed)
-    rep_orth = oracle.taylor_scaling(fam, etas, "ortho")
-    rep_naive = oracle.taylor_scaling(fam, etas, "naive")
+    # the projected step against a fresh subspace of the first capability
+    # task's gradient, and the naive step along the safety gradient itself
+    g_safe = fam.tasks["safety"].gradient(fam.theta0)
+    sub = estimate_subspace(fam.theta0, fam.capability_tasks[:1], 1,
+                            np.random.default_rng(0), 1e-6, 0)
+    g_perp = project_complement(g_safe, sub.basis)
+    rep_orth = oracle.taylor_scaling(fam, etas, g_perp)
+    rep_naive = oracle.taylor_scaling(fam, etas, g_safe)
     ok_slopes = (abs(rep_orth.slope - 2.0) <= slope_tol
                  and abs(rep_naive.slope - 1.0) <= slope_tol)
     ok_remainder = rep_orth.max_remainder_mismatch <= remainder_tol
 
     # eta -> eta/2 must shrink the projected step's reference-loss change 4x
-    safety = fam.tasks["safety"]
-    ref = fam.capability_tasks[0]
-    sub = estimate_subspace(fam.theta0, [ref], 1, np.random.default_rng(0), 1e-6, 0)
-    g = project_complement(safety.gradient(fam.theta0), sub.basis)
-    l0 = ref.loss(fam.theta0)
     eta = etas[0]
-    change_full = ref.loss(fam.theta0 - eta * g) - l0
-    change_half = ref.loss(fam.theta0 - 0.5 * eta * g) - l0
+    change_full, change_half, _ = oracle.taylor_scaling(
+        fam, (eta, eta / 2, eta / 4), g_perp).loss_changes
     quarter_err = abs(change_full / change_half - 4.0) / 4.0
     ok_quarter = quarter_err <= quarter_tol
 

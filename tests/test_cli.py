@@ -137,6 +137,21 @@ def test_atomic_writers_to_one_path_do_not_collide(tmp_path, monkeypatch):
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("umask", [0o077, 0o002], ids=oct)
+def test_atomic_write_follows_the_umask_in_force(tmp_path, umask):
+    # the umask is set after the module was imported; at least one of the
+    # two differs from the one in force at import
+    before = os.umask(umask)
+    try:
+        cli.atomic_write_text(tmp_path / "atomic.csv", "x\n")
+        with open(tmp_path / "plain.csv", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(before)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("atomic.csv", "plain.csv")}
+    assert modes == {0o666 & ~umask}
+
+
 def test_import_loads_no_network_stack():
     # xml.sax.saxutils pulls in urllib, http, ssl, socket and email; the
     # SVG writer needs one escape function from it and defines its own

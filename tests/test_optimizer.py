@@ -457,8 +457,12 @@ class TestValidation:
             TrainConfig(**dict(QUAD_BASE, eta=0.0)).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(**dict(QUAD_BASE, steps=99)).validate()  # stage sum mismatch
-        with pytest.raises(ConfigurationError):
-            TrainConfig(**dict(QUAD_BASE, refresh_every=0)).validate()
+        for period in (0, -2, 2.5):
+            with pytest.raises(ConfigurationError, match="refresh_every"):
+                TrainConfig(**dict(QUAD_BASE, refresh_every=period)).validate()
+        with pytest.raises(ConfigurationError, match="stages refresh period"):
+            TrainConfig(**dict(QUAD_BASE, stages=(
+                Stage("safety", "squared_error", 100, refresh_every=2.5),))).validate()
         with pytest.raises(ConfigurationError):
             train(TrainConfig(**dict(QUAD_BASE,
                                      stages=(Stage("missing", "squared_error", 100),))), fam)

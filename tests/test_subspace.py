@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.models import Batch, LossKind, ModelSpec
-from orthoproj.optimizer import Stage, TrainConfig, train
-from orthoproj.subspace import NO_REFRESH, estimate_subspace, needs_refresh
+from orthoproj.optimizer import NO_REFRESH, Stage, TrainConfig, train
+from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import DifferentiableTask
 
 
@@ -12,34 +15,6 @@ def quadratic_task(name, a, b):
     spec = ModelSpec("quadratic", (a.shape[1],))
     system = Batch(a, b)
     return DifferentiableTask(name, spec, LossKind("squared_error"), system, system)
-
-
-class TestNeedsRefresh:
-    def test_first_step_always_builds(self):
-        assert needs_refresh(0, 5) is True
-
-    def test_between_refreshes(self):
-        assert needs_refresh(7, 5) is False
-
-    def test_coarse_period_boundary(self):
-        assert needs_refresh(30, 30) is True
-
-    def test_never_refresh_sentinel(self):
-        assert needs_refresh(0, NO_REFRESH) is True
-        for step in (1, 5, 1000):
-            assert needs_refresh(step, NO_REFRESH) is False
-
-    def test_invalid_period(self):
-        with pytest.raises(ConfigurationError):
-            needs_refresh(3, 0)
-        with pytest.raises(ConfigurationError):
-            needs_refresh(3, -2)
-        with pytest.raises(ConfigurationError):
-            needs_refresh(3, 2.5)
-
-    def test_negative_step(self):
-        with pytest.raises(ConfigurationError):
-            needs_refresh(-1, 5)
 
 
 class TestEstimateSubspace:
@@ -143,3 +118,21 @@ class TestFreshnessContract:
         result = train(cfg, fam)
         assert result.subspace_history == ((0, result.subspace_history[0][1]),)
         assert result.records[-1].age == 29
+
+    def test_every_step_builds_at_period_one(self, regression_family):
+        fam = regression_family()
+        cfg = TrainConfig(method="ortho", eta=0.02, steps=10, refresh_every=1,
+                          ref_count=2, safety_batch=32, ref_batch=100, seed=0,
+                          stages=(Stage("safety", "squared_error", 10),))
+        result = train(cfg, fam)
+        assert [step for step, _ in result.subspace_history] == list(range(10))
+        assert all(r.age == 0 for r in result.records)
+
+    def test_shipped_policy_stage_periods(self, policy_family):
+        # the likelihood stage (steps 0-59) refreshes every 30 steps, the
+        # preference stage (steps 60-99) every 5, on the global step index
+        config = replace(DEFAULTS["policy"].train, probes=False)
+        assert [s.refresh_every for s in config.stages] == [30, 5]
+        result = train(config, policy_family())
+        assert ([step for step, _ in result.subspace_history]
+                == [0, 30, *range(60, 100, 5)])

@@ -4,6 +4,7 @@ probes; their margins and details must be those of fully probed runs."""
 import dataclasses
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,20 @@ def test_determinism_check_loads_no_cli():
                           timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_goldens_regenerate_unchanged(tmp_path):
+    # the recorded margins are what this tree measures: regenerating them
+    # in a copy of the package leaves goldens.py byte for byte as committed
+    package = Path(verify.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "orthoproj",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, "-m", "orthoproj.goldens"], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    regenerated = (tmp_path / "orthoproj" / "goldens.py").read_bytes()
+    assert regenerated == (package / "goldens.py").read_bytes()
 
 
 def test_checks_take_no_gate():
