@@ -17,6 +17,36 @@ def quadratic_task(name, a, b):
     return DifferentiableTask(name, spec, LossKind("squared_error"), system, system)
 
 
+class TestNeedsRefresh:
+    """The refresh schedule train() keeps: build when the step is a multiple
+    of the active period."""
+
+    def test_between_refreshes(self, regression_family):
+        # the stage period (5) overrides the run period (3): step 7 is not a build
+        cfg = TrainConfig(method="ortho", eta=0.02, steps=12, refresh_every=3,
+                          ref_count=2, safety_batch=32, ref_batch=100, seed=0,
+                          stages=(Stage("safety", "squared_error", 12, refresh_every=5),))
+        result = train(cfg, regression_family())
+        built = [step for step, _ in result.subspace_history]
+        assert built == [0, 5, 10]
+        assert [r.age for r in result.records][5:10] == [0, 1, 2, 3, 4]
+
+    def test_never_refresh_sentinel(self, policy_family):
+        # NO_REFRESH on every stage: one build at step 0, none at the stage change
+        config = replace(DEFAULTS["policy"].train, probes=False).with_refresh(NO_REFRESH)
+        result = train(config, policy_family())
+        assert [step for step, _ in result.subspace_history] == [0]
+        assert [r.age for r in result.records] == list(range(config.steps))
+
+    def test_invalid_period(self):
+        base = replace(DEFAULTS["policy"].train, probes=False)
+        for period in (0, -2, 2.5):
+            with pytest.raises(ConfigurationError, match="refresh"):
+                base.with_refresh(period).validate()
+        base.with_refresh(NO_REFRESH).validate()
+        base.with_refresh(30).validate()
+
+
 class TestEstimateSubspace:
     def test_closed_form_quadratic_gradient(self):
         # L = 0.5 ||theta - c||^2 at theta = c + (1, 0): gradient (1, 0)
