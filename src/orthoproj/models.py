@@ -82,16 +82,17 @@ class Batch:
                 quadratic kind.
     targets:    per-row targets (regression values, or integer labels in
                 [0, vocab) for nll_sft); the right-hand side b for
-                quadratic.
-    pairs:      dpo_pairwise only, (n_pairs, 3) int rows
-                (context row in inputs, preferred token, rejected token).
+                quadratic; for dpo_pairwise, an (n, 2) int array holding
+                each row's (preferred, rejected) tokens in [0, vocab), so
+                a preference pair is one row of the batch.
     ref_params: dpo_pairwise only, frozen reference-policy parameters.
 
     A malformed batch raises when it is built: inputs must be 2-D with at
-    least one row and finite (they are stored as float64), pairs must be
-    (n, 3), and ref_params must be a finite 1-D vector (stored as float64).
-    Checks that need the model (parameter length, which fields the loss
-    needs) run in :func:`loss` and :func:`gradient`.
+    least one row and finite (they are stored as float64), and a batch
+    with ref_params must have (rows, 2) targets and a finite 1-D
+    ref_params (stored as float64). Checks that need the model (parameter
+    length, which fields the loss needs, tokens in the vocabulary) run in
+    :func:`loss` and :func:`gradient`.
 
     A batch is read, never written, and treated as immutable: a
     dpo_pairwise batch computes the reference policy's per-pair margin on
@@ -101,7 +102,6 @@ class Batch:
 
     inputs: np.ndarray
     targets: np.ndarray | None = None
-    pairs: np.ndarray | None = None
     ref_params: np.ndarray | None = None
 
     def __post_init__(self):
@@ -115,12 +115,12 @@ class Batch:
         if not np.isfinite(x).all():
             raise NumericError("batch inputs contain non-finite entries")
         object.__setattr__(self, "inputs", x)
-        if self.pairs is not None:
-            pairs = np.asarray(self.pairs)
-            if pairs.ndim != 2 or pairs.shape[1] != 3:
-                raise DimensionError(f"pairs must be (n, 3), got shape {pairs.shape}")
-            object.__setattr__(self, "pairs", pairs)
         if self.ref_params is not None:
+            t = np.asarray(self.targets)
+            if t.shape != (x.shape[0], 2):
+                raise DimensionError(f"preference targets must be ({x.shape[0]}, 2), "
+                                     f"got shape {t.shape}")
+            object.__setattr__(self, "targets", t)
             object.__setattr__(self, "ref_params", as_vector(self.ref_params, "ref_params"))
 
     @cached_property
@@ -128,9 +128,8 @@ class Batch:
         """dpo_pairwise: ``log pi_ref(y_w|x) - log pi_ref(y_l|x)`` per pair,
         computed on first use and kept, since the reference is frozen. Read
         it only after checking that ``ref_params`` fits the model."""
-        x, pairs = self.inputs, self.pairs
-        logits = x @ self.ref_params.reshape(-1, x.shape[1]).T
-        margin = _log_prob_margin(logits, pairs[:, 0], pairs[:, 1], pairs[:, 2])
+        x = self.inputs
+        margin = _log_prob_margin(x @ self.ref_params.reshape(-1, x.shape[1]).T, self.targets)
         margin.flags.writeable = False
         return margin
 
@@ -142,8 +141,8 @@ def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
     if th.size != spec.param_dim:
         raise DimensionError(f"theta has length {th.size}, model needs {spec.param_dim}")
     if kind.tag == "dpo_pairwise":
-        if batch.ref_params is None or batch.pairs is None:
-            raise ConfigurationError("dpo_pairwise batches need pairs and ref_params")
+        if batch.ref_params is None:
+            raise ConfigurationError("dpo_pairwise batches need ref_params")
     elif batch.ref_params is not None:
         raise ConfigurationError("ref_params is only meaningful for dpo_pairwise")
     return th
@@ -217,13 +216,15 @@ def _softmax_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
-def _log_prob_margin(z, rows, preferred, rejected) -> np.ndarray:
-    """``lp[rows, preferred] - lp[rows, rejected]`` for ``lp = shifted - lse``,
-    normalizing only the two gathered logits of each pair (each goes through
-    the same subtraction as in the full matrix)."""
+def _log_prob_margin(z, targets) -> np.ndarray:
+    """``lp[p, w_p] - lp[p, l_p]`` for ``lp = shifted - lse`` and row p's
+    (preferred, rejected) tokens ``targets[p] = (w_p, l_p)``, normalizing
+    only the two gathered logits of each row (each goes through the same
+    subtraction as in the full matrix)."""
     shifted, lse = _softmax_parts(z)
-    lse = lse[rows, 0]
-    return (shifted[rows, preferred] - lse) - (shifted[rows, rejected] - lse)
+    flat, lse = shifted.reshape(-1), lse[:, 0]
+    return ((flat[_label_cells(shifted, targets[:, 0])] - lse)
+            - (flat[_label_cells(shifted, targets[:, 1])] - lse))
 
 
 def _label_cells(z: np.ndarray, labels) -> np.ndarray:
@@ -234,27 +235,22 @@ def _label_cells(z: np.ndarray, labels) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))``
+    elsewhere, so no exp overflows; both take ``exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _dpo_margins(spec, kind, theta, batch):
-    """beta * (policy margin - reference margin) per pair, with the batch's
-    inputs and pair columns. Only the policy forward runs on every call; the
-    reference margin is the batch's cached :attr:`Batch.ref_margin`."""
+    """beta * (policy margin - reference margin) per row of the batch. Only
+    the policy forward runs on every call; the reference margin is the
+    batch's cached :attr:`Batch.ref_margin`."""
     c, v = spec.dims
-    x, pairs, ref = batch.inputs, batch.pairs, batch.ref_params
+    x, ref = batch.inputs, batch.ref_params
     if ref.size != spec.param_dim:
         raise DimensionError(f"ref_params has length {ref.size}, model needs {spec.param_dim}")
-    rows = pairs[:, 0]
-    preferred = pairs[:, 1]
-    rejected = pairs[:, 2]
-    pol_margin = _log_prob_margin(x @ theta.reshape(v, c).T, rows, preferred, rejected)
-    return kind.beta * (pol_margin - batch.ref_margin), x, rows, preferred, rejected
+    pol_margin = _log_prob_margin(x @ theta.reshape(v, c).T, batch.targets)
+    return kind.beta * (pol_margin - batch.ref_margin)
 
 
 def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
@@ -287,7 +283,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
         lp = shifted.reshape(-1)[_label_cells(shifted, batch.targets)] - lse[:, 0]
         return _finite(-(float(np.add.reduce(lp, axis=None)) / lp.size), "nll loss")
 
-    margins, _, _, _, _ = _dpo_margins(spec, kind, th, batch)
+    margins = _dpo_margins(spec, kind, th, batch)
     # -log sigmoid(m) == softplus(-m)
     return _finite(float(np.add.reduce(np.logaddexp(0.0, -margins), axis=None)) / margins.size,
                    "dpo loss")
@@ -339,12 +335,12 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
         g /= x.shape[0]
         return _finite_vec(g, "nll gradient")
 
-    margins, x, rows, preferred, rejected = _dpo_margins(spec, kind, th, batch)
+    margins = _dpo_margins(spec, kind, th, batch)
     n = margins.shape[0]
-    # per pair: d(-log sigmoid(m))/dW = -sigmoid(-m) * beta * (e_w - e_l) x^T
+    # per row: d(-log sigmoid(m))/dW = -sigmoid(-m) * beta * (e_w - e_l) x^T
     coef = -_sigmoid(-margins) * kind.beta / n
     token_weights = np.zeros((n, v))
-    pair = np.arange(n)  # each statement writes each cell at most once
-    token_weights[pair, preferred] += coef
-    token_weights[pair, rejected] += -coef
-    return _finite_vec((token_weights.T @ x[rows]).ravel(), "dpo gradient")
+    flat = token_weights.reshape(-1)  # each statement writes each cell at most once
+    flat[_label_cells(token_weights, batch.targets[:, 0])] += coef
+    flat[_label_cells(token_weights, batch.targets[:, 1])] += -coef
+    return _finite_vec((token_weights.T @ x).ravel(), "dpo gradient")

@@ -50,7 +50,6 @@ _SAFETY_OWN_SCALE = 2.0
 # (label, batch, field) of every task array, in the order fingerprint hashes them
 _ARRAYS = (("train_inputs", "train", "inputs"), ("train_targets", "train", "targets"),
            ("probe_inputs", "probe", "inputs"), ("probe_targets", "probe", "targets"),
-           ("train_pairs", "train", "pairs"), ("probe_pairs", "probe", "pairs"),
            ("ref_params", "probe", "ref_params"))
 
 
@@ -87,30 +86,24 @@ class DifferentiableTask:
     __reduce__ = _refuse_pickle
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> Batch:
-        """Draw a training batch of rows, or of pairs for dpo_pairwise,
-        without replacement. A batch larger than the set of n takes
-        ``size // n`` whole permutations of it plus ``size % n`` more drawn
-        without replacement, so every item appears ``size // n`` or one more
-        times. The quadratic kind returns its whole system (no rng
-        consumed). A dpo_pairwise batch holds one input row per pair: pair
-        p's context row moves to row p."""
+        """Draw a training batch of rows (a dpo_pairwise row is one
+        preference pair) without replacement. A batch larger than the set
+        of n takes ``size // n`` whole permutations of it plus ``size % n``
+        more drawn without replacement, so every row appears ``size // n``
+        or one more times. The quadratic kind returns its whole system (no
+        rng consumed)."""
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
-        data, dpo = self.train, self.kind.tag == "dpo_pairwise"
+        data = self.train
         if self.spec.kind == "quadratic":
             return data
-        n = len(data.pairs if dpo else data.inputs)
+        n = len(data.inputs)
         if size <= n:
             idx = rng.choice(n, size=size, replace=False)
         else:
             idx = np.concatenate([rng.permutation(n) for _ in range(size // n)]
                                  + [rng.choice(n, size=size % n, replace=False)])
-        if not dpo:
-            return Batch(data.inputs[idx], data.targets[idx])
-        pairs = data.pairs[idx]
-        rows = pairs.copy()
-        rows[:, 0] = np.arange(size)
-        return Batch(data.inputs[pairs[:, 0]], pairs=rows, ref_params=self.probe.ref_params)
+        return Batch(data.inputs[idx], data.targets[idx], ref_params=self.probe.ref_params)
 
     def loss(self, theta, batch: Batch | None = None) -> float:
         return models.loss(self.spec, self.kind, theta, self.probe if batch is None else batch)
@@ -434,15 +427,14 @@ def policy_family(context_dim: int, vocab: int, n_capability: int,
     xp, yp, _ = safety_data(PROBE_ROWS)
     sft = DifferentiableTask("sft", spec, nll, Batch(x, y), Batch(xp, yp))
     x, safe, content = safety_data(n_safety)
-    dpo_train = Batch(x, pairs=np.column_stack([np.arange(n_safety), safe, content]))
+    dpo_train = Batch(x, np.column_stack([safe, content]))
     xp, safe, content = safety_data(PROBE_ROWS)
 
     theta0 = _pretrain(0.01 * rng.standard_normal(spec.param_dim), cap_a, cap_b,
                        POLICY_PRETRAIN, "policy")
     dpo = DifferentiableTask(
         "dpo", spec, LossKind("dpo_pairwise", beta=0.2), dpo_train,
-        Batch(xp, pairs=np.column_stack([np.arange(PROBE_ROWS), safe, content]),
-              ref_params=theta0.copy()))
+        Batch(xp, np.column_stack([safe, content]), ref_params=theta0.copy()))
     return TaskFamily(
         kind="policy_sft_dpo",
         seed=seed,

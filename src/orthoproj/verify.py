@@ -145,10 +145,10 @@ def _fd_cases(rng: np.random.Generator):
     cases.append((spec, LossKind("nll_sft"), 0.5 * rng.standard_normal(48), Batch(x, y)))
 
     x = rng.standard_normal((10, 6))
-    pairs = np.column_stack([np.arange(10), rng.integers(0, 4, 10), 4 + rng.integers(0, 4, 10)])
+    tokens = np.column_stack([rng.integers(0, 4, 10), 4 + rng.integers(0, 4, 10)])
     cases.append((spec, LossKind("dpo_pairwise", beta=0.2),
                   0.5 * rng.standard_normal(48),
-                  Batch(x, pairs=pairs, ref_params=0.5 * rng.standard_normal(48))))
+                  Batch(x, tokens, ref_params=0.5 * rng.standard_normal(48))))
     return cases
 
 

@@ -82,11 +82,9 @@ class TestDpoPairwise:
         theta = rng.standard_normal(spec.param_dim)
         ref = theta.copy() if match_ref else rng.standard_normal(spec.param_dim)
         x = rng.standard_normal((n_pairs, 5))
-        pairs = np.column_stack([np.arange(n_pairs),
-                                 rng.integers(0, 4, n_pairs),
-                                 4 + rng.integers(0, 4, n_pairs)])
+        tokens = np.column_stack([rng.integers(0, 4, n_pairs), 4 + rng.integers(0, 4, n_pairs)])
         kind = LossKind("dpo_pairwise", beta=0.2)
-        return spec, kind, theta, Batch(x, pairs=pairs, ref_params=ref)
+        return spec, kind, theta, Batch(x, tokens, ref_params=ref)
 
     def test_zero_margin_loss_is_log2(self):
         spec, kind, theta, batch = self._setup()
@@ -99,18 +97,15 @@ class TestDpoPairwise:
         # -(beta/2) * mean_p (e_w - e_l) x_p^T
         c, v = 5, 8
         expected = np.zeros((v, c))
-        n = batch.pairs.shape[0]
-        for row, pref, rej in batch.pairs:
-            x = batch.inputs[row]
+        n = batch.targets.shape[0]
+        for x, (pref, rej) in zip(batch.inputs, batch.targets):
             expected[pref] -= 0.2 / 2.0 / n * x
             expected[rej] += 0.2 / 2.0 / n * x
         np.testing.assert_allclose(got, expected.ravel(), atol=1e-15)
 
     def test_swap_symmetry(self):
         spec, kind, theta, batch = self._setup(match_ref=False)
-        swapped = Batch(batch.inputs,
-                        pairs=batch.pairs[:, [0, 2, 1]],
-                        ref_params=batch.ref_params)
+        swapped = Batch(batch.inputs, batch.targets[:, ::-1], ref_params=batch.ref_params)
         margins = []
         for b in (batch, swapped):
             # recover the mean margin via the loss: loss = mean softplus(-m)
@@ -118,7 +113,7 @@ class TestDpoPairwise:
         # swapping preferred/rejected negates every margin, so the swapped
         # loss equals mean softplus(+m); verify against direct computation
         from orthoproj.models import _dpo_margins
-        m, *_ = _dpo_margins(spec, kind, np.asarray(theta, dtype=np.float64), batch)
+        m = _dpo_margins(spec, kind, np.asarray(theta, dtype=np.float64), batch)
         assert margins[0] == pytest.approx(float(np.mean(np.logaddexp(0.0, -m))), abs=1e-15)
         assert margins[1] == pytest.approx(float(np.mean(np.logaddexp(0.0, m))), abs=1e-15)
 
@@ -134,7 +129,7 @@ class TestDpoPairwise:
     def test_requires_ref_params(self):
         spec, kind, theta, batch = self._setup()
         with pytest.raises(ConfigurationError):
-            loss(spec, kind, theta, Batch(batch.inputs, pairs=batch.pairs))
+            loss(spec, kind, theta, Batch(batch.inputs, batch.targets))
 
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, np.nan])
@@ -157,6 +152,27 @@ def test_row_max_matches_numpy_bytewise(n, c, seed, layout):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()  # the sign of a zero too
+
+
+def _masked_sigmoid(x):
+    """The reference: each sign's exp through a boolean-mask gather."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bytewise():
+    rng = np.random.default_rng(0)
+    draws = rng.standard_normal(70_000) * 10.0 ** rng.uniform(-300, 5, 70_000)
+    tiny = np.finfo(np.float64).tiny
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                      745.0, -745.0, 800.0, -800.0, 1e308, -1e308])
+    x = np.concatenate([edges, draws])
+    assert _sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()  # only the sign of a nan may differ
 
 
 def _log_softmax_oracle(z):
@@ -196,23 +212,24 @@ class TestSoftmaxOracle:
     @pytest.mark.parametrize("seed,n,scale", [(0, 1, 1.0), (1, 32, 1.0), (2, 512, 1.0),
                                               (3, 200, 0.0), (4, 64, 40.0)])
     def test_dpo_pairwise(self, seed, n, scale):
+        # the batch's rows are drawn from x with repeats, as a sampled batch's are
         spec, rng, theta, x = self._inputs(seed, n, scale)
         ref = scale * rng.standard_normal(theta.size)
-        pairs = np.column_stack([rng.integers(0, n, n), rng.integers(0, 10, n),
-                                 rng.integers(0, 10, n)])
-        batch = Batch(x, pairs=pairs, ref_params=ref)
+        rows, pref, rej = rng.integers(0, n, n), rng.integers(0, 10, n), rng.integers(0, 10, n)
+        x = x[rows]
+        batch = Batch(x, np.column_stack([pref, rej]), ref_params=ref)
         kind = LossKind("dpo_pairwise", beta=0.2)
-        rows, pref, rej = pairs.T
+        pair = np.arange(n)
         lp_pol = _log_softmax_oracle(x @ theta.reshape(10, 8).T)
         lp_ref = _log_softmax_oracle(x @ ref.reshape(10, 8).T)
-        margins = kind.beta * ((lp_pol[rows, pref] - lp_pol[rows, rej])
-                               - (lp_ref[rows, pref] - lp_ref[rows, rej]))
+        margins = kind.beta * ((lp_pol[pair, pref] - lp_pol[pair, rej])
+                               - (lp_ref[pair, pref] - lp_ref[pair, rej]))
         want_loss = float(np.mean(np.logaddexp(0.0, -margins)))
         coef = -_sigmoid(-margins) * kind.beta / n
         weights = np.zeros((n, 10))
-        np.add.at(weights, (np.arange(n), pref), coef)
-        np.add.at(weights, (np.arange(n), rej), -coef)
-        want_grad = (weights.T @ x[rows]).ravel()
+        np.add.at(weights, (pair, pref), coef)
+        np.add.at(weights, (pair, rej), -coef)
+        want_grad = (weights.T @ x).ravel()
         assert loss(spec, kind, theta, batch) == want_loss
         assert gradient(spec, kind, theta, batch).tobytes() == want_grad.tobytes()
 
@@ -329,25 +346,24 @@ def test_batches_are_never_written(pair):
         x, t = _read_only(rng.standard_normal((n, 4)), rng.integers(0, 6, n))
         batch = Batch(x, t)
     else:
-        pairs = np.column_stack([np.arange(n), rng.integers(0, 6, n), rng.integers(0, 6, n)])
-        x, pairs, ref = _read_only(rng.standard_normal((n, 4)), pairs,
-                                   rng.standard_normal(spec.param_dim))
-        batch = Batch(x, pairs=pairs, ref_params=ref)
-    before = [np.array(a) for a in (batch.inputs, batch.targets, batch.pairs, batch.ref_params)]
+        tokens = np.column_stack([rng.integers(0, 6, n), rng.integers(0, 6, n)])
+        x, tokens, ref = _read_only(rng.standard_normal((n, 4)), tokens,
+                                    rng.standard_normal(spec.param_dim))
+        batch = Batch(x, tokens, ref_params=ref)
+    before = [np.array(a) for a in (batch.inputs, batch.targets, batch.ref_params)]
     theta = rng.standard_normal(spec.param_dim)
     first = loss(spec, kind, theta, batch), gradient(spec, kind, theta, batch).tobytes()
     assert (loss(spec, kind, theta, batch),
             gradient(spec, kind, theta, batch).tobytes()) == first
-    after = [np.array(a) for a in (batch.inputs, batch.targets, batch.pairs, batch.ref_params)]
+    after = [np.array(a) for a in (batch.inputs, batch.targets, batch.ref_params)]
     assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
 
 
 class TestReferenceMargin:
     def _batch(self, n=6, ref_size=40):
         rng = np.random.default_rng(5)
-        pairs = np.column_stack([np.arange(n), rng.integers(0, 8, n), rng.integers(0, 8, n)])
-        return Batch(rng.standard_normal((n, 5)), pairs=pairs,
-                     ref_params=rng.standard_normal(ref_size))
+        tokens = np.column_stack([rng.integers(0, 8, n), rng.integers(0, 8, n)])
+        return Batch(rng.standard_normal((n, 5)), tokens, ref_params=rng.standard_normal(ref_size))
 
     def test_computed_once_per_batch_and_read_only(self, monkeypatch):
         import orthoproj.models as models
@@ -426,12 +442,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("label", [10, -1])
     def test_label_outside_the_vocabulary_raises(self, label):
-        # a negative label does not wrap around to the last token
-        spec, kind = ModelSpec("softmax_policy", (3, 10)), LossKind("nll_sft")
-        batch = Batch(np.ones((2, 3)), np.array([0, label]))
-        for fn in (loss, gradient):
-            with pytest.raises(ValueError):
-                fn(spec, kind, np.zeros(spec.param_dim), batch)
+        # a negative label or token does not wrap around to the last token
+        spec = ModelSpec("softmax_policy", (3, 10))
+        theta, x = np.zeros(spec.param_dim), np.ones((2, 3))
+        cases = [(LossKind("nll_sft"), Batch(x, np.array([0, label])))]
+        for tokens in ([[0, 1], [label, 1]], [[0, 1], [0, label]]):
+            cases.append((LossKind("dpo_pairwise"), Batch(x, np.array(tokens), ref_params=theta)))
+        for kind, batch in cases:
+            for fn in (loss, gradient):
+                with pytest.raises(ValueError):
+                    fn(spec, kind, theta, batch)
 
     def test_non_finite_result(self):
         spec = ModelSpec("quadratic", (2,))
@@ -450,13 +470,16 @@ class TestValidation:
             Batch(inputs, np.zeros(max(1, inputs.shape[0])))
 
     def test_malformed_pairs_and_reference_raise_when_built(self):
+        # a batch with a reference is a preference batch: (rows, 2) tokens
         x = np.ones((3, 2))
-        with pytest.raises(DimensionError, match="pairs"):
-            Batch(x, pairs=np.zeros((3, 2), dtype=int), ref_params=np.zeros(4))
+        for tokens in (np.zeros((3, 3), dtype=int), np.zeros((2, 2), dtype=int),
+                       np.zeros(3, dtype=int), None):
+            with pytest.raises(DimensionError, match="preference targets"):
+                Batch(x, tokens, ref_params=np.zeros(4))
         with pytest.raises(NumericError, match="ref_params"):
-            Batch(x, pairs=np.zeros((3, 3), dtype=int), ref_params=np.array([0.0, np.nan]))
+            Batch(x, np.zeros((3, 2), dtype=int), ref_params=np.array([0.0, np.nan]))
         with pytest.raises(DimensionError, match="ref_params"):
-            Batch(x, pairs=np.zeros((3, 3), dtype=int), ref_params=np.zeros((2, 2)))
+            Batch(x, np.zeros((3, 2), dtype=int), ref_params=np.zeros((2, 2)))
 
     def test_batch_stores_float64_inputs(self):
         batch = Batch([[1, 2], [3, 4]], np.zeros(2))

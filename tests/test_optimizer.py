@@ -419,7 +419,7 @@ class TestReferenceMargins:
         train(cfg, fam)
         # one per sampled batch (a new batch each step) and one per stage's probe
         assert len({id(b) for b in computed}) == len(computed) == 4 + 5 + 2
-        probes = [b for b in computed if b.inputs.shape[0] == fam.tasks["dpo"].probe.pairs.shape[0]]
+        probes = [b for b in computed if b.inputs.shape[0] == fam.tasks["dpo"].probe.inputs.shape[0]]
         assert len(probes) == 2
         assert probes[0].ref_params.tobytes() != probes[1].ref_params.tobytes()
 

@@ -37,9 +37,8 @@ class TestFdGradient:
         rng = np.random.default_rng(0)
         spec = ModelSpec("softmax_policy", (4, 6))
         theta = rng.standard_normal(24)
-        pairs = np.column_stack([np.arange(5), rng.integers(0, 3, 5),
-                                 3 + rng.integers(0, 3, 5)])
-        batch = Batch(rng.standard_normal((5, 4)), pairs=pairs, ref_params=theta.copy())
+        tokens = np.column_stack([rng.integers(0, 3, 5), 3 + rng.integers(0, 3, 5)])
+        batch = Batch(rng.standard_normal((5, 4)), tokens, ref_params=theta.copy())
         kind = LossKind("dpo_pairwise", beta=0.2)
         analytic = gradient(spec, kind, theta, batch)
         fd = fd_gradient(spec, kind, theta, batch)

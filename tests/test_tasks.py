@@ -210,7 +210,7 @@ class TestPolicyFamily:
         assert moved.probe.ref_params.tobytes() == theta1.tobytes()
         assert moved.probe is moved.probe
         assert moved.loss(theta1) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert moved.probe.pairs.tobytes() == first.pairs.tobytes()
+        assert moved.probe.targets.tobytes() == first.targets.tobytes()
         # the original task, and the probe it already built, are untouched
         assert dpo.probe is first
         assert first.ref_params.tobytes() == fam.theta0.tobytes()
@@ -221,7 +221,7 @@ class TestPolicyFamily:
         dpo = fam.tasks["dpo"]
         batch = dpo.sample_batch(np.random.default_rng(0), 16)
         assert batch.ref_params is dpo.probe.ref_params
-        assert batch.pairs.shape == (16, 3)
+        assert batch.inputs.shape == (16, 8) and batch.targets.shape == (16, 2)
         moved = _with_array(dpo, "probe", "ref_params", fam.theta0 + 0.1)
         assert moved.sample_batch(np.random.default_rng(0), 16).ref_params is moved.probe.ref_params
 
@@ -247,7 +247,7 @@ class TestPolicyFamily:
         a = policy_family(8, 10, 200, 2000, seed=9)
         b = policy_family(8, 10, 200, 2000, seed=9)
         assert a.theta0.tobytes() == b.theta0.tobytes()
-        assert a.tasks["dpo"].train.pairs.tobytes() == b.tasks["dpo"].train.pairs.tobytes()
+        assert a.tasks["dpo"].train.targets.tobytes() == b.tasks["dpo"].train.targets.tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -366,12 +366,10 @@ class TestSampling:
             self, regression_family, policy_family, stem, name):
         fam = regression_family() if stem == "regression" else policy_family()
         task = fam.tasks[name]
-        full = task.train
-        if task.kind.tag == "dpo_pairwise":
-            full = Batch(full.inputs, pairs=full.pairs, ref_params=task.probe.ref_params)
+        full = Batch(task.train.inputs, task.train.targets, ref_params=task.probe.ref_params)
         theta = fam.theta0 + 0.1 * np.random.default_rng(1).standard_normal(fam.theta0.size)
         want = task.gradient(theta, full)
-        n = len(full.pairs if full.pairs is not None else full.inputs)
+        n = len(full.inputs)
         for k in (1, 2, 3):
             got = task.gradient(theta, task.sample_batch(np.random.default_rng(k), k * n))
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
@@ -442,6 +440,16 @@ class TestFingerprint:
         assert edited
         for other in edited:
             assert other.fingerprint != fam.fingerprint
+
+    def test_labels_cover_every_array_a_task_holds(self, quadratic_family, regression_family,
+                                                   policy_family):
+        labelled = {(batch, fld) for _, batch, fld in tasks._ARRAYS}
+        for fam in (quadratic_family(math.pi / 4), regression_family(), policy_family()):
+            for task in fam.tasks.values():
+                for batch in ("train", "probe"):
+                    for fld in dataclasses.fields(Batch):
+                        if getattr(getattr(task, batch), fld.name) is not None:
+                            assert (batch, fld.name) in labelled, (fam.kind, task.name, fld.name)
 
     def test_negative_zero_is_a_different_family(self, policy_family):
         fam = policy_family()

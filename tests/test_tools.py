@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_differences_name_each_changed_or_missing_output():
+    parent = {"exit code": b"0", "stdout": b"a\nb\n", "file out/x.csv": b"1\n"}
+    change = {"exit code": b"0", "stdout": b"a\nc\n", "file out/y.csv": b"1\n"}
+    assert same_outputs.differences(parent, parent) == []
+    assert same_outputs.differences(parent, change) == [
+        "file out/x.csv: only in PARENT",
+        "file out/y.csv: only in CHANGE",
+        "stdout: differs at line 2: b'b' != b'c'",
+    ]
+    longer = dict(parent, stdout=b"a\nb\nextra\n")
+    assert same_outputs.differences(parent, longer) == [
+        "stdout: differs at line 3: b'<end>' != b'extra'"]
+
+
+def test_only_verify_timings_are_masked():
+    line = (b"[PASS] orthogonality_suite (0.27s): gram=3.11e-15<=1e-10 elapsed=0.27s<10s\n"
+            b"9/9 checks passed in 0.8s\n")
+    assert same_outputs.TIMING.sub(b"#s", line) == (
+        b"[PASS] orthogonality_suite (#s): gram=3.11e-15<=1e-10 elapsed=#s<10s\n"
+        b"9/9 checks passed in #s\n")
+    masked = {name: m for name, _, _, m in same_outputs.jobs(Path("."))}
+    assert [name for name, m in masked.items() if m] == [
+        "verify --seed 0", "verify --seed 1", "verify --seed 5", "verify --inject-skip-projection"]
