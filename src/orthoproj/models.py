@@ -230,7 +230,12 @@ def _log_prob_margin(z, targets) -> np.ndarray:
 def _label_cells(z: np.ndarray, labels) -> np.ndarray:
     """Flat indices of each row's label in the C-ordered (n, v) array z, one
     index array where ``z[rows, labels]`` builds two; a label outside
-    [0, v) raises ``ValueError``."""
+    [0, v) raises ``ValueError``, and labels that are not integers
+    ``ConfigurationError``."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ConfigurationError(f"targets must be integer labels or tokens, "
+                                 f"got dtype {labels.dtype}")
     return np.ravel_multi_index((np.arange(z.shape[0]), labels), z.shape)
 
 

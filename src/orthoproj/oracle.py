@@ -18,13 +18,17 @@ from . import models
 from .errors import ConfigurationError, DimensionError, NumericError, PreconditionError
 from .linalg import OrthonormalBasis, as_vector, dot, norm
 
-__all__ = ["FD_STEP", "fd_gradient", "gradient_agreement",
+__all__ = ["FD_STEP", "SAMPLE_BLOCK", "fd_gradient", "gradient_agreement",
            "SteepestReport", "steepest_check",
            "TaylorReport", "taylor_scaling"]
 
 
 # central-difference step; 1e-5 balances truncation against rounding in float64
 FD_STEP = 1e-5
+# rows of steepest_check's samples drawn and scored at a time; a power of two
+# keeps BLAS's row grouping in gemv, so the report has the bits of scoring
+# every sample as one array
+SAMPLE_BLOCK = 1024
 
 
 def fd_gradient(spec, kind, theta, batch) -> np.ndarray:
@@ -93,7 +97,8 @@ def steepest_check(g, g_perp, basis: OrthonormalBasis, n_samples: int,
     read off the given g_perp. The samples are standard-normal vectors
     projected into the complement here (matrix form, independent of the
     library's per-vector loop), normalized, and scored by the directional
-    derivative <g, v>. Requires a nonzero g_perp.
+    derivative <g, v>, ``SAMPLE_BLOCK`` rows at a time, so memory does not
+    grow with n_samples. Requires a nonzero g_perp.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
@@ -106,19 +111,23 @@ def steepest_check(g, g_perp, basis: OrthonormalBasis, n_samples: int,
         raise PreconditionError("g lies inside the subspace span; the bound assumes "
                                 "a nonzero orthogonal component")
 
-    z = rng.standard_normal((n_samples, gv.size))
-    if basis.rank:
-        u = basis.vectors
-        z = z - (z @ u.T) @ u
-    norms = np.sqrt((z * z).sum(axis=1))
-    keep = norms > 0
-    v = z[keep] / norms[keep, None]
-    directional = v @ gv
-    min_directional = float(directional.min())
-    violations = int(np.count_nonzero(directional < bound - slack))
+    u = basis.vectors
+    min_directional, violations, kept = np.inf, 0, 0
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        z = rng.standard_normal((min(SAMPLE_BLOCK, n_samples - start), gv.size))
+        if basis.rank:
+            z -= (z @ u.T) @ u
+        norms = np.sqrt((z * z).sum(axis=1))
+        keep = norms > 0
+        directional = (z[keep] / norms[keep, None]) @ gv
+        min_directional = float(directional.min(initial=min_directional))
+        violations += int(np.count_nonzero(directional < bound - slack))
+        kept += int(np.count_nonzero(keep))
+    if not kept:
+        raise PreconditionError("every sampled direction projected to zero")
     attained = dot(gv, -g_perp / norm(g_perp))
     return SteepestReport(bound=bound, min_directional=min_directional,
-                          attained=attained, n_samples=int(keep.sum()),
+                          attained=attained, n_samples=kept,
                           violations=violations)
 
 

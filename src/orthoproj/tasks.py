@@ -19,7 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import models
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError
 from .linalg import all_finite, norm
 from .models import Batch, LossKind, ModelSpec
 
@@ -68,7 +68,8 @@ class DifferentiableTask:
     dpo_pairwise task states its reference policy once, as
     ``probe.ref_params``, and each sampled batch carries it. Tasks are
     immutable and their arrays read-only; both batches are validated when
-    they are built, and ``dataclasses.replace`` makes a task with new data.
+    they are built, a dpo_pairwise training set's (rows, 2) targets when the
+    task is, and ``dataclasses.replace`` makes a task with new data.
     """
 
     name: str
@@ -78,6 +79,12 @@ class DifferentiableTask:
     probe: Batch
 
     def __post_init__(self):
+        if self.kind.tag == "dpo_pairwise":
+            # the training set has no ref_params, so Batch did not check it
+            rows, shape = len(self.train.inputs), np.shape(self.train.targets)
+            if shape != (rows, 2):
+                raise DimensionError(f"task {self.name!r}: preference training targets "
+                                     f"must be ({rows}, 2), got shape {shape}")
         for _, batch, fld in _ARRAYS:
             arr = getattr(getattr(self, batch), fld)
             if arr is not None:

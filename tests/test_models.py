@@ -453,6 +453,17 @@ class TestValidation:
                 with pytest.raises(ValueError):
                     fn(spec, kind, theta, batch)
 
+    def test_non_integer_labels_and_tokens_raise(self):
+        spec = ModelSpec("softmax_policy", (3, 10))
+        theta, x = np.zeros(spec.param_dim), np.ones((2, 3))
+        cases = [(LossKind("nll_sft"), Batch(x, np.array([0.0, 1.0]))),
+                 (LossKind("dpo_pairwise"),
+                  Batch(x, np.array([[0.0, 1.0], [2.0, 3.0]]), ref_params=theta))]
+        for kind, batch in cases:
+            for fn in (loss, gradient):
+                with pytest.raises(ConfigurationError, match="dtype float64"):
+                    fn(spec, kind, theta, batch)
+
     def test_non_finite_result(self):
         spec = ModelSpec("quadratic", (2,))
         huge = np.full(2, 1e200)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from orthoproj import oracle
 from orthoproj.errors import (ConfigurationError, DimensionError, NumericError,
                               PreconditionError)
 from orthoproj.linalg import OrthonormalBasis, gram_schmidt, project_complement
@@ -115,6 +121,115 @@ class TestSteepestCheck:
         assert report.min_directional == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(DimensionError):
             steepest_check([1.0, 1.0], [1.0, 1.0, 0.0], basis, 100, np.random.default_rng(0))
+
+    def test_no_surviving_sample_raises(self):
+        # handed a nonzero g_perp against a full-rank basis, every sample
+        # projects to exactly zero and there is no direction to score
+        basis = OrthonormalBasis(np.eye(2))
+        with pytest.raises(ValueError):
+            steepest_check([1.0, 1.0], [1.0, 1.0], basis, 10, np.random.default_rng(0))
+
+    def test_memory_is_set_by_the_block_not_the_sample_count(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal(50)
+        basis = gram_schmidt(rng.standard_normal((3, 50)), delta=1e-8)
+        g_perp = project_complement(g, basis)
+        peaks = []
+        for n_samples in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                steepest_check(g, g_perp, basis, n_samples, np.random.default_rng(9))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        # about three (SAMPLE_BLOCK, 50) float64 blocks, 400 KiB each
+        assert abs(peaks[0] - peaks[1]) <= 64 * 1024
+        assert max(peaks) < 2 * 1024 * 1024
+
+
+# steepest_check as one (n_samples, d) array, the form the blocks must match
+# bit for bit: verify's 10 (d, rank) cells at seeds 0-2, demo 01's call, and
+# sample counts around the block size. Each line is a label and whether every
+# report field and the generator's state after the call agree.
+_BLOCK_BITS_SCRIPT = """
+from dataclasses import astuple
+
+import numpy as np
+from orthoproj.linalg import OrthonormalBasis, dot, gram_schmidt, norm, project_complement
+from orthoproj.oracle import SteepestReport, steepest_check
+
+
+def whole_array(g, g_perp, basis, n_samples, rng, slack=1e-9):
+    gv = np.asarray(g, dtype=np.float64)
+    bound = -norm(g_perp)
+    z = rng.standard_normal((n_samples, gv.size))
+    if basis.rank:
+        u = basis.vectors
+        z = z - (z @ u.T) @ u
+    norms = np.sqrt((z * z).sum(axis=1))
+    keep = norms > 0
+    v = z[keep] / norms[keep, None]
+    directional = v @ gv
+    return SteepestReport(bound=bound, min_directional=float(directional.min()),
+                          attained=dot(gv, -g_perp / norm(g_perp)),
+                          n_samples=int(keep.sum()),
+                          violations=int(np.count_nonzero(directional < bound - slack)))
+
+
+def bits(report):
+    return [x.hex() if isinstance(x, float) else x for x in astuple(report)]
+
+
+def cases():
+    for seed in (0, 1, 2):
+        children = iter(np.random.SeedSequence(seed + 3).spawn(12))
+        for d in (2, 10, 50):
+            for m in (0, 1, 3, 5):
+                child = next(children)
+                if m >= d:
+                    continue
+                rng = np.random.default_rng(child)
+                g = rng.standard_normal(d)
+                basis = (gram_schmidt(rng.standard_normal((m, d)), delta=1e-8) if m
+                         else OrthonormalBasis.empty(d))
+                yield f"verify seed={seed} d={d} rank={m}", g, basis, 10_000, child
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((3, 40))
+    candidates = [base[0], base[1], 0.7 * base[0] - 1.2 * base[1], base[2], np.zeros(40)]
+    basis = gram_schmidt(candidates, delta=1e-6 * max(norm(c) for c in candidates))
+    yield "demo 01", rng.standard_normal(40), basis, 10_000, 1
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal(50)
+    for m in (0, 3):
+        basis = (gram_schmidt(rng.standard_normal((m, 50)), delta=1e-8) if m
+                 else OrthonormalBasis.empty(50))
+        for n in (1, 1023, 1024, 1025, 10_000):
+            yield f"n_samples={n} rank={m}", g, basis, n, 12
+
+
+for label, g, basis, n, seed in cases():
+    g_perp = project_complement(g, basis)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    same = (bits(steepest_check(g, g_perp, basis, n, rng))
+            == bits(whole_array(g, g_perp, basis, n, ref_rng)))
+    print(label, same and rng.bit_generator.state == ref_rng.bit_generator.state)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_samples_give_the_whole_array_bits(threads):
+    # the thread count is fixed before numpy loads, so it needs a fresh process
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_BITS_SCRIPT], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * 10 + 1 + 2 * 5
+    assert [line for line in lines if not line.endswith(" True")] == []
 
 
 class TestTaylorScaling:

@@ -13,7 +13,7 @@ import pytest
 
 from orthoproj import tasks
 from orthoproj.config import DEFAULTS
-from orthoproj.errors import ConfigurationError, NumericError
+from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.linalg import angle_between, norm, project_complement
 from orthoproj.metrics import alignment_tax
 from orthoproj.models import Batch, LossKind
@@ -242,6 +242,15 @@ class TestPolicyFamily:
         for safety_name in ("sft", "dpo"):
             safe = fam.tasks[safety_name].train.inputs
             assert np.all(safe[:, :2 * q] == 0.0)  # facet blocks silent
+
+    def test_malformed_preference_training_set_raises_when_built(self, policy_family):
+        # a training set carries no reference, so Batch cannot check its
+        # (rows, 2) tokens; the task does, before any stage runs
+        dpo = policy_family().tasks["dpo"]
+        x = dpo.train.inputs
+        for tokens in (np.zeros((len(x), 3), dtype=int), np.zeros(len(x), dtype=int)):
+            with pytest.raises(DimensionError, match="preference training targets"):
+                dataclasses.replace(dpo, train=Batch(x, tokens))
 
     def test_seed_determinism(self):
         a = policy_family(8, 10, 200, 2000, seed=9)
