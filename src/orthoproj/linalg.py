@@ -261,8 +261,15 @@ class OrthonormalBasis:
         object.__setattr__(self, "vectors", v)
 
     @classmethod
+    def _of(cls, vectors: np.ndarray) -> "OrthonormalBasis":
+        # a basis of a 2-D float64 array already known finite, not scanned again
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "vectors", vectors)
+        return basis
+
+    @classmethod
     def empty(cls, dim: int = 0) -> "OrthonormalBasis":
-        return cls(np.zeros((0, dim)))
+        return cls._of(np.zeros((0, dim)))
 
     @property
     def rank(self) -> int:
@@ -338,9 +345,9 @@ def gram_schmidt(candidates, delta: float) -> OrthonormalBasis:
         k += 1
     if k == 0:
         return OrthonormalBasis.empty(dim)
-    if k < len(vs):  # a basis holds no unused rows
-        return OrthonormalBasis(block[:k].copy())
-    return OrthonormalBasis(block)
+    # every row is a finite residual over its positive norm, so the block is
+    # handed over without a finiteness scan; a basis holds no unused rows
+    return OrthonormalBasis._of(block[:k].copy() if k < len(vs) else block)
 
 
 def project_complement(g, basis: OrthonormalBasis) -> np.ndarray:

@@ -92,7 +92,8 @@ class Batch:
     with ref_params must have (rows, 2) targets and a finite 1-D
     ref_params (stored as float64). Checks that need the model (parameter
     length, which fields the loss needs, tokens in the vocabulary) run in
-    :func:`loss` and :func:`gradient`.
+    :func:`loss` and :func:`gradient`. :meth:`rows` takes rows of a
+    valid batch without checking them again.
 
     A batch is read, never written, and treated as immutable: a
     dpo_pairwise batch computes the reference policy's per-pair margin on
@@ -122,6 +123,22 @@ class Batch:
                                      f"got shape {t.shape}")
             object.__setattr__(self, "targets", t)
             object.__setattr__(self, "ref_params", as_vector(self.ref_params, "ref_params"))
+
+    def rows(self, idx: np.ndarray, ref_params: np.ndarray | None = None) -> Batch:
+        """The batch of rows ``idx`` of this one (a row may repeat), carrying
+        ``ref_params``; its ``inputs`` and ``targets`` are fresh copies.
+
+        Valid by construction, so no check runs again: rows of a valid
+        batch's finite float64 inputs are finite, and rows of (n, 2)
+        targets are (rows, 2). ``ref_params`` must be ``None`` or a
+        validated batch's own ``ref_params``, and a batch given one must
+        have (n, 2) targets, as a dpo_pairwise task's training set does
+        (see :meth:`~orthoproj.tasks.DifferentiableTask.sample_batch`).
+        """
+        batch = object.__new__(Batch)
+        batch.__dict__.update(inputs=self.inputs.take(idx, axis=0),
+                              targets=self.targets.take(idx, axis=0), ref_params=ref_params)
+        return batch
 
     @cached_property
     def ref_margin(self) -> np.ndarray:
@@ -230,13 +247,32 @@ def _log_prob_margin(z, targets) -> np.ndarray:
 def _label_cells(z: np.ndarray, labels) -> np.ndarray:
     """Flat indices of each row's label in the C-ordered (n, v) array z, one
     index array where ``z[rows, labels]`` builds two; a label outside
-    [0, v) raises ``ValueError``, and labels that are not integers
-    ``ConfigurationError``."""
+    [0, v) raises ``ValueError``, labels that are not integers
+    ``ConfigurationError``, and labels that are not one per row (n,)
+    ``DimensionError``."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ConfigurationError(f"targets must be integer labels or tokens, "
                                  f"got dtype {labels.dtype}")
-    return np.ravel_multi_index((np.arange(z.shape[0]), labels), z.shape)
+    n = z.shape[0]
+    if labels.shape != (n,):
+        raise DimensionError(f"batch targets must hold one label or token per row, "
+                             f"shape ({n},), got shape {labels.shape}")
+    return np.ravel_multi_index((np.arange(n), labels), z.shape)
+
+
+def _values(batch: Batch, shape: tuple[int, ...]) -> np.ndarray:
+    """The batch's real-valued targets as float64 in ``shape``: a quadratic
+    system's (rows,), or mlp2's (rows, outputs), which one output may also
+    give as (rows,). Any other shape raises ``DimensionError``, even one
+    holding as many values, which would pair targets with the wrong rows;
+    only shapes are compared."""
+    t = np.asarray(batch.targets, dtype=np.float64)
+    single = shape[1:] == (1,)
+    if t.shape != shape and not (single and t.shape == shape[:1]):
+        want = f"{shape} or {shape[:1]}" if single else str(shape)
+        raise DimensionError(f"batch targets must have shape {want}, got shape {t.shape}")
+    return t.reshape(shape)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -271,13 +307,13 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
 
     if spec.kind == "quadratic":
         r = x @ th
-        r -= np.asarray(batch.targets, dtype=np.float64)
+        r -= _values(batch, r.shape)
         r *= r
         return _finite(0.5 * float(np.add.reduce(r, axis=None)), "quadratic loss")
 
     if spec.kind == "mlp2":
         _, diff = _mlp_forward(_unpack_mlp(th, spec.dims), x)
-        diff -= np.asarray(batch.targets, dtype=np.float64).reshape(diff.shape)
+        diff -= _values(batch, diff.shape)
         diff *= diff
         return _finite(float(np.add.reduce(diff, axis=None)) / (2.0 * x.shape[0]), "mlp loss")
 
@@ -301,7 +337,7 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
 
     if spec.kind == "quadratic":
         r = x @ th
-        r -= np.asarray(batch.targets, dtype=np.float64)
+        r -= _values(batch, r.shape)
         # both forms give the bytes of x.T @ r; matmul is slow for one row
         # and np.dot for more
         g = np.dot(r, x) if x.shape[0] == 1 else x.T @ r
@@ -310,7 +346,7 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     if spec.kind == "mlp2":
         weights = _unpack_mlp(th, spec.dims)
         h, d_y = _mlp_forward(weights, x)
-        d_y -= np.asarray(batch.targets, dtype=np.float64).reshape(d_y.shape)
+        d_y -= _values(batch, d_y.shape)
         d_y /= x.shape[0]
         # each block of the gradient is written straight into its slot of g
         g = np.empty(th.size)

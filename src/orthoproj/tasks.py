@@ -97,8 +97,10 @@ class DifferentiableTask:
         preference pair) without replacement. A batch larger than the set
         of n takes ``size // n`` whole permutations of it plus ``size % n``
         more drawn without replacement, so every row appears ``size // n``
-        or one more times. The quadratic kind returns its whole system (no
-        rng consumed)."""
+        or one more times. The batch is a copy of those rows of the
+        validated training set, carrying the validated ``probe.ref_params``,
+        and is not checked again (:meth:`Batch.rows`). The quadratic kind
+        returns its whole system (no rng consumed)."""
         if size < 1:
             raise ConfigurationError(f"batch size must be positive, got {size}")
         data = self.train
@@ -110,7 +112,7 @@ class DifferentiableTask:
         else:
             idx = np.concatenate([rng.permutation(n) for _ in range(size // n)]
                                  + [rng.choice(n, size=size % n, replace=False)])
-        return Batch(data.inputs[idx], data.targets[idx], ref_params=self.probe.ref_params)
+        return data.rows(idx, self.probe.ref_params)
 
     def loss(self, theta, batch: Batch | None = None) -> float:
         return models.loss(self.spec, self.kind, theta, self.probe if batch is None else batch)

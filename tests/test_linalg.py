@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from orthoproj import linalg
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
 from orthoproj.linalg import (BLOCK, OrthonormalBasis, _seqdot, all_finite,
                               angle_between, dot, dots, gram_schmidt, norm, project_complement)
@@ -179,6 +180,22 @@ class TestGramSchmidt:
         with pytest.raises(DimensionError):
             gram_schmidt([[1.0, 0.0], [1.0, 0.0, 0.0]], delta=1e-6)
         raises_in_every_error_state(NumericError, lambda: gram_schmidt([[np.inf, 0.0]], delta=1e-6))
+
+    def test_built_basis_is_not_scanned_again(self, monkeypatch):
+        # every row is a finite residual over its positive norm; only a basis
+        # built directly from given vectors scans them
+        scans = []
+        real = linalg.all_finite
+        monkeypatch.setattr(linalg, "all_finite", lambda a: scans.append(a.shape) or real(a))
+        rng = np.random.default_rng(5)
+        cands = rng.standard_normal((3, 50))
+        for kept in (cands, [cands[0], 2.0 * cands[0], cands[1]], [np.zeros(50)]):
+            basis = gram_schmidt(kept, delta=1e-8)
+            assert np.isfinite(basis.vectors).all()
+        assert scans == []
+        with pytest.raises(NumericError, match="basis contains non-finite"):
+            OrthonormalBasis(np.array([[np.inf, 0.0]]))
+        assert scans == [(1, 2)]
 
     @pytest.mark.parametrize("d", [3, 40, 16387, 2 * BLOCK + 3,
                                    0, 1, 10, BLOCK - 1, BLOCK, BLOCK + 1])

@@ -464,6 +464,47 @@ class TestValidation:
                 with pytest.raises(ConfigurationError, match="dtype float64"):
                     fn(spec, kind, theta, batch)
 
+    @pytest.mark.parametrize("labels", [[[0], [1]], [0, 1, 2], [0], 1])
+    def test_labels_not_one_per_row_raise(self, labels):
+        # (n, 1) labels once broadcast against the rows and read n x n cells
+        spec = ModelSpec("softmax_policy", (3, 10))
+        theta = 0.3 * np.random.default_rng(0).standard_normal(spec.param_dim)
+        batch = Batch(np.ones((2, 3)), np.array(labels))
+        for fn in (loss, gradient):
+            with pytest.raises(DimensionError, match=r"batch targets .*\(2,\)"):
+                fn(spec, LossKind("nll_sft"), theta, batch)
+
+    @pytest.mark.parametrize("outputs, shape", [(2, (3,)), (2, (2, 3)), (2, (5,)), (2, (2, 2, 1)),
+                                                (2, (4,)), (2, (1, 4)), (1, (3,)), (1, (1, 2))])
+    def test_mlp_targets_not_one_row_per_input_row_raise(self, outputs, shape):
+        # (4,) or (1, 4) targets hold 2 x 2 values but not one row per row
+        spec = ModelSpec("mlp2", (3, 4, outputs))
+        batch = Batch(np.ones((2, 3)), np.zeros(shape))
+        for fn in (loss, gradient):
+            with pytest.raises(DimensionError, match=rf"batch targets must have shape \(2, {outputs}\)"):
+                fn(spec, SE, np.zeros(spec.param_dim), batch)
+
+    def test_transposed_mlp_targets_raise(self):
+        # an (outputs, rows) array holds as many values as (rows, outputs);
+        # read in C order it paired targets with the wrong rows
+        spec = ModelSpec("mlp2", (3, 4, 2))
+        rng = np.random.default_rng(0)
+        theta, x, y = (rng.standard_normal(spec.param_dim), rng.standard_normal((3, 3)),
+                       rng.standard_normal((3, 2)))
+        for fn in (loss, gradient):
+            fn(spec, SE, theta, Batch(x, y))
+            with pytest.raises(DimensionError, match=r"must have shape \(3, 2\), got shape \(2, 3\)"):
+                fn(spec, SE, theta, Batch(x, np.ascontiguousarray(y.T)))
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 1), (), (3,)])
+    def test_quadratic_targets_not_one_per_row_raise(self, shape):
+        # a (1,) right-hand side once broadcast over both rows of A
+        spec = ModelSpec("quadratic", (3,))
+        batch = Batch(np.eye(3)[:2], np.ones(shape))
+        for fn in (loss, gradient):
+            with pytest.raises(DimensionError, match=r"batch targets must have shape \(2,\)"):
+                fn(spec, SE, np.zeros(3), batch)
+
     def test_non_finite_result(self):
         spec = ModelSpec("quadratic", (2,))
         huge = np.full(2, 1e200)

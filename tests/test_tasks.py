@@ -410,6 +410,71 @@ class TestSampling:
         train_rows = {tuple(r) for r in task.train.inputs}
         assert not (probe_rows & train_rows)
 
+    @pytest.mark.parametrize("stem, name", [("regression", "safety"), ("regression", "cap_a"),
+                                            ("policy", "sft"), ("policy", "dpo")])
+    def test_draws_are_the_rows_of_the_checked_batch(self, regression_family, policy_family,
+                                                     stem, name):
+        # each draw has the bytes, dtypes and shapes of the batch the
+        # constructor builds from the same rows, and consumes the generator
+        # alike, across all three branches of the draw
+        fam = regression_family() if stem == "regression" else policy_family()
+        task = fam.tasks[name]
+        moved = fam.theta0 + 0.1 * np.random.default_rng(7).standard_normal(fam.theta0.size)
+        versions = [task]
+        if task.probe.ref_params is not None:  # the stage-entry swap train() makes
+            versions.append(dataclasses.replace(
+                task, probe=dataclasses.replace(task.probe, ref_params=moved.copy())))
+        n = len(task.train.inputs)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for t in versions:
+            for size in (1, 64, n, n + 1, 2 * n + 7):
+                got, want = t.sample_batch(rng, size), _checked_draw(t, ref_rng, size)
+                for fld in ("inputs", "targets"):
+                    a, b = getattr(got, fld), getattr(want, fld)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert got.ref_params is t.probe.ref_params
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if len(versions) == 2:
+            assert versions[1].sample_batch(rng, 3).ref_params.tobytes() == moved.tobytes()
+
+    @pytest.mark.parametrize("stem, name", [("regression", "safety"), ("policy", "sft"),
+                                            ("policy", "dpo")])
+    def test_a_draw_runs_no_batch_check(self, regression_family, policy_family, monkeypatch,
+                                        stem, name):
+        task = (regression_family() if stem == "regression" else policy_family()).tasks[name]
+        checks = []
+        real = Batch.__post_init__
+        monkeypatch.setattr(Batch, "__post_init__", lambda b: checks.append(1) or real(b))
+        rng = np.random.default_rng(0)
+        for size in (1, 64, 2 * len(task.train.inputs) + 7):
+            task.sample_batch(rng, size)
+        assert checks == []
+        Batch(task.train.inputs)  # the constructor still checks
+        assert checks == [1]
+
+    @pytest.mark.parametrize("stem, name", [("regression", "safety"), ("policy", "dpo")])
+    def test_writing_into_a_draw_leaves_the_training_set(self, regression_family,
+                                                         policy_family, stem, name):
+        task = (regression_family() if stem == "regression" else policy_family()).tasks[name]
+        before = (task.train.inputs.tobytes(), task.train.targets.tobytes())
+        batch = task.sample_batch(np.random.default_rng(0), 2 * len(task.train.inputs) + 7)
+        batch.inputs.fill(np.nan)
+        batch.targets.fill(0)
+        assert (task.train.inputs.tobytes(), task.train.targets.tobytes()) == before
+
+
+def _checked_draw(task, rng, size):
+    """The draw as the Batch constructor builds it: the same rng calls, rows
+    gathered by fancy indexing, every check run."""
+    data = task.train
+    n = len(data.inputs)
+    if size <= n:
+        idx = rng.choice(n, size=size, replace=False)
+    else:
+        idx = np.concatenate([rng.permutation(n) for _ in range(size // n)]
+                             + [rng.choice(n, size=size % n, replace=False)])
+    return Batch(data.inputs[idx], data.targets[idx], ref_params=task.probe.ref_params)
+
 
 def _with_task(fam, task):
     """fam with task in place of its namesake, in tasks and capability_tasks."""

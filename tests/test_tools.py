@@ -30,3 +30,14 @@ def test_only_verify_timings_are_masked():
     masked = {name: m for name, _, _, m in same_outputs.jobs(Path("."))}
     assert [name for name, m in masked.items() if m] == [
         "verify --seed 0", "verify --seed 1", "verify --seed 5", "verify --inject-skip-projection"]
+
+
+def test_a_sweep_draws_through_every_branch_of_sample_batch():
+    # reference batches below, equal to and above regression.cfg's 200
+    # capability rows
+    argvs = {name: argv for name, _, argv, _ in same_outputs.jobs(Path("."))}
+    assert argvs["sweep regression refsize"][3:] == [
+        "sweep", "--config", "regression.cfg", "--axis", "refsize", "--values", "50,200,400",
+        "--out", "out"]
+    cfg = (_PATH.parents[1] / "configs" / "regression.cfg").read_text()
+    assert "n_capability = 200" in cfg

@@ -7,6 +7,9 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 
 - ``run`` and ``compare`` on the three shipped configs;
 - ``sweep --axis K --values 2,5,10,inf`` on ``policy.cfg``;
+- ``sweep --axis refsize --values 50,200,400`` on ``regression.cfg``,
+  whose reference batches are below, equal to and above its 200
+  capability rows, so each branch of ``sample_batch`` draws;
 - ``verify --seed 0``, ``--seed 1``, ``--seed 5`` and
   ``--inject-skip-projection``, with the timings masked;
 - the six demos.
@@ -44,6 +47,9 @@ def jobs(tree: Path):
     yield ("sweep policy K", "policy.cfg",
            cli + ["sweep", "--config", "policy.cfg", "--axis", "K", "--values", "2,5,10,inf",
                   "--out", "out"], False)
+    yield ("sweep regression refsize", "regression.cfg",
+           cli + ["sweep", "--config", "regression.cfg", "--axis", "refsize",
+                  "--values", "50,200,400", "--out", "out"], False)
     for flags in (["--seed", "0"], ["--seed", "1"], ["--seed", "5"],
                   ["--inject-skip-projection"]):
         yield f"verify {' '.join(flags)}", None, cli + ["verify"] + flags, True
