@@ -242,7 +242,7 @@ def _remove_components(g: np.ndarray, rows, out=None) -> np.ndarray:
     return _subtract_components(g, _seqdots(rows, g), rows, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Orthonormal set stored row-wise: ``vectors[j]`` is the j-th direction.
 

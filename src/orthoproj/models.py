@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class LossKind:
             raise ConfigurationError(f"beta must be positive for dpo_pairwise, got {self.beta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
     """One evaluation unit, valid by construction.
 
@@ -240,25 +240,25 @@ def _log_prob_margin(z, targets) -> np.ndarray:
     subtraction as in the full matrix)."""
     shifted, lse = _softmax_parts(z)
     flat, lse = shifted.reshape(-1), lse[:, 0]
-    return ((flat[_label_cells(shifted, targets[:, 0])] - lse)
-            - (flat[_label_cells(shifted, targets[:, 1])] - lse))
+    return ((flat[_label_cells(shifted.shape, targets[:, 0])] - lse)
+            - (flat[_label_cells(shifted.shape, targets[:, 1])] - lse))
 
 
-def _label_cells(z: np.ndarray, labels) -> np.ndarray:
-    """Flat indices of each row's label in the C-ordered (n, v) array z, one
-    index array where ``z[rows, labels]`` builds two; a label outside
-    [0, v) raises ``ValueError``, labels that are not integers
+def _label_cells(shape: tuple[int, int], labels) -> np.ndarray:
+    """Flat indices of each row's label in a C-ordered array z of ``shape``
+    (n, v), one index array where ``z[rows, labels]`` builds two; a label
+    outside [0, v) raises ``ValueError``, labels that are not integers
     ``ConfigurationError``, and labels that are not one per row (n,)
     ``DimensionError``."""
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ConfigurationError(f"targets must be integer labels or tokens, "
                                  f"got dtype {labels.dtype}")
-    n = z.shape[0]
+    n = shape[0]
     if labels.shape != (n,):
         raise DimensionError(f"batch targets must hold one label or token per row, "
                              f"shape ({n},), got shape {labels.shape}")
-    return np.ravel_multi_index((np.arange(n), labels), z.shape)
+    return np.ravel_multi_index((np.arange(n), labels), shape)
 
 
 def _values(batch: Batch, shape: tuple[int, ...]) -> np.ndarray:
@@ -294,6 +294,66 @@ def _dpo_margins(spec, kind, theta, batch):
     return kind.beta * (pol_margin - batch.ref_margin)
 
 
+def _mlp_gradient(dims, theta, x, targets) -> np.ndarray:
+    """The mean squared-error gradient of the mlp2 at theta on the rows x,
+    whose (rows, outputs) ``targets`` are float64, in a fresh vector;
+    neither theta nor the result is checked."""
+    weights = _unpack_mlp(theta, dims)
+    h, d_y = _mlp_forward(weights, x)
+    d_y -= targets
+    d_y /= x.shape[0]
+    # each block of the gradient is written straight into its slot of g
+    g = np.empty(theta.size)
+    d_w1, d_b1, d_w2, d_b2 = _unpack_mlp(g, dims)
+    np.matmul(d_y.T, h, out=d_w2)
+    np.add.reduce(d_y, axis=0, out=d_b2)
+    h *= h
+    np.subtract(1.0, h, out=h)  # tanh' = 1 - h*h
+    # for one output d_y @ w2 is an outer product, whose entries a
+    # multiply forms as a K = 1 gemm does, except that gemm adds each to
+    # +0.0; d_z1 reaches g only through a matmul and an add reduction,
+    # which start from +0.0 too, so the sign of a zero never shows
+    w2 = weights[2]
+    d_z1 = np.multiply(d_y, w2) if w2.shape[0] == 1 else d_y @ w2
+    d_z1 *= h
+    np.matmul(d_z1.T, x, out=d_w1)
+    np.add.reduce(d_z1, axis=0, out=d_b1)
+    return g
+
+
+def _nll_gradient(dims, theta, x, cells) -> np.ndarray:
+    """The mean categorical-NLL gradient of the softmax policy at theta on
+    the rows x, whose labels sit at the flat indices ``cells`` of the
+    (rows, vocab) logits, in a fresh vector; neither theta nor the result
+    is checked."""
+    c, v = dims
+    p, lse = _softmax_parts(x @ theta.reshape(v, c).T)
+    p -= lse
+    np.exp(p, out=p)
+    p.reshape(-1)[cells] -= 1.0
+    g = (p.T @ x).ravel()
+    g /= x.shape[0]
+    return g
+
+
+def _fixed_batch_gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch):
+    """``grad(th)``: the mean gradient of an mlp2 or nll_sft model at th on
+    ``batch``, with the bytes of :func:`gradient` at th.
+
+    theta, the loss kind and the batch's targets are checked here, once,
+    and the targets are converted once: ``grad`` checks neither its th,
+    which must keep theta's length, nor the gradient it returns, so a
+    caller that steps on it checks the result itself.
+    """
+    _check(spec, kind, theta, batch)
+    x = batch.inputs
+    if spec.kind == "mlp2":
+        return partial(_mlp_gradient, spec.dims, x=x,
+                       targets=_values(batch, (len(x), spec.dims[2])))
+    return partial(_nll_gradient, spec.dims, x=x,
+                   cells=_label_cells((len(x), spec.dims[1]), batch.targets))
+
+
 def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     """Scalar loss of the model on the batch.
 
@@ -321,7 +381,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     c, v = spec.dims
     if kind.tag == "nll_sft":
         shifted, lse = _softmax_parts(x @ th.reshape(v, c).T)
-        lp = shifted.reshape(-1)[_label_cells(shifted, batch.targets)] - lse[:, 0]
+        lp = shifted.reshape(-1)[_label_cells(shifted.shape, batch.targets)] - lse[:, 0]
         return _finite(-(float(np.add.reduce(lp, axis=None)) / lp.size), "nll loss")
 
     margins = _dpo_margins(spec, kind, th, batch)
@@ -344,36 +404,12 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
         return _finite_vec(g, "quadratic gradient")
 
     if spec.kind == "mlp2":
-        weights = _unpack_mlp(th, spec.dims)
-        h, d_y = _mlp_forward(weights, x)
-        d_y -= _values(batch, d_y.shape)
-        d_y /= x.shape[0]
-        # each block of the gradient is written straight into its slot of g
-        g = np.empty(th.size)
-        d_w1, d_b1, d_w2, d_b2 = _unpack_mlp(g, spec.dims)
-        np.matmul(d_y.T, h, out=d_w2)
-        np.add.reduce(d_y, axis=0, out=d_b2)
-        h *= h
-        np.subtract(1.0, h, out=h)  # tanh' = 1 - h*h
-        # for one output d_y @ w2 is an outer product, whose entries a
-        # multiply forms as a K = 1 gemm does, except that gemm adds each to
-        # +0.0; d_z1 reaches g only through a matmul and an add reduction,
-        # which start from +0.0 too, so the sign of a zero never shows
-        w2 = weights[2]
-        d_z1 = np.multiply(d_y, w2) if w2.shape[0] == 1 else d_y @ w2
-        d_z1 *= h
-        np.matmul(d_z1.T, x, out=d_w1)
-        np.add.reduce(d_z1, axis=0, out=d_b1)
+        g = _mlp_gradient(spec.dims, th, x, _values(batch, (len(x), spec.dims[2])))
         return _finite_vec(g, "mlp gradient")
 
     c, v = spec.dims
     if kind.tag == "nll_sft":
-        p, lse = _softmax_parts(x @ th.reshape(v, c).T)
-        p -= lse
-        np.exp(p, out=p)
-        p.reshape(-1)[_label_cells(p, batch.targets)] -= 1.0
-        g = (p.T @ x).ravel()
-        g /= x.shape[0]
+        g = _nll_gradient(spec.dims, th, x, _label_cells((len(x), v), batch.targets))
         return _finite_vec(g, "nll gradient")
 
     margins = _dpo_margins(spec, kind, th, batch)
@@ -382,6 +418,6 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     coef = -_sigmoid(-margins) * kind.beta / n
     token_weights = np.zeros((n, v))
     flat = token_weights.reshape(-1)  # each statement writes each cell at most once
-    flat[_label_cells(token_weights, batch.targets[:, 0])] += coef
-    flat[_label_cells(token_weights, batch.targets[:, 1])] += -coef
+    flat[_label_cells(token_weights.shape, batch.targets[:, 0])] += coef
+    flat[_label_cells(token_weights.shape, batch.targets[:, 1])] += -coef
     return _finite_vec((token_weights.T @ x).ravel(), "dpo gradient")

@@ -115,7 +115,7 @@ class TrainConfig:
                 f"ref_facets names {len(self.ref_facets)} facets, ref_count is {self.ref_count}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainResult:
     theta_final: np.ndarray
     records: tuple[RunRecord, ...]

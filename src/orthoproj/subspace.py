@@ -18,7 +18,7 @@ from .linalg import OrthonormalBasis, gram_schmidt, norm
 __all__ = ["CapabilitySubspace", "estimate_subspace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapabilitySubspace:
     """An orthonormal basis for the reference-gradient span plus the
     metadata needed to audit staleness (step built, candidate count)."""

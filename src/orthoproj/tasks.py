@@ -59,7 +59,7 @@ def _refuse_pickle(obj):
     raise TypeError(f"a {type(obj).__name__} is rebuilt from its config, not pickled or copied")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferentiableTask:
     """A loss kind plus two batches: ``train``, the whole training set, and
     ``probe``, the held-out probe, which never feeds a gradient.
@@ -121,7 +121,7 @@ class DifferentiableTask:
         return models.gradient(self.spec, self.kind, theta, self.probe if batch is None else batch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskFamily:
     """A named set of tasks sharing one parameter vector.
 
@@ -348,11 +348,19 @@ def _init_mlp(rng, d, hidden):
 
 def _pretrain(theta, cap_a, cap_b, budget, label):
     """Full-batch descent on the mean of the two capability losses, in
-    place on ``theta``."""
+    place on ``theta``, with the bytes of two ``gradient`` calls a step.
+
+    theta and each facet's training set are checked, and the targets
+    converted, once, before the first step (``models._fixed_batch_gradient``).
+    No gradient is checked: a non-finite one leaves theta non-finite from
+    then on, which the check after the last step reports.
+    """
     steps, eta = budget
+    grad_a, grad_b = (models._fixed_batch_gradient(t.spec, t.kind, theta, t.train)
+                      for t in (cap_a, cap_b))
     for _ in range(steps):
-        g = cap_a.gradient(theta, cap_a.train)
-        g += cap_b.gradient(theta, cap_b.train)
+        g = grad_a(theta)
+        g += grad_b(theta)
         g *= eta * 0.5
         theta -= g
     if not all_finite(theta):

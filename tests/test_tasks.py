@@ -592,6 +592,60 @@ for stem, exp in sorted(DEFAULTS.items()):
 """
 
 
+def _two_gradient_pretrain(theta, cap_a, cap_b, budget):
+    # pre-training as two gradient calls a step, each checked: the reference
+    # for _pretrain, which checks theta and the training sets once
+    steps, eta = budget
+    for _ in range(steps):
+        g = cap_a.gradient(theta, cap_a.train)
+        g += cap_b.gradient(theta, cap_b.train)
+        g *= eta * 0.5
+        theta -= g
+    return theta
+
+
+def _shipped(stem, seed=0):
+    exp = DEFAULTS[stem]
+    return lambda: tasks.build_family(exp.family_kind, seed, **exp.family_params_dict())
+
+
+class TestPretrain:
+    # 37 rows x K 40 x N 32 is a size where one gemm over both facets'
+    # stacked rows would round some rows differently from a gemm per facet
+    @pytest.mark.parametrize("build", [
+        _shipped("regression"), _shipped("policy"),
+        lambda: regression_family(40, 32, math.pi / 3, 1.0, 37, 50, seed=3),
+        lambda: policy_family(40, 32, 37, 50, seed=4),
+        lambda: regression_family(8, 1, 0.5, 0.0, 1, 5, seed=1),
+        lambda: policy_family(4, 4, 1, 3, seed=2),
+    ], ids=["regression", "policy", "regression-37x40x32", "policy-37x40x32",
+            "regression-one-row", "policy-one-row"])
+    def test_bytes_are_those_of_two_gradient_calls_a_step(self, monkeypatch, build):
+        seen = []
+        pretrain = tasks._pretrain
+
+        def capture(theta, cap_a, cap_b, budget, label):
+            theta_in = theta.copy()
+            theta_out = pretrain(theta, cap_a, cap_b, budget, label)
+            seen.append((theta_in, theta_out.copy(), cap_a, cap_b, budget))
+            return theta_out
+
+        monkeypatch.setattr(tasks, "_pretrain", capture)
+        fam = build()
+        ((theta_in, theta_out, cap_a, cap_b, budget),) = seen
+        assert theta_out.tobytes() == fam.theta0.tobytes()
+        want = _two_gradient_pretrain(theta_in, cap_a, cap_b, budget)
+        assert theta_out.tobytes() == want.tobytes()
+
+    def test_a_diverging_pretraining_names_itself(self, monkeypatch):
+        # no step checks its gradient; the non-finite theta a divergence
+        # leaves is caught after the last step
+        monkeypatch.setattr(tasks, "REGRESSION_PRETRAIN", (50, 1e300))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match="regression pre-training diverged"):
+            _shipped("regression")()
+
+
 class TestBuildFamily:
     def test_config_values_are_converted_to_schema_types(self):
         fam = tasks.build_family("quadratic_pair", 3, d=12.0, alpha=1)

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
@@ -41,3 +44,17 @@ def test_a_sweep_draws_through_every_branch_of_sample_batch():
         "--out", "out"]
     cfg = (_PATH.parents[1] / "configs" / "regression.cfg").read_text()
     assert "n_capability = 200" in cfg
+
+
+def test_a_job_fingerprints_families_at_non_shipped_sizes():
+    argvs = {name: argv for name, _, argv, _ in same_outputs.jobs(Path("."))}
+    argv = argvs["fingerprints non-shipped sizes"]
+    assert argv[:2] == [sys.executable, "-c"]
+    src = str(_PATH.parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and len(set(lines)) == 4
+    assert all(len(line) == 64 and set(line) <= set("0123456789abcdef") for line in lines)

@@ -12,6 +12,10 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
   capability rows, so each branch of ``sample_batch`` draws;
 - ``verify --seed 0``, ``--seed 1``, ``--seed 5`` and
   ``--inject-skip-projection``, with the timings masked;
+- the fingerprints of four families at sizes no shipped config builds,
+  two of them pre-trained on 37-row facets with 40 features and 32
+  hidden units or tokens, where one product over both facets' stacked
+  rows would round differently from a product per facet;
 - the six demos.
 
 Every file a job writes, its stdout and its exit code are compared byte for
@@ -35,6 +39,15 @@ CONFIGS = ("quadratic", "regression", "policy")
 CLI = "import sys; from orthoproj.cli import main; sys.exit(main(sys.argv[1:]))"
 # the elapsed times in verify's lines, e.g. "(0.27s)", "elapsed=0.27s", "in 0.8s"
 TIMING = re.compile(rb"\b\d+\.\d+s\b")
+FINGERPRINTS = """
+import math
+from orthoproj.tasks import policy_family, regression_family
+for family in (regression_family(40, 32, math.pi / 3, 1.0, 37, 50, seed=3),
+               policy_family(40, 32, 37, 50, seed=4),
+               regression_family(8, 1, 0.5, 0.0, 1, 5, seed=1),
+               policy_family(4, 4, 1, 3, seed=2)):
+    print(family.fingerprint)
+"""
 
 
 def jobs(tree: Path):
@@ -53,6 +66,7 @@ def jobs(tree: Path):
     for flags in (["--seed", "0"], ["--seed", "1"], ["--seed", "5"],
                   ["--inject-skip-projection"]):
         yield f"verify {' '.join(flags)}", None, cli + ["verify"] + flags, True
+    yield "fingerprints non-shipped sizes", None, [sys.executable, "-c", FINGERPRINTS], False
     for demo in sorted((tree / "demos").glob("*.py")):
         yield f"demo {demo.stem}", None, [sys.executable, str(demo)], False
 
