@@ -1,8 +1,9 @@
 """Command-line surface: run, verify, sweep, compare.
 
-Exit codes are stable: 0 success, 1 verification failure, 2 config error,
-3 numeric failure mid-run. Every output file is written atomically (temp
-file + rename) so an interrupted run never leaves a truncated CSV behind.
+Exit codes are stable: 0 success, 1 verification failure, 2 config error
+(an unreadable config and an unwritable output included), 3 numeric failure
+mid-run. Every output file is written atomically (temp file + rename) so an
+interrupted run never leaves a truncated CSV behind.
 """
 
 from __future__ import annotations
@@ -14,36 +15,39 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigParseError, ExperimentFile, parse_config_file, render_config
+from .config import ExperimentFile, load_experiment, render_config, train_value
 from .errors import ConfigurationError, NumericError
-from .metrics import (alignment_tax, records_to_csv, summarize, summary_table,
-                      tax_report_to_csv)
-from .optimizer import NO_REFRESH, train
+from .metrics import alignment_tax, records_to_csv, summary_table, tax_report_to_csv
+from .optimizer import train
 from .plots import line_chart, scatter_chart
-from .tasks import build_family
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
-SWEEP_AXES = ("K", "M", "refsize")
+# the [train] key each sweep axis sets; K also sets every stage's period
+SWEEP_AXES = {"K": "refresh_every", "M": "ref_count", "refsize": "ref_batch"}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write through a uniquely named temp file in the target directory and
     a rename, so writers to one path never share a temp file. ``open``
-    creates the temp file, so it gets the mode the umask in force gives."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    creates the temp file, so it gets the mode the umask in force gives.
+    A path that cannot be written is a :class:`ConfigurationError`."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _curves_svg(result, family) -> str:
@@ -52,18 +56,6 @@ def _curves_svg(result, family) -> str:
     for i, task in enumerate(family.capability_tasks):
         series[task.name] = [r.ref_losses[i] for r in result.records]
     return line_chart(steps, series, "probe losses over training", "step", "loss")
-
-
-def _build_family(experiment: ExperimentFile):
-    try:
-        return build_family(experiment.family_kind, experiment.family_seed,
-                            **experiment.family_params_dict())
-    except ConfigurationError as exc:
-        # the message starts with the key it rejects; point at that key when
-        # the file sets it, else at kind, which every config file sets
-        positions = {key: (line, col) for key, line, col in experiment.family_positions}
-        where = positions.get(str(exc).split(" ", 1)[0], positions["kind"])
-        raise ConfigParseError(f"[family] invalid: {exc}", *where) from exc
 
 
 def _run_on(experiment: ExperimentFile, family, out_dir: Path):
@@ -78,23 +70,10 @@ def _run_on(experiment: ExperimentFile, family, out_dir: Path):
 
 
 def cmd_run(args) -> int:
-    experiment = _load(args)
-    _, report = _run_on(experiment, _build_family(experiment),
-                        Path(args.out or experiment.out_dir))
+    experiment, family = load_experiment(args.config, args.seed)
+    _, report = _run_on(experiment, family, Path(args.out or experiment.out_dir))
     print(f"safety_gain={report.safety_gain!r} total_tax={report.total_tax!r}")
     return EXIT_OK
-
-
-def _load(args) -> ExperimentFile:
-    try:
-        experiment = parse_config_file(args.config)
-    except OSError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(experiment.train, seed=args.seed)
-        family_seed = experiment.family_seed if experiment.family_seed_given else args.seed
-        experiment = dataclasses.replace(experiment, train=train_cfg, family_seed=family_seed)
-    return experiment
 
 
 def cmd_verify(args) -> int:
@@ -124,25 +103,22 @@ def _run_legs(labels, leg, key: str):
 
 
 def cmd_sweep(args) -> int:
-    experiment = _load(args)
+    # the legs differ only in [train], so they share one family
+    experiment, family = load_experiment(args.config, args.seed)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("--values is empty")
 
     out_root = Path(args.out or experiment.out_dir)
-    family = _build_family(experiment)  # the legs differ only in [train]
+    key = SWEEP_AXES[args.axis]
 
     def leg(value):
-        t = experiment.train
         try:
-            if args.axis == "K":
-                t = t.with_refresh(NO_REFRESH if value == "inf" else int(value))
-            elif args.axis == "M":
-                t = dataclasses.replace(t, ref_count=int(value))
-            else:  # refsize
-                t = dataclasses.replace(t, ref_batch=int(value))
+            v = train_value(key, value)
         except ValueError as exc:
             raise ConfigurationError(f"axis value {value!r}: {exc}") from exc
+        t = (experiment.train.with_refresh(v) if args.axis == "K"
+             else dataclasses.replace(experiment.train, **{key: v}))
         return _run_on(dataclasses.replace(experiment, train=t), family,
                        out_root / f"{args.axis}={value}")
 
@@ -171,21 +147,19 @@ def _raise_failures(out_root: Path, failures: list[dict], what: str):
 
 
 def cmd_compare(args) -> int:
-    experiment = _load(args)
+    experiment, family = load_experiment(args.config, args.seed)
     out_root = Path(args.out or experiment.out_dir)
-    family = _build_family(experiment)
 
     def leg(method):
         result = train(dataclasses.replace(experiment.train, method=method), family)
         atomic_write_text(out_root / method / "records.csv", records_to_csv(result.records))
-        return (result,)
+        return result, alignment_tax(result, family)
 
+    # run in sorted order, so the summary rows are sorted by method
     legs, failures = _run_legs(("naive", "ortho", "replay"), leg, "method")
-    results = [result for _, result in legs]
-    if results:
-        table = summarize(results, family)
+    if legs:
+        table = summary_table("method", legs)
         atomic_write_text(out_root / "summary.csv", table.to_csv())
-        # rows are sorted by method: naive, ortho, replay, the order they ran in
         points = [(row[1], row[-3], row[0]) for row in table.rows]
         atomic_write_text(out_root / "compare.svg",
                           scatter_chart(points, "safety gain vs capability tax",

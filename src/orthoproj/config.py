@@ -20,21 +20,22 @@ Layout::
 
 Full-line comments start with '#' or ';'. Unknown sections or keys are
 rejected, every numeric field is validated, and parse errors carry the line
-and column they point at. ``render_config`` echoes a resolved config that
-parses back to the same experiment.
+and column they point at. ``load_experiment`` resolves a file, a seed
+override and the family it builds; ``render_config`` echoes a resolved
+config that parses back to the same experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 from .optimizer import NO_REFRESH, Stage, TrainConfig
-from .tasks import FAMILIES, family_schema
+from .tasks import FAMILIES, TaskFamily, build_family, family_schema
 
 __all__ = ["ExperimentFile", "ConfigParseError", "parse_config", "parse_config_file",
-           "render_config", "CONFIG_VERSION", "DEFAULTS"]
+           "load_experiment", "train_value", "render_config", "CONFIG_VERSION", "DEFAULTS"]
 
 CONFIG_VERSION = 1
 
@@ -50,24 +51,13 @@ class ConfigParseError(ConfigurationError):
 
 @dataclass(frozen=True)
 class ExperimentFile:
-    """A fully resolved experiment: family construction + training config.
-
-    ``family_seed_given`` records whether the file set ``[family] seed``
-    (else the family seed is the train seed, and ``--seed`` moves both). It
-    decides only how a seed override applies, so equality ignores it: a
-    rendered config, which always writes the seed, parses back equal.
-    ``family_positions`` holds the ``(key, line, column)`` of each
-    ``[family]`` key in the file, so that a rejection by the family
-    constructor can point at its key; equality ignores it too.
-    """
+    """A fully resolved experiment: family construction + training config."""
 
     family_kind: str
     family_seed: int
     family_params: tuple[tuple[str, float | int], ...]
     train: TrainConfig
     out_dir: str
-    family_seed_given: bool = field(default=False, compare=False)
-    family_positions: tuple[tuple[str, int, int], ...] = field(default=(), compare=False)
 
     def family_params_dict(self) -> dict:
         return dict(self.family_params)
@@ -131,22 +121,35 @@ def _scan(text: str):
         yield line_no, col, section, key.strip(), (value.strip(), value_col)
 
 
+def _value(kind, value: str):
+    """``value`` as an int, a float (not nan), a "period" or text; raises ValueError."""
+    if kind is float:
+        v = float(value)
+        if math.isnan(v):
+            raise ValueError("nan")
+        return v
+    if kind == "period":
+        return NO_REFRESH if value == "inf" else int(value)
+    return int(value) if kind is int else value
+
+
 def _convert(kind, value: str, line: int, col: int):
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            v = float(value)
-            if math.isnan(v):
-                raise ValueError("nan")
-            return v
-        if kind == "period":
-            if value == "inf":
-                return NO_REFRESH
-            return int(value)
-        return value
+        return _value(kind, value)
     except ValueError:
         raise ConfigParseError(f"cannot parse {value!r}", line, col) from None
+
+
+def train_value(key: str, value: str):
+    """``value`` read as the config file reads ``[train] key``; raises ValueError."""
+    return _value(_TRAIN_KEYS[key], value)
+
+
+def _at_key(section: str, exc: ConfigurationError, positions: dict, fallback: str):
+    """``exc``, whose message starts with the key it rejects, as a parse
+    error at that key when the file sets it, else at ``fallback``."""
+    where = positions.get((section, str(exc).split(" ", 1)[0]), positions[(section, fallback)])
+    return ConfigParseError(f"[{section}] invalid: {exc}", *where)
 
 
 def _parse_stages(value: str, line: int, col: int) -> tuple[Stage, ...]:
@@ -165,6 +168,12 @@ def _parse_stages(value: str, line: int, col: int) -> tuple[Stage, ...]:
 
 def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
     """Parse and validate a config; raises :class:`ConfigParseError`."""
+    return _parse(text, name, None)[0]
+
+
+def _parse(text: str, name: str, seed: int | None):
+    """The experiment, with ``seed`` as its train seed if given, and the
+    ``(section, key) -> (line, column)`` of each value in the file."""
     seen: dict[str, dict[str, object]] = {"experiment": {}, "family": {}, "train": {}, "output": {}}
     positions: dict[tuple[str, str], tuple[int, int]] = {}
     sections_seen = set()
@@ -232,11 +241,9 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
     try:
         train.validate()
     except ConfigurationError as exc:
-        # the message starts with the field it rejects; point at that key
-        # when the file sets it, else at stages
-        key = str(exc).split(" ", 1)[0]
-        where = positions.get(("train", key), pos("train", "stages"))
-        raise ConfigParseError(f"[train] invalid: {exc}", *where) from exc
+        raise _at_key("train", exc, positions, "stages") from exc
+    if seed is not None:
+        train = replace(train, seed=seed)
 
     # [output]
     out_dir = None
@@ -250,6 +257,7 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
         stem = name.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         out_dir = f"runs/{stem}"
 
+    # the family seed follows the train seed unless the file sets it
     family_seed = int(train.seed)
     if family_seed_raw is not None:
         family_seed = _convert(int, family_seed_raw, *pos("family", "seed"))
@@ -262,15 +270,32 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
         family_params=tuple(sorted(params.items())),
         train=train,
         out_dir=out_dir,
-        family_seed_given=family_seed_raw is not None,
-        family_positions=tuple((key, *where) for (section, key), where in positions.items()
-                               if section == "family"),
-    )
+    ), positions
+
+
+def _read(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
 def parse_config_file(path) -> ExperimentFile:
-    with open(path) as fh:
-        return parse_config(fh.read(), name=str(path))
+    return parse_config(_read(path), name=str(path))
+
+
+def load_experiment(path, seed: int | None = None) -> tuple[ExperimentFile, TaskFamily]:
+    """Read, parse and validate the config file at ``path``, set its train
+    seed to ``seed`` if given, and build its family. Every rejection, an
+    unreadable file included, is a :class:`ConfigurationError`."""
+    experiment, positions = _parse(_read(path), str(path), seed)
+    try:
+        family = build_family(experiment.family_kind, experiment.family_seed,
+                              **experiment.family_params_dict())
+    except ConfigurationError as exc:
+        raise _at_key("family", exc, positions, "kind") from exc
+    return experiment, family
 
 
 def _period_str(period) -> str:

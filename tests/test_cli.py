@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthoproj import cli
+from orthoproj import cli, config
 from orthoproj.cli import main
 from orthoproj.config import DEFAULTS, render_config
 from orthoproj.tasks import build_family
@@ -179,6 +179,32 @@ def test_family_rejected_by_constructor_exits_2(command, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe[experiment]\n", None, "directory"],
+                         ids=["undecodable", "missing", "directory"])
+def test_unreadable_config_exits_2_naming_the_file(content, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {str(cfg)!r}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare"],
+                                     ["sweep", "--axis", "M", "--values", "0,1"]])
+def test_unwritable_output_exits_2_naming_the_path(command, quad_config, tmp_path, capsys):
+    # --out under a regular file: no output directory can be made there
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([*command, "--config", str(quad_config()), "--out", str(blocker / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: cannot write '{blocker / 'out'}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("stem, key, value, message", [
     ("policy", "n_capability", "0", "n_capability must be >= 1, got 0"),
     ("policy", "vocab", "3", "vocab must be >= 4 for the policy family, got 3"),
@@ -311,7 +337,7 @@ class TestSweep:
             calls.append(args)
             return build_family(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_family", counted)
+        monkeypatch.setattr(config, "build_family", counted)
         assert main(["sweep", "--config", str(quad_config()), "--axis", "K",
                      "--values", "2,5,10,inf", "--out", str(tmp_path / "k")]) == 0
         assert len(calls) == 1

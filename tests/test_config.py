@@ -41,8 +41,9 @@ class TestParsing:
         assert exp.train.ref_count == 2
         assert exp.train.seed == 0
         assert exp.family_seed == 0            # defaults to the train seed
-        assert not exp.family_seed_given
         assert exp.out_dir == "out/here"
+        no_output = MINIMAL.split("[output]")[0]
+        assert parse_config(no_output, name="configs/exp.cfg").out_dir == "runs/exp"
 
     def test_round_trip(self):
         exp = parse_config(MINIMAL)
@@ -82,7 +83,6 @@ dir = runs/x
         assert exp.train.stages == (Stage("sft", "nll_sft", 60, 30),
                                     Stage("dpo", "dpo_pairwise", 40, 5))
         assert exp.family_seed == 3
-        assert exp.family_seed_given
         assert parse_config(render_config(exp)) == exp
 
     def test_comments_and_blank_lines(self):
@@ -105,21 +105,31 @@ class TestRejection:
         # epsilon carries this line
         bad = MINIMAL.replace("[train]\n", "[train]\nepsilon = 0.0\n")
         self._expect(bad, "unknown key 'epsilon' in [train]", line=11)
+        bad = MINIMAL.replace("version = 1", "version = 1\nrevision = 2")
+        self._expect(bad, "unknown key 'revision' in [experiment]", line=4)
+        self._expect(MINIMAL.replace("dir =", "path ="), "unknown key 'path' in [output]", line=14)
 
     def test_unknown_section(self):
         self._expect(MINIMAL + "\n[extra]\nx = 1\n", "unknown section")
+        self._expect(MINIMAL.replace("[train]", "[train"), "unterminated section header", line=10)
 
     def test_duplicate_key(self):
         self._expect(MINIMAL.replace("d = 12", "d = 12\nd = 13"), "duplicate")
 
     def test_bad_number(self):
         self._expect(MINIMAL.replace("d = 12", "d = twelve"), "cannot parse")
+        bad = MINIMAL.replace("alpha = 0.7853981633974483", "alpha = nan")
+        self._expect(bad, "cannot parse 'nan'", line=8)
 
     def test_missing_version(self):
         self._expect(MINIMAL.replace("version = 1", "version = 2"), "version")
+        self._expect(MINIMAL.replace("version = 1", ""), "missing 'version' in [experiment]")
+        self._expect(MINIMAL.replace("[experiment]\nversion = 1", ""),
+                     "missing [experiment] section")
 
     def test_unknown_family(self):
         self._expect(MINIMAL.replace("quadratic_pair", "transformer"), "family kind")
+        self._expect(MINIMAL.replace("kind = quadratic_pair", ""), "missing 'kind' in [family]")
 
     def test_missing_required_family_key(self):
         self._expect(MINIMAL.replace("alpha = 0.7853981633974483", ""), "alpha")
@@ -134,6 +144,7 @@ class TestRejection:
 
     def test_key_outside_section(self):
         self._expect("version = 1\n", "outside")
+        self._expect(MINIMAL.replace("d = 12", "d 12"), "expected 'key = value'", line=7)
 
     def test_missing_stages(self):
         self._expect(MINIMAL.replace("stages = safety:squared_error:100", ""), "stages")
@@ -153,7 +164,12 @@ class TestRejection:
     ("safety_batch", "safety_batch = 64", "safety_batch = 0", "safety_batch must be positive, got 0"),
     ("steps", "steps = 300", "steps = 200", "steps is 200, but the stages sum to 300"),
     ("seed", "seed = 0", "seed = -2", "seed must be >= 0, got -2"),
-], ids=["delta", "safety_batch", "steps", "seed"])
+    ("steps", "steps = 300", "steps = 0", "steps must be >= 1, got 0"),
+    ("ref_count", "ref_count = 2", "ref_count = -1", "ref_count must be >= 0, got -1"),
+    ("ref_batch", "ref_batch = 200", "ref_batch = 0", "ref_batch must be positive, got 0"),
+    ("stages", "squared_error:300", "squared_error:0", "every stage needs at least one step"),
+], ids=["delta", "safety_batch", "steps", "seed", "steps_below_1", "ref_count", "ref_batch",
+        "stage_steps"])
 def test_train_error_points_at_the_failing_key(key, old, new, fragment):
     # a [train] value that validation rejects is reported on its own line,
     # not on the stages line

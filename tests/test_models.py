@@ -418,6 +418,9 @@ class TestValidation:
         spec, batch = identity_quadratic()
         with pytest.raises(ConfigurationError):
             loss(spec, LossKind("nll_sft"), [1.0, 2.0], batch)
+        pairs = Batch(np.ones((3, 2)), np.zeros((3, 2), dtype=int), ref_params=np.zeros(8))
+        with pytest.raises(ConfigurationError, match="ref_params is only meaningful"):
+            loss(ModelSpec("softmax_policy", (2, 4)), LossKind("nll_sft"), np.zeros(8), pairs)
 
     def test_theta_length(self):
         spec, batch = identity_quadratic()
@@ -542,6 +545,10 @@ class TestValidation:
     def test_unknown_kind_and_tag(self):
         with pytest.raises(ConfigurationError):
             ModelSpec("transformer", (1,))
+        with pytest.raises(ConfigurationError, match=r"dims must be positive, got \(4, 0, 1\)"):
+            ModelSpec("mlp2", (4, 0, 1))
+        with pytest.raises(ConfigurationError, match=r"mlp2 needs 3 dims, got \(4, 8\)"):
+            ModelSpec("mlp2", (4, 8))
         with pytest.raises(ConfigurationError):
             LossKind("hinge")
 

@@ -473,6 +473,10 @@ class TestValidation:
             train(TrainConfig(**dict(QUAD_BASE, ref_count=5)), fam)
         with pytest.raises(ConfigurationError):
             TrainConfig(**dict(QUAD_BASE, ref_facets=(0, 1))).validate()
+        with pytest.raises(ConfigurationError, match=r"ref_facets \(1,\) out of range"):
+            train(TrainConfig(**dict(QUAD_BASE, ref_facets=(1,))), fam)
+        with pytest.raises(ConfigurationError, match="at least one stage is required"):
+            TrainConfig(**dict(QUAD_BASE, stages=())).validate()
         for probes in ("no", 0, None):
             with pytest.raises(ConfigurationError, match="probes"):
                 TrainConfig(**dict(QUAD_BASE, probes=probes)).validate()

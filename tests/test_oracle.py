@@ -90,6 +90,8 @@ class TestSteepestCheck:
         basis = OrthonormalBasis(np.array([[1.0, 0.0]]))
         with pytest.raises(PreconditionError):
             steepest([2.0, 0.0], basis, 10, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="n_samples must be >= 1, got 0"):
+            steepest([0.0, 2.0], basis, 0, np.random.default_rng(0))
 
     def test_seeded_monte_carlo_no_violation(self):
         rng = np.random.default_rng(4)
@@ -259,9 +261,12 @@ class TestTaylorScaling:
         assert report.slope == 2.0
         assert report.loss_changes == (0.0, 0.0, 0.0)
 
-    def test_validation(self, quadratic_family):
+    def test_validation(self, quadratic_family, regression_family):
         fam = quadratic_family(math.pi / 4)
         g_safe, _ = step_directions(fam)
+        mlp = regression_family()
+        with pytest.raises(ConfigurationError, match="needs the quadratic family"):
+            taylor_scaling(mlp, (1e-2, 1e-3, 1e-4), mlp.tasks["safety"].gradient(mlp.theta0))
         with pytest.raises(ConfigurationError):
             taylor_scaling(fam, (1e-3, 1e-2, 1e-4), g_safe)  # not decreasing
         with pytest.raises(ConfigurationError):

@@ -175,7 +175,8 @@ class TestRegressionFamily:
             regression_family(16, 8, 0.5, -0.1, 10, 10, seed=0)
         params = dict(d=16, hidden=8, alpha=0.5, noise_sigma=0.1, n_capability=10, n_safety=10)
         for key, value in [("n_capability", 0), ("n_safety", 0), ("n_capability", -5),
-                           ("n_safety", -1), ("noise_sigma", math.inf), ("noise_sigma", math.nan)]:
+                           ("n_safety", -1), ("noise_sigma", math.inf), ("noise_sigma", math.nan),
+                           ("alpha", -0.1), ("alpha", 2.0)]:
             with pytest.raises(ConfigurationError, match=key):
                 regression_family(**dict(params, **{key: value}), seed=0)
 
@@ -354,6 +355,8 @@ class TestSampling:
         assert batch.inputs.shape == (64, 16)
         rows = {tuple(r) for r in batch.inputs}
         assert len(rows) == 64  # no repeats when the dataset is larger
+        with pytest.raises(ConfigurationError, match="batch size must be positive, got 0"):
+            task.sample_batch(np.random.default_rng(0), 0)
 
     def test_batch_with_replacement_when_needed(self, regression_family):
         fam = regression_family()

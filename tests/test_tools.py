@@ -46,6 +46,16 @@ def test_a_sweep_draws_through_every_branch_of_sample_batch():
     assert "n_capability = 200" in cfg
 
 
+def test_jobs_move_the_seed_and_sweep_the_m_axis():
+    argvs = {name: argv for name, _, argv, _ in same_outputs.jobs(Path("."))}
+    assert argvs["run policy --seed 3"][3:] == [
+        "run", "--config", "policy.cfg", "--seed", "3", "--out", "out"]
+    cfg = (_PATH.parents[1] / "configs" / "policy.cfg").read_text()
+    assert "[family]\nkind = policy_sft_dpo\n" in cfg and "\nseed" not in cfg.split("[train]")[0]
+    assert argvs["sweep quadratic M"][3:] == [
+        "sweep", "--config", "quadratic.cfg", "--axis", "M", "--values", "0,1", "--out", "out"]
+
+
 def test_a_job_fingerprints_families_at_non_shipped_sizes():
     argvs = {name: argv for name, _, argv, _ in same_outputs.jobs(Path("."))}
     argv = argvs["fingerprints non-shipped sizes"]

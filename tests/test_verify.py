@@ -36,6 +36,20 @@ def test_ablation_details_equal_probed_runs(monkeypatch):
     assert endpoint_only.details == probed.details
 
 
+def test_tax_mitigation_names_taxes_that_depart_from_the_record(monkeypatch):
+    # every recorded tax 10% high: each of the 36 measured taxes departs by
+    # more than the 5% tolerance, and the details name the first four
+    scaled = {kind: {seed: {key: [1.1 * t for t in v] if key.startswith("tax_") else v
+                            for key, v in golden.items()}
+                     for seed, golden in seeds.items()}
+              for kind, seeds in verify.GOLDEN_MARGINS.items()}
+    monkeypatch.setattr(verify, "GOLDEN_MARGINS", scaled)
+    result = verify.check_tax_mitigation()
+    assert not result.passed
+    assert result.details.count("departs from recorded") == 4
+    assert result.details.endswith(" (+32 more)")
+
+
 def test_legs_call_train_with_config_and_family_only(monkeypatch):
     # benchmark hooks stand in for verify.train with a two-argument
     # function, so a leg must pass nothing else; no leg goes through the CLI

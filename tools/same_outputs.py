@@ -6,10 +6,13 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 ``OPENBLAS_NUM_THREADS`` 1 and 2, each job in a fresh empty directory:
 
 - ``run`` and ``compare`` on the three shipped configs;
+- ``run --seed 3`` on ``policy.cfg``, which sets no ``[family] seed``, so
+  the seed moves the family too;
 - ``sweep --axis K --values 2,5,10,inf`` on ``policy.cfg``;
 - ``sweep --axis refsize --values 50,200,400`` on ``regression.cfg``,
   whose reference batches are below, equal to and above its 200
   capability rows, so each branch of ``sample_batch`` draws;
+- ``sweep --axis M --values 0,1`` on ``quadratic.cfg``;
 - ``verify --seed 0``, ``--seed 1``, ``--seed 5`` and
   ``--inject-skip-projection``, with the timings masked;
 - the fingerprints of four families at sizes no shipped config builds,
@@ -57,12 +60,17 @@ def jobs(tree: Path):
         for cfg in CONFIGS:
             yield (f"{command} {cfg}", f"{cfg}.cfg",
                    cli + [command, "--config", f"{cfg}.cfg", "--out", "out"], False)
+    yield ("run policy --seed 3", "policy.cfg",
+           cli + ["run", "--config", "policy.cfg", "--seed", "3", "--out", "out"], False)
     yield ("sweep policy K", "policy.cfg",
            cli + ["sweep", "--config", "policy.cfg", "--axis", "K", "--values", "2,5,10,inf",
                   "--out", "out"], False)
     yield ("sweep regression refsize", "regression.cfg",
            cli + ["sweep", "--config", "regression.cfg", "--axis", "refsize",
                   "--values", "50,200,400", "--out", "out"], False)
+    yield ("sweep quadratic M", "quadratic.cfg",
+           cli + ["sweep", "--config", "quadratic.cfg", "--axis", "M", "--values", "0,1",
+                  "--out", "out"], False)
     for flags in (["--seed", "0"], ["--seed", "1"], ["--seed", "5"],
                   ["--inject-skip-projection"]):
         yield f"verify {' '.join(flags)}", None, cli + ["verify"] + flags, True
