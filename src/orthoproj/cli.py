@@ -30,6 +30,10 @@ EXIT_NUMERIC_ERROR = 3
 SWEEP_AXES = {"K": "refresh_every", "M": "ref_count", "refsize": "ref_batch"}
 
 
+def _unwritable(path: Path, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write {str(path)!r}: {exc}")
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     """Write through a uniquely named temp file in the target directory and
     a rename, so writers to one path never share a temp file. ``open``
@@ -47,7 +51,18 @@ def atomic_write_text(path: Path, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {str(path)!r}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _out_root(args, experiment: ExperimentFile) -> Path:
+    """``--out``, else the config's output directory, made before the
+    first leg trains, so a root that cannot be made costs no training."""
+    root = Path(args.out or experiment.out_dir)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(root, exc) from exc
+    return root
 
 
 def _curves_svg(result, family) -> str:
@@ -108,9 +123,18 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("--values is empty")
-
-    out_root = Path(args.out or experiment.out_dir)
     key = SWEEP_AXES[args.axis]
+    entries = {}  # setting -> the first entry that gives it
+    for value in values:
+        try:
+            v = train_value(key, value)
+        except ValueError:
+            continue  # fails as its own leg
+        if v in entries:
+            raise ConfigurationError(
+                f"--values {entries[v]!r} and {value!r} give the same {key}")
+        entries[v] = value
+    out_root = _out_root(args, experiment)
 
     def leg(value):
         try:
@@ -148,7 +172,7 @@ def _raise_failures(out_root: Path, failures: list[dict], what: str):
 
 def cmd_compare(args) -> int:
     experiment, family = load_experiment(args.config, args.seed)
-    out_root = Path(args.out or experiment.out_dir)
+    out_root = _out_root(args, experiment)
 
     def leg(method):
         result = train(dataclasses.replace(experiment.train, method=method), family)

@@ -127,13 +127,20 @@ class TrainResult:
 def _mixed_direction(theta, g, ref_tasks, ref_batches, lam):
     """g + lam * mean reference gradient, formed in the first reference
     gradient's array. Adding 0.0 first rounds as the sum from zeros did,
-    turning -0.0 entries into +0.0."""
+    turning -0.0 entries into +0.0.
+
+    The mean skips its division when there is one facet, and the mix skips
+    its multiply when lam is 1.0: x / 1 and 1.0 * x are x bit for bit,
+    signed zeros and infinities included. So one facet at lam 1.0 makes
+    two passes over d-vectors (the + 0.0 and the + g), not four."""
     acc = ref_tasks[0].gradient(theta, ref_batches[0])
     np.add(acc, 0.0, out=acc)
     for ref_task, ref_batch in zip(ref_tasks[1:], ref_batches[1:]):
         acc += ref_task.gradient(theta, ref_batch)
-    np.divide(acc, len(ref_tasks), out=acc)
-    np.multiply(lam, acc, out=acc)
+    if len(ref_tasks) > 1:
+        np.divide(acc, len(ref_tasks), out=acc)
+    if lam != 1.0:
+        np.multiply(lam, acc, out=acc)
     return np.add(g, acc, out=acc)
 
 

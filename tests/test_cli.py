@@ -15,6 +15,7 @@ import pytest
 from orthoproj import cli, config
 from orthoproj.cli import main
 from orthoproj.config import DEFAULTS, render_config
+from orthoproj.optimizer import train
 from orthoproj.tasks import build_family
 
 
@@ -35,6 +36,14 @@ def quad_config(tmp_path):
         path.write_text(text)
         return path
     return write
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """The arguments of each ``cli.train`` call, which still trains."""
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args) or train(*args))
+    return calls
 
 
 class TestRun:
@@ -194,7 +203,8 @@ def test_unreadable_config_exits_2_naming_the_file(content, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["run"], ["compare"],
                                      ["sweep", "--axis", "M", "--values", "0,1"]])
-def test_unwritable_output_exits_2_naming_the_path(command, quad_config, tmp_path, capsys):
+def test_unwritable_output_exits_2_naming_the_path(command, quad_config, tmp_path, capsys,
+                                                   trained):
     # --out under a regular file: no output directory can be made there
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -203,6 +213,24 @@ def test_unwritable_output_exits_2_naming_the_path(command, quad_config, tmp_pat
     assert code == 2
     assert err.startswith(f"config error: cannot write '{blocker / 'out'}")
     assert "Traceback" not in err
+    if command != ["run"]:
+        assert trained == []  # compare and sweep make the root before any leg trains
+
+
+@pytest.mark.parametrize("values, first, second", [
+    ("1,1", "1", "1"), ("1,01", "1", "01"), ("0,bogus,1,01", "1", "01"),
+    ("inf,2,inf", "inf", "inf")])
+def test_sweep_rejects_values_giving_the_same_setting(values, first, second, quad_config,
+                                                      tmp_path, capsys, trained):
+    out = tmp_path / "sweep"
+    axis, key = ("K", "refresh_every") if "inf" in values else ("M", "ref_count")
+    code = main(["sweep", "--config", str(quad_config()), "--axis", axis, "--values", values,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: --values {first!r} and {second!r} give the same {key}\n")
+    assert trained == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stem, key, value, message", [

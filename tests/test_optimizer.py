@@ -143,7 +143,9 @@ class TestStepArithmetic:
         basis = estimate_subspace(theta, refs[:2], 1, np.random.default_rng(2), 1e-6, 0).basis
         g_proj = project_complement(g, basis)
         assert stepped("ortho", ref_count=2) == (theta - eta * g_proj).tobytes()
-        for lam, m in ((0.7, 3), (0.7, 2), (0.0, 3), (1.0, 0)):
+        # (1.0, 1) skips both the mean's division and the mix's multiply,
+        # (1.0, 3) only the multiply, (0.7, 1) only the division
+        for lam, m in ((0.7, 3), (0.7, 2), (0.0, 3), (1.0, 0), (1.0, 1), (1.0, 3), (0.7, 1)):
             if m:
                 acc = np.zeros_like(g)
                 for t in refs[:m]:
@@ -159,7 +161,8 @@ class TestStepArithmetic:
     def test_replay_sums_reference_gradients_from_zeros(self, m):
         # 0.0 + -0.0 is +0.0, so the sum from zeros has +0.0 wherever every
         # reference gradient has -0.0; where theta and the safety gradient
-        # hold -0.0 as well, that sign reaches theta'
+        # hold -0.0 as well, that sign reaches theta'. At lam 1.0 the mix
+        # skips its multiply, and at m = 1 the mean its division.
         class Fixed:
             def __init__(self, g):
                 self.g = np.array(g)
@@ -170,17 +173,18 @@ class TestStepArithmetic:
         theta = np.array([-0.0, -0.0, 1.0, -0.0])
         safety = Fixed([-0.0, -0.0, 2.0, 0.5])
         refs = [Fixed([-0.0, 0.0, -0.0, 3.0]), Fixed([-0.0, -0.0, 0.0, -1.0])][:m]
-        direction = optimizer._mixed_direction(theta, safety.gradient(theta, None), refs,
-                                               [None] * m, 0.7)
-        acc = np.zeros_like(theta)
-        for t in refs:
-            acc += t.gradient(theta, None)
-        mixed = safety.gradient(theta, None) + 0.7 * (acc / m)
-        assert direction.tobytes() == mixed.tobytes()
-        got = theta - 0.5 * direction
-        want = theta - 0.5 * mixed
-        assert got.tobytes() == want.tobytes()
-        assert [math.copysign(1.0, x) for x in got[:2]] == [-1.0, -1.0]
+        for lam in (0.7, 1.0):
+            direction = optimizer._mixed_direction(theta, safety.gradient(theta, None), refs,
+                                                   [None] * m, lam)
+            acc = np.zeros_like(theta)
+            for t in refs:
+                acc += t.gradient(theta, None)
+            mixed = safety.gradient(theta, None) + lam * (acc / m)
+            assert direction.tobytes() == mixed.tobytes()
+            got = theta - 0.5 * direction
+            want = theta - 0.5 * mixed
+            assert got.tobytes() == want.tobytes()
+            assert [math.copysign(1.0, x) for x in got[:2]] == [-1.0, -1.0]
 
 
 class TestTrain:

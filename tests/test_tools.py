@@ -68,3 +68,13 @@ def test_a_job_fingerprints_families_at_non_shipped_sizes():
     lines = proc.stdout.splitlines()
     assert len(lines) == 4 and len(set(lines)) == 4
     assert all(len(line) == 64 and set(line) <= set("0123456789abcdef") for line in lines)
+
+
+def test_a_job_runs_replay_over_two_facets_at_a_weight_other_than_1():
+    configs = {name: config for name, config, _, _ in same_outputs.jobs(Path("."))}
+    name, edits = configs["run regression replay 0.5"]
+    text = same_outputs.edited((_PATH.parents[1] / "configs" / name).read_text(), edits)
+    train = text.split("[train]\n", 1)[1]
+    assert "\nmethod = replay\n" in train and "replay_lambda = 0.5\n" in train
+    assert "\nref_count = 2\n" in train and "ortho" not in text
+    assert same_outputs.edited(text, {}) == text

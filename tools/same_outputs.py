@@ -8,6 +8,9 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 - ``run`` and ``compare`` on the three shipped configs;
 - ``run --seed 3`` on ``policy.cfg``, which sets no ``[family] seed``, so
   the seed moves the family too;
+- ``run`` on ``regression.cfg`` with ``method = replay`` and
+  ``replay_lambda = 0.5``: a replay direction over two facets at a weight
+  other than 1, which no shipped config reaches;
 - ``sweep --axis K --values 2,5,10,inf`` on ``policy.cfg``;
 - ``sweep --axis refsize --values 50,200,400`` on ``regression.cfg``,
   whose reference batches are below, equal to and above its 200
@@ -23,15 +26,15 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 
 Every file a job writes, its stdout and its exit code are compared byte for
 byte. Each difference is printed; the exit status is 1 if there is any,
-else 0. A config is copied into the job's directory first, so a path in a
-message is the same for both trees.
+else 0. A config is copied into the job's directory first, with the job's
+``[train]`` edits applied, so a path in a message is the same for both
+trees.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,21 +57,25 @@ for family in (regression_family(40, 32, math.pi / 3, 1.0, 37, 50, seed=3),
 
 
 def jobs(tree: Path):
-    """(name, config file or None, argv, masked) of every job, in order."""
+    """(name, (config file, [train] edits) or None, argv, masked) of every
+    job, in order."""
     cli = [sys.executable, "-c", CLI]
     for command in ("run", "compare"):
         for cfg in CONFIGS:
-            yield (f"{command} {cfg}", f"{cfg}.cfg",
+            yield (f"{command} {cfg}", (f"{cfg}.cfg", {}),
                    cli + [command, "--config", f"{cfg}.cfg", "--out", "out"], False)
-    yield ("run policy --seed 3", "policy.cfg",
+    yield ("run policy --seed 3", ("policy.cfg", {}),
            cli + ["run", "--config", "policy.cfg", "--seed", "3", "--out", "out"], False)
-    yield ("sweep policy K", "policy.cfg",
+    yield ("run regression replay 0.5",
+           ("regression.cfg", {"method": "replay", "replay_lambda": "0.5"}),
+           cli + ["run", "--config", "regression.cfg", "--out", "out"], False)
+    yield ("sweep policy K", ("policy.cfg", {}),
            cli + ["sweep", "--config", "policy.cfg", "--axis", "K", "--values", "2,5,10,inf",
                   "--out", "out"], False)
-    yield ("sweep regression refsize", "regression.cfg",
+    yield ("sweep regression refsize", ("regression.cfg", {}),
            cli + ["sweep", "--config", "regression.cfg", "--axis", "refsize",
                   "--values", "50,200,400", "--out", "out"], False)
-    yield ("sweep quadratic M", "quadratic.cfg",
+    yield ("sweep quadratic M", ("quadratic.cfg", {}),
            cli + ["sweep", "--config", "quadratic.cfg", "--axis", "M", "--values", "0,1",
                   "--out", "out"], False)
     for flags in (["--seed", "0"], ["--seed", "1"], ["--seed", "5"],
@@ -79,19 +86,31 @@ def jobs(tree: Path):
         yield f"demo {demo.stem}", None, [sys.executable, str(demo)], False
 
 
+def edited(text: str, edits: dict[str, str]) -> str:
+    """A config's text with each ``[train]`` key in ``edits`` set: a key the
+    file sets has its line replaced, any other is added below ``[train]``."""
+    head, train = text.split("[train]\n", 1)
+    for key, value in edits.items():
+        train, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", train, flags=re.MULTILINE)
+        if not found:
+            train = f"{key} = {value}\n{train}"
+    return f"{head}[train]\n{train}"
+
+
 def snapshot(tree: Path, threads: str, config, argv, masked: bool) -> dict[str, bytes]:
     """Exit code, stdout and every file the job wrote, keyed by name."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    name, edits = config or (None, {})
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         cwd = Path(tmp)
-        if config:
-            shutil.copyfile(tree / "configs" / config, cwd / config)
+        if name:
+            (cwd / name).write_text(edited((tree / "configs" / name).read_text(), edits))
         proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
         stdout = TIMING.sub(b"#s", proc.stdout) if masked else proc.stdout
         out = {"exit code": str(proc.returncode).encode(), "stdout": stdout}
         for path in sorted(cwd.rglob("*")):
-            if path.is_file() and path.name != config:
+            if path.is_file() and path.name != name:
                 out[f"file {path.relative_to(cwd)}"] = path.read_bytes()
         return out
 
