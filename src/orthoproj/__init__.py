@@ -11,7 +11,7 @@ from .errors import (ConfigurationError, DimensionError, NumericError,
 from .linalg import (OrthonormalBasis, angle_between, dot, gram_schmidt, norm,
                      project_complement)
 from .metrics import (ComparisonTable, RunRecord, TaxReport, alignment_tax,
-                      records_to_csv, summarize)
+                      records_to_csv)
 from .models import Batch, LossKind, ModelSpec, gradient, loss
 from .optimizer import NO_REFRESH, Stage, TrainConfig, TrainResult, train
 from .oracle import fd_gradient, steepest_check, taylor_scaling

@@ -86,7 +86,7 @@ def _run_on(experiment: ExperimentFile, family, out_dir: Path):
 
 def cmd_run(args) -> int:
     experiment, family = load_experiment(args.config, args.seed)
-    _, report = _run_on(experiment, family, Path(args.out or experiment.out_dir))
+    _, report = _run_on(experiment, family, _out_root(args, experiment))
     print(f"safety_gain={report.safety_gain!r} total_tax={report.total_tax!r}")
     return EXIT_OK
 

@@ -218,9 +218,9 @@ def _parse(text: str, name: str, seed: int | None):
     for key, raw in seen["family"].items():
         if key not in schema:
             raise ConfigParseError(f"unknown key {key!r} for family {kind}", *pos("family", key))
-        params[key] = _convert(schema[key][0], raw, *pos("family", key))
-    for key, (_, required) in schema.items():
-        if required and key not in params:
+        params[key] = _convert(schema[key], raw, *pos("family", key))
+    for key in schema:
+        if key not in params:
             raise ConfigParseError(f"family {kind} requires key {key!r}", 1)
 
     # [train]

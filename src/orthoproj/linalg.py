@@ -279,15 +279,11 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def gram(self) -> np.ndarray:
-        """Explicit Gram matrix U U^T, used by orthonormality checks."""
-        return self.vectors @ self.vectors.T
-
     def orthonormality_defect(self) -> float:
         """max |U U^T - I|, zero rank gives 0."""
         if self.rank == 0:
             return 0.0
-        return float(np.abs(self.gram() - np.eye(self.rank)).max())
+        return float(np.abs(self.vectors @ self.vectors.T - np.eye(self.rank)).max())
 
 
 def gram_schmidt(candidates, delta: float) -> OrthonormalBasis:

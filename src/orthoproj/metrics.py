@@ -18,7 +18,6 @@ __all__ = [
     "TaxReport",
     "ComparisonTable",
     "alignment_tax",
-    "summarize",
     "summary_table",
     "records_header",
     "records_to_csv",
@@ -150,18 +149,3 @@ def summary_table(key: str, labelled) -> ComparisonTable:
         rows.append((label, report.safety_gain, *report.tax,
                      report.total_tax, mean_removed, mean_rank))
     return ComparisonTable(columns, tuple(rows))
-
-
-def summarize(results, family) -> ComparisonTable:
-    """One :func:`summary_table` row per result, keyed by method.
-
-    Rows are sorted by method name so the table is independent of input
-    order. All results must come from the same family (same probes).
-    """
-    if not results:
-        raise ConfigurationError("summarize needs at least one result")
-    for r in results:
-        if r.family_fingerprint != family.fingerprint:
-            raise ConfigurationError("summarize: results from mismatched families")
-    return summary_table("method", [(r.config.method, r, alignment_tax(r, family))
-                                    for r in sorted(results, key=lambda r: r.config.method)])

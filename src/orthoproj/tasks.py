@@ -41,6 +41,10 @@ PROBE_ROWS = 512  # held-out probe size for data-driven tasks
 REGRESSION_PRETRAIN = (300, 0.05)
 POLICY_PRETRAIN = (1000, 1.0)
 
+# the quadratic pair's residuals at theta0 (capability, safety); nonzero so
+# both gradients are nonzero, and recorded in family params like the budgets
+QUADRATIC_RESIDUALS = (0.3, 2.5)
+
 # amplitude of the safety teacher's own-block component relative to the
 # capability teachers; bounds how far fitting the safety-specific skill has
 # to move the shared layers
@@ -192,8 +196,7 @@ def _snap(x: float) -> float:
 # point at that key's line
 # ---------------------------------------------------------------------------
 
-def quadratic_family(d: int, alpha: float, seed: int,
-                     cap_residual: float = 0.3, safety_residual: float = 2.5) -> TaskFamily:
+def quadratic_family(d: int, alpha: float, seed: int) -> TaskFamily:
     """Two quadratic objectives whose gradients at theta0 meet at angle alpha.
 
     Directions u1 (even index support) and f (odd support) are exactly
@@ -213,9 +216,6 @@ def quadratic_family(d: int, alpha: float, seed: int,
         raise ConfigurationError(f"d must be >= 2 for a quadratic pair, got {d}")
     if not 0.0 <= alpha <= math.pi / 2 + 1e-12:
         raise ConfigurationError(f"alpha must lie in [0, pi/2], got {alpha}")
-    for key, residual in (("cap_residual", cap_residual), ("safety_residual", safety_residual)):
-        if residual == 0.0:
-            raise ConfigurationError(f"{key} must be nonzero so both gradients are nonzero")
 
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal(d)
@@ -235,6 +235,7 @@ def quadratic_family(d: int, alpha: float, seed: int,
     np.multiply(c, f, out=f)  # w = s u1 - c f
     np.subtract(np.multiply(s, u1, out=w), f, out=w)
 
+    cap_residual, safety_residual = QUADRATIC_RESIDUALS
     b_cap = a_cap @ theta0 - np.array([cap_residual, 0.0])
     a_safe = u2[None, :]
     b_safe = a_safe @ theta0 - np.array([safety_residual])
@@ -473,13 +474,12 @@ FAMILIES = {
 }
 
 
-def family_schema(kind: str) -> dict[str, tuple[type, bool]]:
-    """Config keys of a family kind: name -> (type, required), read off the
-    constructor's signature (every parameter but ``seed``)."""
+def family_schema(kind: str) -> dict[str, type]:
+    """Config keys of a family kind, each required: name -> type, read off
+    the constructor's signature (every parameter but ``seed``)."""
     constructor = FAMILIES[kind]
     types = typing.get_type_hints(constructor)
-    return {name: (types[name], p.default is inspect.Parameter.empty)
-            for name, p in inspect.signature(constructor).parameters.items()
+    return {name: types[name] for name in inspect.signature(constructor).parameters
             if name != "seed"}
 
 
@@ -491,4 +491,4 @@ def build_family(kind: str, seed: int, **params) -> TaskFamily:
     unknown = sorted(params.keys() - schema.keys())
     if unknown:
         raise ConfigurationError(f"unknown keys {unknown} for family {kind}")
-    return FAMILIES[kind](seed=seed, **{k: schema[k][0](v) for k, v in params.items()})
+    return FAMILIES[kind](seed=seed, **{k: schema[k](v) for k, v in params.items()})

@@ -93,6 +93,8 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "step" in capsys.readouterr().err
+        # the directory is made before training, so a failed run leaves it empty
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_seed_override_changes_outputs(self, quad_config, tmp_path):
         # no [family] seed: the family follows the train seed, so --seed moves both
@@ -213,8 +215,7 @@ def test_unwritable_output_exits_2_naming_the_path(command, quad_config, tmp_pat
     assert code == 2
     assert err.startswith(f"config error: cannot write '{blocker / 'out'}")
     assert "Traceback" not in err
-    if command != ["run"]:
-        assert trained == []  # compare and sweep make the root before any leg trains
+    assert trained == []  # every command makes its root before anything trains
 
 
 @pytest.mark.parametrize("values, first, second", [
@@ -229,6 +230,16 @@ def test_sweep_rejects_values_giving_the_same_setting(values, first, second, qua
     assert code == 2
     assert capsys.readouterr().err == (
         f"config error: --values {first!r} and {second!r} give the same {key}\n")
+    assert trained == []
+    assert not out.exists()
+
+
+def test_sweep_rejects_empty_values(quad_config, tmp_path, capsys, trained):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(quad_config()), "--axis", "M", "--values", " , ",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: --values is empty\n"
     assert trained == []
     assert not out.exists()
 

@@ -101,6 +101,9 @@ class TestRejection:
     def test_unknown_key_with_position(self):
         bad = MINIMAL.replace("d = 12", "d = 12\nwobble = 3")
         self._expect(bad, "wobble", line=8)
+        # the quadratic pair's residuals are fixed, not keys
+        bad = MINIMAL.replace("d = 12", "d = 12\ncap_residual = 0.3")
+        self._expect(bad, "unknown key 'cap_residual' for family quadratic_pair", line=8)
         # every config_resolved.cfg written while gram_schmidt took an
         # epsilon carries this line
         bad = MINIMAL.replace("[train]\n", "[train]\nepsilon = 0.0\n")

@@ -157,6 +157,7 @@ class TestGramSchmidt:
 
     def test_empty_candidates(self):
         assert gram_schmidt([], delta=1e-6).rank == 0
+        assert OrthonormalBasis.empty(3).orthonormality_defect() == 0.0
 
     def test_span_preservation(self):
         rng = np.random.default_rng(11)
@@ -195,6 +196,8 @@ class TestGramSchmidt:
         assert scans == []
         with pytest.raises(NumericError, match="basis contains non-finite"):
             OrthonormalBasis(np.array([[np.inf, 0.0]]))
+        with pytest.raises(DimensionError, match="basis must be 2-D"):
+            OrthonormalBasis(np.zeros(3))  # the shape is checked before the scan
         assert scans == [(1, 2)]
 
     @pytest.mark.parametrize("d", [3, 40, 16387, 2 * BLOCK + 3,
@@ -643,3 +646,5 @@ def test_angle_between_exact_cases():
     assert angle_between([1.0, 0.0], [3.0, 0.0]) == 0.0
     with pytest.raises(NumericError):
         angle_between([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(DimensionError, match="length mismatch: 2 vs 3"):
+        angle_between([1.0, 0.0], [1.0, 0.0, 0.0])

@@ -5,7 +5,7 @@ import pytest
 
 from orthoproj.errors import ConfigurationError
 from orthoproj.metrics import (RunRecord, alignment_tax, records_header,
-                               records_to_csv, summarize, tax_report_to_csv)
+                               records_to_csv, summary_table, tax_report_to_csv)
 from orthoproj.optimizer import Stage, TrainConfig, TrainResult, train
 
 QUAD_BASE = dict(eta=0.05, steps=100, refresh_every=5, ref_count=1,
@@ -58,31 +58,22 @@ class TestAlignmentTax:
             alignment_tax(result, fam_b)
 
 
-class TestSummarize:
+class TestSummaryTable:
     def test_single_result_echoes_report(self, quadratic_family):
         fam = quadratic_family(math.pi / 4)
         result = train(TrainConfig(method="ortho", **QUAD_BASE), fam)
-        table = summarize([result], fam)
         report = alignment_tax(result, fam)
+        table = summary_table("method", [("ortho", result, report)])
         assert table.columns == ("method", "safety_gain", "tax_capability",
                                  "total_tax", "mean_removed_fraction", "mean_rank")
         assert table.rows[0][0] == "ortho"
         assert table.rows[0][1] == report.safety_gain
         assert table.rows[0][2] == report.tax[0]
 
-    def test_permutation_invariance(self, quadratic_family):
-        fam = quadratic_family(math.pi / 4)
-        results = [train(TrainConfig(method=m, **QUAD_BASE), fam)
-                   for m in ("ortho", "naive", "replay")]
-        forward = summarize(results, fam)
-        backward = summarize(results[::-1], fam)
-        assert forward == backward
-        assert [row[0] for row in forward.rows] == ["naive", "ortho", "replay"]
-
     def test_collinear_stall_row_is_all_zero(self, quadratic_family):
         fam = quadratic_family(0.0)
         result = train(TrainConfig(method="ortho", **QUAD_BASE), fam)
-        table = summarize([result], fam)
+        table = summary_table("method", [("ortho", result, alignment_tax(result, fam))])
         row = table.rows[0]
         assert abs(row[1]) <= 1e-9   # safety gain
         assert abs(row[2]) <= 1e-9   # tax
@@ -90,17 +81,6 @@ class TestSummarize:
         naive_report = alignment_tax(naive, fam)
         assert naive_report.safety_gain > 0.1
         assert naive_report.total_tax > 0.1
-
-    def test_mismatched_family(self, quadratic_family):
-        fam_a = quadratic_family(math.pi / 4)
-        fam_b = quadratic_family(math.pi / 6)
-        result = train(TrainConfig(method="naive", **QUAD_BASE), fam_a)
-        with pytest.raises(ConfigurationError):
-            summarize([result], fam_b)
-
-    def test_empty_results(self, quadratic_family):
-        with pytest.raises(ConfigurationError):
-            summarize([], quadratic_family(math.pi / 4))
 
 
 class TestRecordsCsv:
@@ -115,6 +95,10 @@ class TestRecordsCsv:
         assert len(text.splitlines()) == 101
         again = records_to_csv(train(TrainConfig(method="ortho", **QUAD_BASE), fam).records)
         assert text == again
+
+    def test_no_records_raise(self):
+        with pytest.raises(ConfigurationError, match="no records to render"):
+            records_to_csv(())
 
     def test_removed_fraction_identity(self, regression_family):
         fam = regression_family()

@@ -22,7 +22,7 @@ from orthoproj.subspace import estimate_subspace
 from orthoproj.tasks import policy_family, quadratic_family, regression_family
 
 
-def _out_of_place_quadratic(d, alpha, seed, cap_residual=0.3, safety_residual=2.5):
+def _out_of_place_quadratic(d, alpha, seed):
     """quadratic_family's arrays as formed before it built them in place:
     (theta0, A_cap, b_cap, A_safe, b_safe)."""
     rng = np.random.default_rng(seed)
@@ -38,13 +38,14 @@ def _out_of_place_quadratic(d, alpha, seed, cap_residual=0.3, safety_residual=2.
     w = s * u1 - c * f
     a_cap = np.vstack([u1, w])
     a_safe = u2[None, :]
+    cap_residual, safety_residual = tasks.QUADRATIC_RESIDUALS
     return (theta0, a_cap, a_cap @ theta0 - np.array([cap_residual, 0.0]),
             a_safe, a_safe @ theta0 - np.array([safety_residual]))
 
 
-def make_pair(d, alpha, seed, **residuals):
+def make_pair(d, alpha, seed):
     """(capability task, safety task, theta0) of a quadratic family."""
-    fam = quadratic_family(d, alpha, seed, **residuals)
+    fam = quadratic_family(d, alpha, seed)
     return fam.tasks["capability"], fam.tasks["safety"], fam.theta0
 
 
@@ -121,8 +122,6 @@ class TestQuadraticPair:
             make_pair(1, 0.5, seed=0)
         with pytest.raises(ConfigurationError):
             make_pair(4, -0.1, seed=0)
-        with pytest.raises(ConfigurationError):
-            make_pair(4, 0.5, seed=0, cap_residual=0.0)
 
 
 class TestRegressionFamily:
@@ -662,6 +661,4 @@ class TestBuildFamily:
             tasks.build_family("quadratic_pair", 0, d=12, alpha=0.5, wobble=1)
 
     def test_schema_is_the_constructor_signature(self):
-        assert tasks.family_schema("quadratic_pair") == {
-            "d": (int, True), "alpha": (float, True),
-            "cap_residual": (float, False), "safety_residual": (float, False)}
+        assert tasks.family_schema("quadratic_pair") == {"d": int, "alpha": float}

@@ -66,7 +66,7 @@ def test_a_job_fingerprints_families_at_non_shipped_sizes():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4 and len(set(lines)) == 4
+    assert len(lines) == 6 and len(set(lines)) == 6
     assert all(len(line) == 64 and set(line) <= set("0123456789abcdef") for line in lines)
 
 

@@ -4,6 +4,7 @@ probes; their margins and details must be those of fully probed runs."""
 import dataclasses
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from orthoproj import cli, verify
+from orthoproj.metrics import TaxReport
 from orthoproj.optimizer import TrainConfig, train
 from orthoproj.tasks import TaskFamily
 
@@ -48,6 +50,36 @@ def test_tax_mitigation_names_taxes_that_depart_from_the_record(monkeypatch):
     assert not result.passed
     assert result.details.count("departs from recorded") == 4
     assert result.details.endswith(" (+32 more)")
+
+
+def test_tax_mitigation_names_ratios_that_depart_from_the_record(monkeypatch):
+    # every recorded gain ratio and DPO drop ratio 10% high: the six gain
+    # ratios and three drop ratios each depart by 9.1%, past the 5% tolerance
+    scaled = {kind: {seed: {key: 1.1 * v if key.endswith("_ratio") else v
+                            for key, v in golden.items()}
+                     for seed, golden in seeds.items()}
+              for kind, seeds in verify.GOLDEN_MARGINS.items()}
+    monkeypatch.setattr(verify, "GOLDEN_MARGINS", scaled)
+    result = verify.check_tax_mitigation()
+    assert not result.passed
+    assert len(re.findall(r"_ratio \S+ departs [\d.]+% from recorded", result.details)) == 4
+    assert result.details.endswith(" (+5 more)")
+
+
+def test_ablation_trends_names_every_failed_ordering(monkeypatch):
+    # a leg's tax is ref_count * ref_batch: every K leg ties, M = 2 costs
+    # twice M = 1, and the reference sizes spread 4x, so all three fail
+    def total_tax(config):
+        tax = float(config.ref_count * config.ref_batch)
+        return TaxReport((), (), (), (tax,), 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(verify, "train", lambda config, family: config)
+    monkeypatch.setattr(verify, "alignment_tax", lambda config, family: total_tax(config))
+    result = verify.check_ablation_trends()
+    assert not result.passed
+    problems = result.details.split(" | ")
+    assert [p.split(" tax ")[0] for p in problems] == ["K=inf", "M=2", "refsize"]
+    assert problems[2] == "refsize tax spread 4.00x >= 2.0x"
 
 
 def test_legs_call_train_with_config_and_family_only(monkeypatch):

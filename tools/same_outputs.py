@@ -18,10 +18,11 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 - ``sweep --axis M --values 0,1`` on ``quadratic.cfg``;
 - ``verify --seed 0``, ``--seed 1``, ``--seed 5`` and
   ``--inject-skip-projection``, with the timings masked;
-- the fingerprints of four families at sizes no shipped config builds,
-  two of them pre-trained on 37-row facets with 40 features and 32
-  hidden units or tokens, where one product over both facets' stacked
-  rows would round differently from a product per facet;
+- the fingerprints of six families at sizes no shipped config builds:
+  two pre-trained on 37-row facets with 40 features and 32 hidden units
+  or tokens, where one product over both facets' stacked rows would round
+  differently from a product per facet, and two quadratic pairs, at the
+  smallest d and at d = 1000;
 - the six demos.
 
 Every file a job writes, its stdout and its exit code are compared byte for
@@ -47,11 +48,13 @@ CLI = "import sys; from orthoproj.cli import main; sys.exit(main(sys.argv[1:]))"
 TIMING = re.compile(rb"\b\d+\.\d+s\b")
 FINGERPRINTS = """
 import math
-from orthoproj.tasks import policy_family, regression_family
+from orthoproj.tasks import policy_family, quadratic_family, regression_family
 for family in (regression_family(40, 32, math.pi / 3, 1.0, 37, 50, seed=3),
                policy_family(40, 32, 37, 50, seed=4),
                regression_family(8, 1, 0.5, 0.0, 1, 5, seed=1),
-               policy_family(4, 4, 1, 3, seed=2)):
+               policy_family(4, 4, 1, 3, seed=2),
+               quadratic_family(2, 0.0, 3),
+               quadratic_family(1000, 0.3, 9)):
     print(family.fingerprint)
 """
 
