@@ -152,9 +152,16 @@ class Batch:
 
 
 def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
+    """theta as a float64 vector, after the checks that need the model.
+
+    mlp2 and softmax_policy scan theta for finiteness last, since a
+    saturated tanh or a softmax can hide a non-finite entry; the quadratic
+    kind reads it off its residual instead (:func:`_residual`)."""
     if kind.tag not in SUPPORTED_PAIRS[spec.kind]:
         raise ConfigurationError(f"loss {kind.tag!r} is not defined for model {spec.kind!r}")
-    th = as_vector(theta, "theta")
+    th = np.asarray(theta, dtype=np.float64)
+    if th.ndim != 1:
+        raise DimensionError(f"theta must be 1-D, got shape {th.shape}")
     if th.size != spec.param_dim:
         raise DimensionError(f"theta has length {th.size}, model needs {spec.param_dim}")
     if kind.tag == "dpo_pairwise":
@@ -162,6 +169,8 @@ def _check(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray:
             raise ConfigurationError("dpo_pairwise batches need ref_params")
     elif batch.ref_params is not None:
         raise ConfigurationError("ref_params is only meaningful for dpo_pairwise")
+    if spec.kind != "quadratic" and not all_finite(th):
+        raise NumericError("theta contains non-finite entries")
     return th
 
 
@@ -275,6 +284,27 @@ def _values(batch: Batch, shape: tuple[int, ...]) -> np.ndarray:
     return t.reshape(shape)
 
 
+def _residual(x: np.ndarray, th: np.ndarray, batch: Batch) -> np.ndarray:
+    """``x @ th - b`` of the quadratic system, in a fresh array; a
+    non-finite theta raises the ``NumericError`` an upfront check would.
+
+    theta is not scanned first: every entry of it enters every row of
+    ``x @ th`` through a product, and inf * 0 and nan * x are nan, so a
+    finite product proves theta finite. theta is scanned only when the
+    product is not finite, or when it raises under a strict numpy error
+    state (as inf * 0 can).
+    """
+    try:
+        r = x @ th
+    except (FloatingPointError, RuntimeWarning):
+        as_vector(th, "theta")
+        raise
+    if not np.isfinite(r).all():
+        as_vector(th, "theta")
+    r -= _values(batch, r.shape)
+    return r
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))``
     elsewhere, so no exp overflows; both take ``exp(-|x|)``."""
@@ -366,8 +396,7 @@ def loss(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> float:
     x = batch.inputs
 
     if spec.kind == "quadratic":
-        r = x @ th
-        r -= _values(batch, r.shape)
+        r = _residual(x, th, batch)
         r *= r
         return _finite(0.5 * float(np.add.reduce(r, axis=None)), "quadratic loss")
 
@@ -396,8 +425,7 @@ def gradient(spec: ModelSpec, kind: LossKind, theta, batch: Batch) -> np.ndarray
     x = batch.inputs
 
     if spec.kind == "quadratic":
-        r = x @ th
-        r -= _values(batch, r.shape)
+        r = _residual(x, th, batch)
         # both forms give the bytes of x.T @ r; matmul is slow for one row
         # and np.dot for more
         g = np.dot(r, x) if x.shape[0] == 1 else x.T @ r

@@ -171,8 +171,11 @@ def train(config: TrainConfig, family) -> TrainResult:
     ``theta_final`` and ``subspace_history`` are the bytes of a probed run.
     A non-finite step is then reported by the next step's gradient.
 
-    Memory: between steps the loop holds theta and the active basis (and a
-    preference stage's reference policy); no gradient outlives its step.
+    Memory: a leg starts from the family's read-only ``theta0`` itself,
+    not a copy; no step writes theta in place, since each update is formed
+    in the direction's own array. Between steps the loop holds theta and
+    the active basis (and a preference stage's reference policy); no
+    gradient outlives its step.
     Within a step it holds at most two parameter-sized arrays for naive
     (theta and the gradient, which becomes the new theta) plus the norm's
     block buffer, three for replay with one reference facet and four with
@@ -208,7 +211,7 @@ def train(config: TrainConfig, family) -> TrainResult:
     rng_safety = np.random.default_rng(child_safety)
     rng_ref = np.random.default_rng(child_ref)
 
-    theta = family.theta0.copy()
+    theta = family.theta0
     subspace: CapabilitySubspace | None = None
     history: list[tuple[int, int]] = []
     records: list[RunRecord] = []

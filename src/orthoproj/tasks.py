@@ -484,11 +484,23 @@ def family_schema(kind: str) -> dict[str, type]:
 
 
 def build_family(kind: str, seed: int, **params) -> TaskFamily:
-    """Construct a family from config-file parameters."""
+    """Construct a family from config-file parameters. An unknown kind, an
+    unknown or missing key, or a value that does not convert to its key's
+    type raises :class:`ConfigurationError` naming it."""
     if kind not in FAMILIES:
         raise ConfigurationError(f"unknown family kind {kind!r}")
     schema = family_schema(kind)
     unknown = sorted(params.keys() - schema.keys())
     if unknown:
         raise ConfigurationError(f"unknown keys {unknown} for family {kind}")
-    return FAMILIES[kind](seed=seed, **{k: schema[k](v) for k, v in params.items()})
+    missing = [k for k in schema if k not in params]
+    if missing:
+        raise ConfigurationError(f"family {kind} requires keys {missing}")
+    converted = {}
+    for key, value in params.items():
+        try:
+            converted[key] = schema[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"{key} = {value!r} does not convert to "
+                                     f"{schema[key].__name__}") from None
+    return FAMILIES[kind](seed=seed, **converted)

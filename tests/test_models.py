@@ -1,7 +1,9 @@
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoproj import models
+from orthoproj import models, tasks
 from orthoproj.config import DEFAULTS
 from orthoproj.errors import ConfigurationError, DimensionError, NumericError
+from orthoproj.linalg import BLOCK
 from orthoproj.models import (SUPPORTED_PAIRS, Batch, LossKind, ModelSpec, _row_max,
                               _sigmoid, gradient, loss)
 from orthoproj.verify import _fd_cases
 
 SE = LossKind("squared_error")
+
+
+@contextlib.contextmanager
+def numpy_error_state(name):
+    """numpy's default error state with its warnings ignored, every floating
+    point error raised, or the default state with warnings as errors."""
+    with warnings.catch_warnings():
+        if name == "raise":
+            with np.errstate(all="raise"):
+                yield
+            return
+        warnings.simplefilter("error" if name == "warnings as errors" else "ignore")
+        with np.errstate(divide="warn", over="warn", invalid="warn", under="ignore"):
+            yield
 
 
 def identity_quadratic(d=2):
@@ -442,6 +459,41 @@ class TestValidation:
         for fn in (loss, gradient):
             with pytest.raises(NumericError, match="theta"):
                 fn(spec, SE, theta, batch)
+
+    # quadratic_family(d, pi/2, seed) has capability rows that are zero at
+    # every odd index and a safety row that is zero at every even one, so a
+    # non-finite entry there meets only zeros in x @ theta
+    @pytest.mark.parametrize("state", ["default", "raise", "warnings as errors"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("d", [12, BLOCK + 3])
+    def test_non_finite_theta_where_every_row_is_zero(self, d, bad, state):
+        fam = tasks.quadratic_family(d, math.pi / 2, seed=0)
+        for name, parity in (("capability", 1), ("safety", 0)):
+            task = fam.tasks[name]
+            index = max(i for i in (d - 2, d - 1) if i % 2 == parity)
+            assert not task.train.inputs[:, index].any()
+            theta = fam.theta0.copy()
+            theta[index] = bad
+            for fn in (loss, gradient):
+                with numpy_error_state(state), \
+                        pytest.raises(NumericError, match="theta contains non-finite entries"):
+                    fn(task.spec, task.kind, theta, task.train)
+
+    @pytest.mark.parametrize("fn, what", [(loss, "loss"), (gradient, "gradient")])
+    def test_finite_theta_whose_residual_overflows(self, fn, what):
+        spec = ModelSpec("quadratic", (2,))
+        batch = Batch(np.full((1, 2), 1e200), np.zeros(1))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match=f"^non-finite quadratic {what}$"):
+            fn(spec, SE, np.full(2, 1e200), batch)
+
+    def test_shape_and_ref_params_faults_come_before_a_non_finite_theta(self):
+        spec, batch = identity_quadratic()
+        with pytest.raises(DimensionError, match="theta has length 3"):
+            loss(spec, SE, [np.nan, 1.0, 2.0], batch)
+        pairs = Batch(np.ones((1, 2)), np.zeros((1, 2), dtype=int), ref_params=np.zeros(2))
+        with pytest.raises(ConfigurationError, match="ref_params is only meaningful"):
+            loss(spec, SE, [np.nan, 1.0], pairs)
 
     @pytest.mark.parametrize("label", [10, -1])
     def test_label_outside_the_vocabulary_raises(self, label):

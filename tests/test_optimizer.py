@@ -277,18 +277,22 @@ class TestMemory:
 
     D = 100_000
 
-    # the case ids stay method-k; m is the number of reference facets
-    @pytest.mark.parametrize("method, m, k, b", [("naive", 1, 2, 1), ("replay", 1, 3, 0),
-                                                 ("replay", 2, 4, 0), ("ortho", 1, 1 + 3, 0),
-                                                 ("ortho", 2, 2 + 4, 0)],
-                             ids=["naive-2", "replay-3", "replay-4", "ortho-4", "ortho-6"])
-    def test_peak_above_entry(self, method, m, k, b):
+    # the case ids stay method-k; m is the number of reference facets. One
+    # naive step holds only the gradient, which becomes theta: a leg starts
+    # from the read-only theta0, not from a copy of it.
+    @pytest.mark.parametrize("method, m, k, b, steps",
+                             [("naive", 1, 2, 1, 3), ("naive", 1, 1, 1, 1), ("replay", 1, 3, 0, 3),
+                              ("replay", 2, 4, 0, 3), ("ortho", 1, 1 + 3, 0, 3),
+                              ("ortho", 2, 2 + 4, 0, 3)],
+                             ids=["naive-2", "naive-1-one-step", "replay-3", "replay-4", "ortho-4",
+                                  "ortho-6"])
+    def test_peak_above_entry(self, method, m, k, b, steps):
         if m == 1:
             fam = tasks.quadratic_family(self.D, math.pi / 4, seed=0)
         else:
             fam = _random_quadratic_family(self.D, m, seed=0)
-        cfg = TrainConfig(method=method, eta=0.05, steps=3, refresh_every=1, ref_count=m,
-                          stages=(Stage("safety", "squared_error", 3),))
+        cfg = TrainConfig(method=method, eta=0.05, steps=steps, refresh_every=1, ref_count=m,
+                          stages=(Stage("safety", "squared_error", steps),))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -297,7 +301,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         if method == "ortho":
-            assert [rank for _, rank in result.subspace_history] == [m, m, m]
+            assert [rank for _, rank in result.subspace_history] == [m] * steps
         assert peak - start <= k * 8 * self.D + b * 8 * BLOCK + 256 * 1024
 
 

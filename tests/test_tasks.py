@@ -659,6 +659,14 @@ class TestBuildFamily:
             tasks.build_family("transformer", 0)
         with pytest.raises(ConfigurationError, match="wobble"):
             tasks.build_family("quadratic_pair", 0, d=12, alpha=0.5, wobble=1)
+        with pytest.raises(ConfigurationError, match=r"requires keys \['alpha'\]"):
+            tasks.build_family("quadratic_pair", 0, d=12)
+        with pytest.raises(ConfigurationError, match=r"requires keys \['d', 'alpha'\]"):
+            tasks.build_family("quadratic_pair", 0)
+        for key, value in [("d", "x"), ("d", None), ("d", math.inf), ("alpha", "wide")]:
+            params = {"d": 12, "alpha": 0.5, key: value}
+            with pytest.raises(ConfigurationError, match=f"^{key} = {value!r} does not convert"):
+                tasks.build_family("quadratic_pair", 0, **params)
 
     def test_schema_is_the_constructor_signature(self):
         assert tasks.family_schema("quadratic_pair") == {"d": int, "alpha": float}

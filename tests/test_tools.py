@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from orthoproj.linalg import BLOCK
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
 same_outputs = importlib.util.module_from_spec(_spec)
@@ -77,4 +79,15 @@ def test_a_job_runs_replay_over_two_facets_at_a_weight_other_than_1():
     train = text.split("[train]\n", 1)[1]
     assert "\nmethod = replay\n" in train and "replay_lambda = 0.5\n" in train
     assert "\nref_count = 2\n" in train and "ortho" not in text
+    assert same_outputs.edited(text, {}) == text
+
+
+def test_a_job_compares_the_quadratic_pair_wider_than_a_block():
+    configs = {name: config for name, config, _, _ in same_outputs.jobs(Path("."))}
+    name, edits = configs["compare quadratic d=200003"]
+    shipped = (_PATH.parents[1] / "configs" / name).read_text()
+    text = same_outputs.edited(shipped, edits)
+    family = shipped.split("[family]\n", 1)[1].split("\n[", 1)[0]
+    assert "\nd = 12\n" in family and shipped.count("\nd = 12\n") == 1
+    assert text == shipped.replace("\nd = 12\n", "\nd = 200003\n") and 200003 > BLOCK
     assert same_outputs.edited(text, {}) == text

@@ -11,6 +11,9 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 - ``run`` on ``regression.cfg`` with ``method = replay`` and
   ``replay_lambda = 0.5``: a replay direction over two facets at a weight
   other than 1, which no shipped config reaches;
+- ``compare`` on ``quadratic.cfg`` at ``d = 200003``, wider than
+  ``linalg.BLOCK``, where the norms and projections fold several blocks
+  and the model reads theta's finiteness off long rows;
 - ``sweep --axis K --values 2,5,10,inf`` on ``policy.cfg``;
 - ``sweep --axis refsize --values 50,200,400`` on ``regression.cfg``,
   whose reference batches are below, equal to and above its 200
@@ -28,8 +31,8 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 Every file a job writes, its stdout and its exit code are compared byte for
 byte. Each difference is printed; the exit status is 1 if there is any,
 else 0. A config is copied into the job's directory first, with the job's
-``[train]`` edits applied, so a path in a message is the same for both
-trees.
+``[family]`` and ``[train]`` edits applied, so a path in a message is the
+same for both trees.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ for family in (regression_family(40, 32, math.pi / 3, 1.0, 37, 50, seed=3),
 
 
 def jobs(tree: Path):
-    """(name, (config file, [train] edits) or None, argv, masked) of every
-    job, in order."""
+    """(name, (config file, {section: {key: value}} edits) or None, argv,
+    masked) of every job, in order."""
     cli = [sys.executable, "-c", CLI]
     for command in ("run", "compare"):
         for cfg in CONFIGS:
@@ -70,8 +73,10 @@ def jobs(tree: Path):
     yield ("run policy --seed 3", ("policy.cfg", {}),
            cli + ["run", "--config", "policy.cfg", "--seed", "3", "--out", "out"], False)
     yield ("run regression replay 0.5",
-           ("regression.cfg", {"method": "replay", "replay_lambda": "0.5"}),
+           ("regression.cfg", {"train": {"method": "replay", "replay_lambda": "0.5"}}),
            cli + ["run", "--config", "regression.cfg", "--out", "out"], False)
+    yield ("compare quadratic d=200003", ("quadratic.cfg", {"family": {"d": "200003"}}),
+           cli + ["compare", "--config", "quadratic.cfg", "--out", "out"], False)
     yield ("sweep policy K", ("policy.cfg", {}),
            cli + ["sweep", "--config", "policy.cfg", "--axis", "K", "--values", "2,5,10,inf",
                   "--out", "out"], False)
@@ -89,15 +94,19 @@ def jobs(tree: Path):
         yield f"demo {demo.stem}", None, [sys.executable, str(demo)], False
 
 
-def edited(text: str, edits: dict[str, str]) -> str:
-    """A config's text with each ``[train]`` key in ``edits`` set: a key the
-    file sets has its line replaced, any other is added below ``[train]``."""
-    head, train = text.split("[train]\n", 1)
-    for key, value in edits.items():
-        train, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", train, flags=re.MULTILINE)
-        if not found:
-            train = f"{key} = {value}\n{train}"
-    return f"{head}[train]\n{train}"
+def edited(text: str, edits: dict[str, dict[str, str]]) -> str:
+    """A config's text with each key in ``edits[section]`` set in that
+    section: a key the section sets has its line replaced, any other is
+    added below the section's header."""
+    for section, keys in edits.items():
+        head, rest = text.split(f"[{section}]\n", 1)
+        body, bracket, tail = rest.partition("\n[")  # the section ends at the next header
+        for key, value in keys.items():
+            body, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", body, flags=re.MULTILINE)
+            if not found:
+                body = f"{key} = {value}\n{body}"
+        text = f"{head}[{section}]\n{body}{bracket}{tail}"
+    return text
 
 
 def snapshot(tree: Path, threads: str, config, argv, masked: bool) -> dict[str, bytes]:
