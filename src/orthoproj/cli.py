@@ -124,12 +124,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigurationError("--values is empty")
     key = SWEEP_AXES[args.axis]
+    settings = {}  # entry -> its setting, or the ValueError reading it raised
     entries = {}  # setting -> the first entry that gives it
     for value in values:
         try:
-            v = train_value(key, value)
-        except ValueError:
-            continue  # fails as its own leg
+            settings[value] = v = train_value(key, value)
+        except ValueError as exc:
+            settings[value] = exc  # fails as its own leg
+            continue
         if v in entries:
             raise ConfigurationError(
                 f"--values {entries[v]!r} and {value!r} give the same {key}")
@@ -137,10 +139,9 @@ def cmd_sweep(args) -> int:
     out_root = _out_root(args, experiment)
 
     def leg(value):
-        try:
-            v = train_value(key, value)
-        except ValueError as exc:
-            raise ConfigurationError(f"axis value {value!r}: {exc}") from exc
+        v = settings[value]
+        if isinstance(v, ValueError):
+            raise ConfigurationError(f"axis value {value!r}: {v}") from v
         t = (experiment.train.with_refresh(v) if args.axis == "K"
              else dataclasses.replace(experiment.train, **{key: v}))
         return _run_on(dataclasses.replace(experiment, train=t), family,

@@ -28,11 +28,12 @@ config that parses back to the same experiment.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 from .optimizer import NO_REFRESH, Stage, TrainConfig
-from .tasks import FAMILIES, TaskFamily, build_family, family_schema
+from .tasks import FAMILIES, TaskFamily, build_family, family_schema, read_family
 
 __all__ = ["ExperimentFile", "ConfigParseError", "parse_config", "parse_config_file",
            "load_experiment", "train_value", "render_config", "CONFIG_VERSION", "DEFAULTS"]
@@ -94,6 +95,8 @@ _TRAIN_KEYS = {
     "ref_count": int, "delta": float, "safety_batch": int,
     "ref_batch": int, "replay_lambda": float, "seed": int, "stages": "stages",
 }
+# each section's keys; [family]'s are its kind's (tasks.read_family)
+_KEYS = {"experiment": ("version",), "family": None, "train": _TRAIN_KEYS, "output": ("dir",)}
 
 
 def _scan(text: str):
@@ -108,7 +111,7 @@ def _scan(text: str):
             if not stripped.endswith("]"):
                 raise ConfigParseError("unterminated section header", line_no, col)
             section = stripped[1:-1].strip()
-            if section not in ("experiment", "family", "train", "output"):
+            if section not in _KEYS:
                 raise ConfigParseError(f"unknown section [{section}]", line_no, col)
             yield line_no, col, section, None, None
             continue
@@ -146,9 +149,11 @@ def train_value(key: str, value: str):
 
 
 def _at_key(section: str, exc: ConfigurationError, positions: dict, fallback: str):
-    """``exc``, whose message starts with the key it rejects, as a parse
-    error at that key when the file sets it, else at ``fallback``."""
-    where = positions.get((section, str(exc).split(" ", 1)[0]), positions[(section, fallback)])
+    """``exc``, whose message starts with the key it rejects or with
+    ``unknown key 'x'``, as a parse error at that key when the file sets
+    it, else at ``fallback``."""
+    key = re.match(r"(?:unknown key ')?([^' ]*)", str(exc))[1]
+    where = positions.get((section, key), positions[section, fallback])
     return ConfigParseError(f"[{section}] invalid: {exc}", *where)
 
 
@@ -174,7 +179,7 @@ def parse_config(text: str, name: str = "<config>") -> ExperimentFile:
 def _parse(text: str, name: str, seed: int | None):
     """The experiment, with ``seed`` as its train seed if given, and the
     ``(section, key) -> (line, column)`` of each value in the file."""
-    seen: dict[str, dict[str, object]] = {"experiment": {}, "family": {}, "train": {}, "output": {}}
+    seen: dict[str, dict[str, str]] = {section: {} for section in _KEYS}
     positions: dict[tuple[str, str], tuple[int, int]] = {}
     sections_seen = set()
 
@@ -185,59 +190,38 @@ def _parse(text: str, name: str, seed: int | None):
         raw, value_col = value
         if key in seen[section]:
             raise ConfigParseError(f"duplicate key {key!r} in [{section}]", line_no, col)
+        if section != "family" and key not in _KEYS[section]:
+            raise ConfigParseError(f"unknown key {key!r} in [{section}]", line_no, value_col)
         seen[section][key] = raw
-        positions[(section, key)] = (line_no, value_col)
-
-    def pos(section, key):
-        return positions.get((section, key), (0, 1))
+        positions[section, key] = (line_no, value_col)
 
     # [experiment]
     if "experiment" not in sections_seen:
         raise ConfigParseError("missing [experiment] section", 1)
-    exp = seen["experiment"]
-    for key in exp:
-        if key != "version":
-            raise ConfigParseError(f"unknown key {key!r} in [experiment]", *pos("experiment", key))
-    if "version" not in exp:
+    if "version" not in seen["experiment"]:
         raise ConfigParseError("missing 'version' in [experiment]", 1)
-    version = _convert(int, exp["version"], *pos("experiment", "version"))
+    where = positions["experiment", "version"]
+    version = _convert(int, seen["experiment"]["version"], *where)
     if version != CONFIG_VERSION:
-        raise ConfigParseError(f"unsupported config version {version}",
-                               *pos("experiment", "version"))
+        raise ConfigParseError(f"unsupported config version {version}", *where)
 
-    # [family]
+    # [family]: each value's text becomes its key's type here (an unknown
+    # kind's or key's stays text); tasks.read_family judges the rest below
     if "kind" not in seen["family"]:
         raise ConfigParseError("missing 'kind' in [family]", 1)
-    kind_line, kind_col = pos("family", "kind")
     kind = seen["family"].pop("kind")
-    if kind not in FAMILIES:
-        raise ConfigParseError(f"unknown family kind {kind!r}", kind_line, kind_col)
-    family_seed_raw = seen["family"].pop("seed", None)
-    schema = family_schema(kind)
-    params = {}
-    for key, raw in seen["family"].items():
-        if key not in schema:
-            raise ConfigParseError(f"unknown key {key!r} for family {kind}", *pos("family", key))
-        params[key] = _convert(schema[key], raw, *pos("family", key))
-    for key in schema:
-        if key not in params:
-            raise ConfigParseError(f"family {kind} requires key {key!r}", 1)
+    types = dict(family_schema(kind), seed=int) if kind in FAMILIES else {}
+    family = {key: _convert(types[key], raw, *positions["family", key]) if key in types else raw
+              for key, raw in seen["family"].items()}
 
     # [train]
-    train_kwargs: dict[str, object] = {}
-    stages: tuple[Stage, ...] | None = None
-    for key, raw in seen["train"].items():
-        if key not in _TRAIN_KEYS:
-            raise ConfigParseError(f"unknown key {key!r} in [train]", *pos("train", key))
-        if key == "stages":
-            stages = _parse_stages(raw, *pos("train", key))
-        else:
-            train_kwargs[key] = _convert(_TRAIN_KEYS[key], raw, *pos("train", key))
-    if stages is None:
+    train_kwargs = {key: _parse_stages(raw, *positions["train", key]) if key == "stages"
+                    else _convert(_TRAIN_KEYS[key], raw, *positions["train", key])
+                    for key, raw in seen["train"].items()}
+    if "stages" not in train_kwargs:
         raise ConfigParseError("missing 'stages' in [train]", 1)
-    if "steps" not in seen["train"]:
-        train_kwargs["steps"] = sum(s.steps for s in stages)
-    train = TrainConfig(stages=stages, **train_kwargs)
+    train_kwargs.setdefault("steps", sum(s.steps for s in train_kwargs["stages"]))
+    train = TrainConfig(**train_kwargs)
     try:
         train.validate()
     except ConfigurationError as exc:
@@ -245,32 +229,19 @@ def _parse(text: str, name: str, seed: int | None):
     if seed is not None:
         train = replace(train, seed=seed)
 
-    # [output]
-    out_dir = None
-    for key, raw in seen["output"].items():
-        if key != "dir":
-            raise ConfigParseError(f"unknown key {key!r} in [output]", *pos("output", key))
-        if not raw:
-            raise ConfigParseError("[output] dir must not be empty", *pos("output", key))
-        out_dir = raw
-    if out_dir is None:
-        stem = name.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        out_dir = f"runs/{stem}"
-
     # the family seed follows the train seed unless the file sets it
-    family_seed = int(train.seed)
-    if family_seed_raw is not None:
-        family_seed = _convert(int, family_seed_raw, *pos("family", "seed"))
-        if family_seed < 0:
-            raise ConfigParseError(f"[family] invalid: seed must be >= 0, got {family_seed}",
-                                   *pos("family", "seed"))
-    return ExperimentFile(
-        family_kind=kind,
-        family_seed=family_seed,
-        family_params=tuple(sorted(params.items())),
-        train=train,
-        out_dir=out_dir,
-    ), positions
+    try:
+        family_seed, params = read_family(kind, family.pop("seed", train.seed), family)
+    except ConfigurationError as exc:
+        raise _at_key("family", exc, positions, "kind") from exc
+
+    # [output]
+    stem = name.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    out_dir = seen["output"].get("dir", f"runs/{stem}")
+    if not out_dir:
+        raise ConfigParseError("[output] dir must not be empty", *positions["output", "dir"])
+    return ExperimentFile(kind, family_seed, tuple(sorted(params.items())), train,
+                          out_dir), positions
 
 
 def _read(path) -> str:

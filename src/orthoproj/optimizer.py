@@ -9,6 +9,7 @@ naive run bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +83,11 @@ class TrainConfig:
                                      f"got {self.method!r}")
         if not isinstance(self.probes, bool):
             raise ConfigurationError(f"probes must be True or False, got {self.probes!r}")
+        counts = [(n, getattr(self, n)) for n in ("steps", "ref_count", "safety_batch",
+                                                  "ref_batch", "seed")]
+        for name, value in counts + [(f"stage {s.task!r} steps", s.steps) for s in self.stages]:
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.eta < math.inf:
             raise ConfigurationError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 1:

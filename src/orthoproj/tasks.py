@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ __all__ = [
     "policy_family",
     "FAMILIES",
     "family_schema",
+    "read_family",
     "build_family",
 ]
 
@@ -477,30 +479,49 @@ FAMILIES = {
 def family_schema(kind: str) -> dict[str, type]:
     """Config keys of a family kind, each required: name -> type, read off
     the constructor's signature (every parameter but ``seed``)."""
+    if kind not in FAMILIES:
+        raise ConfigurationError(f"unknown family kind {kind!r}")
     constructor = FAMILIES[kind]
     types = typing.get_type_hints(constructor)
     return {name: types[name] for name in inspect.signature(constructor).parameters
             if name != "seed"}
 
 
-def build_family(kind: str, seed: int, **params) -> TaskFamily:
-    """Construct a family from config-file parameters. An unknown kind, an
-    unknown or missing key, or a value that does not convert to its key's
-    type raises :class:`ConfigurationError` naming it."""
-    if kind not in FAMILIES:
-        raise ConfigurationError(f"unknown family kind {kind!r}")
+def read_family(kind: str, seed, params: Mapping[str, object]) -> tuple[int, dict]:
+    """``(seed, params)`` as the ``kind`` constructor takes them, for config
+    files and :func:`build_family` alike: every key of ``family_schema(kind)``
+    and no other, each read as its key's type and equal to what it reads as
+    (12.0 reads as 12; 12.5 is rejected), and a non-negative integer seed
+    (``np.int64(3)`` reads as 3). All come back plain ``int``/``float``, so
+    equal families share one fingerprint. A rejection is a
+    :class:`ConfigurationError` naming its key first or quoting it."""
     schema = family_schema(kind)
-    unknown = sorted(params.keys() - schema.keys())
+    unknown = [key for key in params if key not in schema]
     if unknown:
-        raise ConfigurationError(f"unknown keys {unknown} for family {kind}")
-    missing = [k for k in schema if k not in params]
+        raise ConfigurationError(f"unknown key {unknown[0]!r} for family {kind}")
+    missing = [key for key in schema if key not in params]
     if missing:
         raise ConfigurationError(f"family {kind} requires keys {missing}")
-    converted = {}
-    for key, value in params.items():
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    read = {}
+    for key, type_ in schema.items():
         try:
-            converted[key] = schema[key](value)
+            read[key] = type_(params[key])
         except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(f"{key} = {value!r} does not convert to "
-                                     f"{schema[key].__name__}") from None
-    return FAMILIES[kind](seed=seed, **converted)
+            pass
+        if key not in read or read[key] != params[key]:
+            raise ConfigurationError(f"{key} = {params[key]!r} does not convert to "
+                                     f"{type_.__name__}")
+    return int(seed), read
+
+
+def build_family(kind: str, seed: int, **params) -> TaskFamily:
+    """The family of a kind, seed and parameters as :func:`read_family` reads
+    them, so the constructor gets plain ``int``/``float`` values and an
+    ``int`` seed, and a numpy-typed call builds the plain call's family and
+    fingerprint. What the reader rejects raises :class:`ConfigurationError`."""
+    seed, params = read_family(kind, seed, params)
+    return FAMILIES[kind](seed=seed, **params)

@@ -14,7 +14,7 @@ import pytest
 
 from orthoproj import cli, config
 from orthoproj.cli import main
-from orthoproj.config import DEFAULTS, render_config
+from orthoproj.config import DEFAULTS, render_config, train_value
 from orthoproj.optimizer import train
 from orthoproj.tasks import build_family
 
@@ -380,6 +380,23 @@ class TestSweep:
         assert main(["sweep", "--config", str(quad_config()), "--axis", "K",
                      "--values", "2,5,10,inf", "--out", str(tmp_path / "k")]) == 0
         assert len(calls) == 1
+
+    def test_each_value_is_read_once(self, quad_config, tmp_path, monkeypatch):
+        # one read gives each entry its setting or its error
+        reads = []
+
+        def counted(key, value):
+            reads.append(value)
+            return train_value(key, value)
+
+        monkeypatch.setattr(cli, "train_value", counted)
+        out = tmp_path / "m"
+        assert main(["sweep", "--config", str(quad_config()), "--axis", "M",
+                     "--values", "0,bogus,1", "--out", str(out)]) == 2
+        assert reads == ["0", "bogus", "1"]
+        [record] = json.loads((out / "failures.json").read_text())
+        assert record["value"] == "bogus"
+        assert record["error"].startswith("axis value 'bogus': invalid literal for int()")
 
     def test_unknown_axis_rejected(self, quad_config):
         with pytest.raises(SystemExit) as err:

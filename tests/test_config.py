@@ -3,11 +3,14 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orthoproj.config import (_TRAIN_KEYS, DEFAULTS, ConfigParseError, parse_config,
                               parse_config_file, render_config)
+from orthoproj.errors import ConfigurationError
 from orthoproj.optimizer import NO_REFRESH, Stage, TrainConfig
+from orthoproj.tasks import build_family
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -182,6 +185,44 @@ def test_train_error_points_at_the_failing_key(key, old, new, fragment):
     with pytest.raises(ConfigParseError, match=re.escape(fragment)) as err:
         parse_config(text)
     assert err.value.line == line
+
+
+_QUAD = dict(d=12, alpha=math.pi / 4)  # MINIMAL's family
+
+
+# each case: a MINIMAL edit, the build_family seed and params that carry the
+# same fault, the key whose line the file error points at, and the library's
+# and the file's messages
+@pytest.mark.parametrize("old, new, seed, params, line_key, library, file", [
+    ("d = 12", "d = 12.5", 0, dict(_QUAD, d=12.5), "d",
+     "d = 12.5 does not convert to int", "cannot parse '12.5'"),
+    ("d = 12", "d = 12\nwobble = 3", 0, dict(_QUAD, wobble=3), "wobble",
+     "unknown key 'wobble' for family quadratic_pair",
+     "[family] invalid: unknown key 'wobble' for family quadratic_pair"),
+    # a missing key has no line; the error points at the kind that requires it
+    ("alpha = 0.7853981633974483", "", 0, dict(d=12), "kind",
+     "family quadratic_pair requires keys ['alpha']",
+     "[family] invalid: family quadratic_pair requires keys ['alpha']"),
+    ("d = 12", "d = 12\nseed = -1", -1, _QUAD, "seed",
+     "seed must be >= 0, got -1", "[family] invalid: seed must be >= 0, got -1"),
+], ids=["non_integral_d", "unknown_key", "missing_key", "negative_seed"])
+def test_a_bad_family_is_rejected_alike_by_library_and_file(old, new, seed, params, line_key,
+                                                             library, file):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(library)}$"):
+        build_family("quadratic_pair", seed, **params)
+    text = MINIMAL.replace(old, new)
+    [line] = [i for i, row in enumerate(text.splitlines(), start=1)
+              if row.startswith(f"{line_key} = ")]
+    with pytest.raises(ConfigParseError, match=f"^line {line}, column \\d+: {re.escape(file)}$"):
+        parse_config(text)
+
+
+def test_a_family_seed_set_in_the_file_is_read_as_the_library_reads_it():
+    exp = parse_config(MINIMAL.replace("d = 12", "d = 12\nseed = 4"))
+    assert (exp.family_seed, exp.train.seed) == (4, 0)
+    fam = build_family(exp.family_kind, exp.family_seed, **exp.family_params_dict())
+    assert fam.fingerprint == build_family("quadratic_pair", np.int64(4), d=np.float64(12.0),
+                                           alpha=math.pi / 4).fingerprint
 
 
 @pytest.mark.parametrize("stem", sorted(DEFAULTS))

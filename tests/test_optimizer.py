@@ -491,3 +491,27 @@ class TestValidation:
         for key in ("eta", "delta", "replay_lambda"):
             with pytest.raises(ConfigurationError, match=key):
                 TrainConfig(**dict(QUAD_BASE, method="replay", **{key: math.inf})).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 300.0), ("ref_count", 1.5), ("safety_batch", 1.5), ("ref_batch", 1.5),
+        ("seed", 1.5), ("seed", "3"), ("stage 'safety' steps", 300.0)],
+        ids=["steps", "ref_count", "safety_batch", "ref_batch", "seed", "seed_text",
+             "stage_steps"])
+    def test_counts_must_be_integers(self, regression_family, field, value):
+        # each of these once failed mid-run with numpy's TypeError
+        base = DEFAULTS["regression"].train
+        if field.startswith("stage "):
+            config = dataclasses.replace(base, stages=(Stage("safety", "squared_error", value),))
+        else:
+            config = dataclasses.replace(base, **{field: value})
+        message = f"^{field} must be an integer, got {value!r}$"
+        with pytest.raises(ConfigurationError, match=message):
+            config.validate()
+        with pytest.raises(ConfigurationError, match=message):
+            train(config, regression_family())
+
+    def test_numpy_integer_counts_are_integers(self):
+        base = DEFAULTS["regression"].train
+        dataclasses.replace(base, steps=np.int64(300), ref_count=np.int64(2),
+                            safety_batch=np.int32(64), ref_batch=np.uint16(200),
+                            seed=np.int64(3)).validate()

@@ -670,3 +670,46 @@ class TestBuildFamily:
 
     def test_schema_is_the_constructor_signature(self):
         assert tasks.family_schema("quadratic_pair") == {"d": int, "alpha": float}
+
+    def test_a_non_integral_int_key_or_seed_is_rejected(self):
+        # d = 12.5 once built a d = 12 family whose params said 12
+        with pytest.raises(ConfigurationError, match=r"^d = 12\.5 does not convert to int$"):
+            tasks.build_family("quadratic_pair", 0, d=12.5, alpha=0.5)
+        with pytest.raises(ConfigurationError, match=r"^d = '12' does not convert to int$"):
+            tasks.build_family("quadratic_pair", 0, d="12", alpha=0.5)
+        with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -1$"):
+            tasks.build_family("quadratic_pair", -1, d=12, alpha=0.5)
+        for seed in (1.5, 3.0, "3", None):
+            with pytest.raises(ConfigurationError, match=f"^seed must be an integer, got {seed!r}$"):
+                tasks.build_family("quadratic_pair", seed, d=12, alpha=0.5)
+        fam = tasks.build_family("quadratic_pair", 0, d=12.0, alpha=0.5)
+        assert type(fam.params["d"]) is int and fam.params["d"] == 12
+        assert fam.theta0.shape == (12,)
+
+    def test_numpy_typed_values_build_the_plain_family(self):
+        plain = tasks.build_family("quadratic_pair", 3, d=12, alpha=0.5)
+        typed = tasks.build_family("quadratic_pair", np.int64(3), d=np.int64(12),
+                                   alpha=np.float64(0.5))
+        assert type(typed.seed) is int
+        assert [type(v) for v in typed.params.values()] == [type(v) for v in plain.params.values()]
+        assert typed.fingerprint == plain.fingerprint
+        # the seed True is the seed 1, as numpy reads it
+        assert (tasks.build_family("quadratic_pair", True, d=12, alpha=0.5).fingerprint
+                == tasks.build_family("quadratic_pair", 1, d=12, alpha=0.5).fingerprint)
+        config = TrainConfig(method="naive", eta=0.05, steps=3, ref_count=1, safety_batch=1,
+                             ref_batch=1, stages=(Stage("safety", "squared_error", 3),))
+        assert alignment_tax(train(config, typed), plain).ref_names == ("capability",)
+        assert alignment_tax(train(config, plain), typed).ref_names == ("capability",)
+
+    def test_read_family_returns_plain_values_in_schema_order(self):
+        seed, params = tasks.read_family(
+            "regression_mlp", np.uint8(7),
+            dict(n_safety=np.int32(20), d=16.0, hidden=12, alpha=np.float32(0.5),
+                 noise_sigma=1, n_capability=10))
+        assert (seed, params) == (7, dict(d=16, hidden=12, alpha=0.5, noise_sigma=1.0,
+                                          n_capability=10, n_safety=20))
+        assert list(params) == list(tasks.family_schema("regression_mlp"))
+        assert [type(v) for v in (seed, *params.values())] == [int, int, int, float, float,
+                                                                 int, int]
+        with pytest.raises(ConfigurationError, match="unknown family kind 'transformer'"):
+            tasks.family_schema("transformer")

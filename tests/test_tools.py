@@ -91,3 +91,12 @@ def test_a_job_compares_the_quadratic_pair_wider_than_a_block():
     assert "\nd = 12\n" in family and shipped.count("\nd = 12\n") == 1
     assert text == shipped.replace("\nd = 12\n", "\nd = 200003\n") and 200003 > BLOCK
     assert same_outputs.edited(text, {}) == text
+
+
+def test_a_job_sets_the_family_seed_in_the_file():
+    configs = {name: config for name, config, _, _ in same_outputs.jobs(Path("."))}
+    name, edits = configs["run regression family seed 4"]
+    cfg = (_PATH.parents[1] / "configs" / name).read_text()
+    assert "\nseed" not in cfg.split("[train]")[0]
+    family = same_outputs.edited(cfg, edits).split("[family]\n", 1)[1].split("[train]")[0]
+    assert family.startswith("seed = 4\nkind = regression_mlp\n")

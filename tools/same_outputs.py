@@ -11,6 +11,9 @@ Each tree runs in its own subprocesses with ``PYTHONPATH=<tree>/src``, at
 - ``run`` on ``regression.cfg`` with ``method = replay`` and
   ``replay_lambda = 0.5``: a replay direction over two facets at a weight
   other than 1, which no shipped config reaches;
+- ``run`` on ``regression.cfg`` with ``[family] seed = 4`` set in the
+  file, which no shipped config sets: the family seed goes through the
+  family reader, not the train seed;
 - ``compare`` on ``quadratic.cfg`` at ``d = 200003``, wider than
   ``linalg.BLOCK``, where the norms and projections fold several blocks
   and the model reads theta's finiteness off long rows;
@@ -74,6 +77,8 @@ def jobs(tree: Path):
            cli + ["run", "--config", "policy.cfg", "--seed", "3", "--out", "out"], False)
     yield ("run regression replay 0.5",
            ("regression.cfg", {"train": {"method": "replay", "replay_lambda": "0.5"}}),
+           cli + ["run", "--config", "regression.cfg", "--out", "out"], False)
+    yield ("run regression family seed 4", ("regression.cfg", {"family": {"seed": "4"}}),
            cli + ["run", "--config", "regression.cfg", "--out", "out"], False)
     yield ("compare quadratic d=200003", ("quadratic.cfg", {"family": {"d": "200003"}}),
            cli + ["compare", "--config", "quadratic.cfg", "--out", "out"], False)
